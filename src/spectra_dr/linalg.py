@@ -9,7 +9,13 @@ pivot columns refer to the original matrix.
 
 A Subquotient packages (cycles mod boundaries) inside a fixed ambient space;
 every cohomology group, spectral-sequence term and Bott-Chern group in the
-package is one of these.
+package is one of these.  Its representatives come from one leftmost-pivot
+Gauss-Jordan pass over [B | Z]: the pivot columns inside Z are exactly the
+cycles a greedy left-to-right scan would add to the boundaries.
+
+Matrices built by RatMatrix's own operations and by the eliminations already
+hold Fractions, so they are constructed with the private keyword
+``_trusted=True``, which skips the per-entry coercion but not the size cap.
 """
 
 from __future__ import annotations
@@ -69,7 +75,7 @@ class RatMatrix:
 
     __slots__ = ("rows", "cols", "_rows", "_hash")
 
-    def __init__(self, rows: int, cols: int, entries=None):
+    def __init__(self, rows: int, cols: int, entries=None, *, _trusted=False):
         if rows < 0 or cols < 0:
             raise ValidationError(f"negative matrix shape {rows}x{cols}")
         cap = _max_dim()
@@ -77,7 +83,10 @@ class RatMatrix:
             raise ValidationError(
                 f"matrix shape {rows}x{cols} exceeds SPECTRA_DR_MAX_DIM={cap}"
             )
-        if entries is None:
+        if _trusted:
+            # internal: exactly `rows` row sequences of `cols` Fractions each
+            data = tuple(map(tuple, entries))
+        elif entries is None:
             row = (F0,) * cols
             data = tuple(row for _ in range(rows))
         else:
@@ -114,7 +123,8 @@ class RatMatrix:
     @staticmethod
     def identity(n: int) -> "RatMatrix":
         return RatMatrix(
-            n, n, [[F1 if i == j else F0 for j in range(n)] for i in range(n)]
+            n, n, [[F1 if i == j else F0 for j in range(n)] for i in range(n)],
+            _trusted=True,
         )
 
     @staticmethod
@@ -152,7 +162,7 @@ class RatMatrix:
         return tuple(r[j] for r in self._rows)
 
     def col_matrix(self, j: int) -> "RatMatrix":
-        return RatMatrix(self.rows, 1, [[r[j]] for r in self._rows])
+        return RatMatrix(self.rows, 1, [[r[j]] for r in self._rows], _trusted=True)
 
     def columns(self) -> list:
         return [self.col(j) for j in range(self.cols)]
@@ -178,6 +188,7 @@ class RatMatrix:
                 [a + b for a, b in zip(ra, rb)]
                 for ra, rb in zip(self._rows, other._rows)
             ],
+            _trusted=True,
         )
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
@@ -189,11 +200,13 @@ class RatMatrix:
                 [a - b for a, b in zip(ra, rb)]
                 for ra, rb in zip(self._rows, other._rows)
             ],
+            _trusted=True,
         )
 
     def __neg__(self) -> "RatMatrix":
         return RatMatrix(
-            self.rows, self.cols, [[-a for a in r] for r in self._rows]
+            self.rows, self.cols, [[-a for a in r] for r in self._rows],
+            _trusted=True,
         )
 
     def scale(self, c) -> "RatMatrix":
@@ -201,7 +214,8 @@ class RatMatrix:
         if c == 1:
             return self
         return RatMatrix(
-            self.rows, self.cols, [[c * a for a in r] for r in self._rows]
+            self.rows, self.cols, [[c * a for a in r] for r in self._rows],
+            _trusted=True,
         )
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
@@ -221,20 +235,18 @@ class RatMatrix:
                         if b:
                             acc[j] = acc[j] + a * b
             out.append(acc)
-        return RatMatrix(self.rows, ocols, out)
+        return RatMatrix(self.rows, ocols, out, _trusted=True)
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(
-            self.cols,
-            self.rows,
-            [[self._rows[i][j] for i in range(self.rows)] for j in range(self.cols)],
-        )
+        cols = zip(*self._rows) if self.rows else [()] * self.cols
+        return RatMatrix(self.cols, self.rows, cols, _trusted=True)
 
     def submatrix(self, row_idx: Iterable[int], col_idx: Iterable[int]) -> "RatMatrix":
         ri = list(row_idx)
         ci = list(col_idx)
         return RatMatrix(
-            len(ri), len(ci), [[self._rows[i][j] for j in ci] for i in ri]
+            len(ri), len(ci), [[self._rows[i][j] for j in ci] for i in ri],
+            _trusted=True,
         )
 
     def select_columns(self, col_idx: Iterable[int]) -> "RatMatrix":
@@ -254,7 +266,7 @@ class RatMatrix:
         for m in mats:
             for i in range(rows):
                 out[i].extend(m._rows[i])
-        return RatMatrix(rows, sum(m.cols for m in mats), out)
+        return RatMatrix(rows, sum(m.cols for m in mats), out, _trusted=True)
 
     @staticmethod
     def vstack(mats: Sequence["RatMatrix"]) -> "RatMatrix":
@@ -266,8 +278,8 @@ class RatMatrix:
             raise ValidationError("vstack column mismatch")
         out = []
         for m in mats:
-            out.extend(list(r) for r in m._rows)
-        return RatMatrix(sum(m.rows for m in mats), cols, out)
+            out.extend(m._rows)
+        return RatMatrix(sum(m.rows for m in mats), cols, out, _trusted=True)
 
     @staticmethod
     def block_diag(mats: Sequence["RatMatrix"]) -> "RatMatrix":
@@ -285,7 +297,7 @@ class RatMatrix:
                         orow[c0 + j] = mr[j]
             r0 += m.rows
             c0 += m.cols
-        return RatMatrix(rows, cols, out)
+        return RatMatrix(rows, cols, out, _trusted=True)
 
     @staticmethod
     def kron(a: "RatMatrix", b: "RatMatrix") -> "RatMatrix":
@@ -304,7 +316,7 @@ class RatMatrix:
                     for l in range(b.cols):
                         if brow[l]:
                             orow[j * b.cols + l] = x * brow[l]
-        return RatMatrix(rows, cols, out)
+        return RatMatrix(rows, cols, out, _trusted=True)
 
     # -- plumbing ---------------------------------------------------------
 
@@ -324,9 +336,17 @@ class RatMatrix:
         )
 
     def __hash__(self) -> int:
+        # Fractions are normalized, so equal matrices have equal nonzero
+        # (position, numerator, denominator) lists; hashing those avoids
+        # Fraction.__hash__ and its modular inverse on every entry
         h = self._hash
         if h is None:
-            h = hash((self.rows, self.cols, self._rows))
+            h = hash((self.rows, self.cols, tuple(
+                (i, j, x.numerator, x.denominator)
+                for i, r in enumerate(self._rows)
+                for j, x in enumerate(r)
+                if x
+            )))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -491,9 +511,7 @@ def kernel_basis(m: RatMatrix) -> RatMatrix:
         for j in range(n):
             x[colperm[j]] = y[j]
         cols.append(_primitive(x))
-    return RatMatrix(
-        n, len(cols), [[cols[c][i] for c in range(len(cols))] for i in range(n)]
-    )
+    return RatMatrix(n, len(cols), zip(*cols), _trusted=True)
 
 
 @lru_cache(maxsize=None)
@@ -565,7 +583,7 @@ def solve_matrix(a: RatMatrix, b: RatMatrix) -> RatMatrix | None:
     out = [[F0] * k for _ in range(n)]
     for i, c in enumerate(pivots):
         out[c] = rows[i][n:]
-    return RatMatrix(n, k, out)
+    return RatMatrix(n, k, out, _trusted=True)
 
 
 def in_span(basis: RatMatrix, vectors: RatMatrix) -> bool:
@@ -628,6 +646,8 @@ def subquotient(cycles: RatMatrix, boundaries: RatMatrix) -> Subquotient:
     """Build Z/B from a spanning set of cycles and of boundaries.
 
     Raises ContainmentViolation unless span(boundaries) <= span(cycles).
+    The representatives are the columns of the cycle basis that are leftmost
+    pivots of [B | Z]: each is independent of B and of the cycles before it.
     """
     if cycles.rows != boundaries.rows:
         raise ValidationError(
@@ -638,13 +658,10 @@ def subquotient(cycles: RatMatrix, boundaries: RatMatrix) -> Subquotient:
     b = image_basis(boundaries)
     if not in_span(z, b):
         raise ContainmentViolation("boundaries not contained in cycles")
-    reps = []
-    current = b
-    for j in range(z.cols):
-        col = z.col_matrix(j)
-        if solve_matrix(current, col) is None:
-            reps.append(j)
-            current = RatMatrix.hstack([current, col])
+    nb = b.cols
+    aug = [list(rb) + list(rz) for rb, rz in zip(b._rows, z._rows)]
+    pivots, _ = _rref(aug, nb + z.cols)
+    reps = [c - nb for c in pivots if c >= nb]
     return Subquotient(ambient, z, b, z.select_columns(reps))
 
 

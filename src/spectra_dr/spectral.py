@@ -14,8 +14,11 @@ with d_r induced by the total differential.  Both denominator summands are
 contained in Z_r^{p,q}, and the subquotient constructor checks that
 containment on every call, so a convention error cannot pass silently.
 
-Pages stabilize once r exceeds the support spans; limit_page computes one
-page beyond its bound and insists nothing moved.
+d_r maps E_r^{p,q} to E_r^{p+r,q-r+1}, so it moves the filtration degree by
+r.  Once r exceeds the column span p_hi - p_lo, every d_r leaves the column
+support on one side or the other and is zero, so page p_hi - p_lo + 1 is
+already the limit (McCleary, A User's Guide to Spectral Sequences, 2.2).
+limit_page computes one page beyond that bound and insists nothing moved.
 """
 
 from __future__ import annotations
@@ -78,10 +81,10 @@ def _z_basis(k: DoubleComplex, t: CochainComplex, p: int, q: int, r: int) -> Rat
         ker = RatMatrix.identity(len(cols))
     if ker.cols == 0:
         return RatMatrix.zeros(ambient, 0)
-    mat = [[F0] * ker.cols for _ in range(ambient)]
+    mat = [(F0,) * ker.cols] * ambient
     for i, ci in enumerate(cols):
-        mat[ci] = list(ker.row(i))
-    return RatMatrix(ambient, ker.cols, mat)
+        mat[ci] = ker.row(i)
+    return RatMatrix(ambient, ker.cols, mat, _trusted=True)
 
 
 class SpectralPage:
@@ -171,10 +174,17 @@ def first_page_check(k: DoubleComplex) -> Report:
 
 
 def stabilization_bound(k: DoubleComplex) -> int:
-    """A page index from which nothing can move any more."""
+    """A page index from which nothing can move any more: p_hi - p_lo + 1.
+
+    d_r shifts the column index p by r, so for r > p_hi - p_lo its source or
+    its target lies outside the columns p_lo..p_hi and d_r is zero; every
+    page from r = p_hi - p_lo + 1 on therefore equals the limit.  The q-span
+    plays no part.  limit_page still certifies the bound by building one
+    more page.
+    """
     if k.is_zero():
         return 1
-    return (k.p_hi - k.p_lo) + (k.q_hi - k.q_lo) + 2
+    return k.p_hi - k.p_lo + 1
 
 
 def limit_page(k: DoubleComplex) -> SpectralPage:

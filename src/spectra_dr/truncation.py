@@ -260,11 +260,10 @@ def column_cohomology_dim(s_cx: DoubleComplex, p: int, q: int) -> int:
     return cohomology_dim(row_complex(s_cx, p), q)
 
 
-def frolicher_check(s_cx: DoubleComplex, window: tuple) -> Report:
-    """Window hypercohomology never exceeds the sum of column cohomologies
-    on the same antidiagonal slice."""
+def _frolicher_terms(s_cx: DoubleComplex, window: tuple):
+    """Yield (k, window hypercohomology in degree k, sum of the column
+    cohomologies on the antidiagonal slice k), degree by degree."""
     s, t = window
-    rep = Report("frolicher")
     tt = truncated_total(s_cx, s, t)
     for k in range(tt.lo, tt.hi + 1):
         lhs = cohomology_dim(tt, k)
@@ -272,24 +271,23 @@ def frolicher_check(s_cx: DoubleComplex, window: tuple) -> Report:
             column_cohomology_dim(s_cx, p, k - p)
             for p in range(max(s, s_cx.p_lo), min(t, s_cx.p_hi) + 1)
         )
+        yield k, lhs, rhs
+
+
+def frolicher_check(s_cx: DoubleComplex, window: tuple) -> Report:
+    """Window hypercohomology never exceeds the sum of column cohomologies
+    on the same antidiagonal slice."""
+    rep = Report("frolicher")
+    for k, lhs, rhs in _frolicher_terms(s_cx, window):
         rep.add("frolicher_inequality", k, lhs <= rhs, True)
     return rep
 
 
 def frolicher_is_equality(s_cx: DoubleComplex, window: tuple) -> bool:
     """True when hypercohomology equals the column-cohomology sums in every
-    degree — the window-degeneration criterion."""
-    s, t = window
-    tt = truncated_total(s_cx, s, t)
-    for k in range(tt.lo, tt.hi + 1):
-        lhs = cohomology_dim(tt, k)
-        rhs = sum(
-            column_cohomology_dim(s_cx, p, k - p)
-            for p in range(max(s, s_cx.p_lo), min(t, s_cx.p_hi) + 1)
-        )
-        if lhs != rhs:
-            return False
-    return True
+    degree — the window-degeneration criterion.  Stops at the first degree
+    that differs."""
+    return all(lhs == rhs for _k, lhs, rhs in _frolicher_terms(s_cx, window))
 
 
 def hodge_filtration_dims(s_cx: DoubleComplex, k: int, n: int | None = None) -> list:

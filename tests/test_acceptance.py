@@ -93,7 +93,7 @@ def test_04_spectral_convergence(capsys):
     for _ in range(100):
         k = random_double_complex(rng, 4, 4)
         ok &= convergence_check(k).ok
-    _finish(4, "spectral convergence + filtration match", 30, t0, ok, capsys)
+    _finish(4, "spectral convergence + filtration match", 10, t0, ok, capsys)
 
 
 def test_05_truncation_exactness(capsys):

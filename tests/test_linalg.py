@@ -122,6 +122,51 @@ def test_json_round_trip():
         RatMatrix.from_json([1, 2])
 
 
+def test_internal_construction_hashes_like_public():
+    m = M([[1, 0, 2], [0, -3, 0]])
+    ways = [
+        m,
+        M([["1", "0", "4/2"], ["0", "-3", "0/5"]]),
+        RatMatrix.identity(2) @ m,
+        m.transpose().transpose(),
+        RatMatrix.hstack([m, M([[7], [8]])]).submatrix(range(2), range(3)),
+    ]
+    halves = [
+        M([["1/2", 0], [0, "-2/3"]]),
+        M([[1, 0], [0, "-4/3"]]).scale("1/2"),
+        -M([["-2/4", 0], [0, "4/6"]]),
+    ]
+    for group in (ways, halves):
+        for other in group[1:]:
+            assert other == group[0]
+            assert hash(other) == hash(group[0])
+        clear_caches()
+        r0 = rank(group[0])
+        before = rank.cache_info()
+        for other in group[1:]:
+            assert rank(other) == r0
+        after = rank.cache_info()
+        assert after.misses == before.misses
+        assert after.hits == before.hits + len(group) - 1
+        assert after.currsize == 1
+    clear_caches()
+
+
+def test_max_dim_cap_on_internal_construction(monkeypatch):
+    a = RatMatrix.identity(3)
+    b = M([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    monkeypatch.setenv("SPECTRA_DR_MAX_DIM", "8")
+    assert a @ b == b
+    with pytest.raises(ValidationError):
+        RatMatrix.kron(a, b)
+    monkeypatch.setenv("SPECTRA_DR_MAX_DIM", "junk")
+    with pytest.raises(ValidationError):
+        a @ b
+    monkeypatch.delenv("SPECTRA_DR_MAX_DIM")
+    assert RatMatrix.kron(a, b).shape == (9, 9)
+    clear_caches()
+
+
 def test_max_dim_cap(monkeypatch):
     monkeypatch.setenv("SPECTRA_DR_MAX_DIM", "8")
     RatMatrix.zeros(8, 8)
@@ -214,6 +259,67 @@ def test_subquotient_errors():
     sq = subquotient(M([[1], [1]]), RatMatrix.zeros(2, 0))
     with pytest.raises(ContainmentViolation):
         sq.reduce(M([[1], [0]]))
+
+
+def _greedy_representatives(z, b):
+    """The original representative rule, kept as an oracle: scan the cycle
+    basis left to right and keep each column that one solve against the
+    boundaries plus the kept columns cannot reach."""
+    reps = []
+    current = b
+    for j in range(z.cols):
+        col = z.col_matrix(j)
+        if solve_matrix(current, col) is None:
+            reps.append(j)
+            current = RatMatrix.hstack([current, col])
+    return z.select_columns(reps)
+
+
+def _check_against_greedy(cycles, boundaries):
+    sq = subquotient(cycles, boundaries)
+    greedy = _greedy_representatives(image_basis(cycles), image_basis(boundaries))
+    assert sq.representative_basis == greedy
+    assert sq.dim == rank(cycles) - rank(boundaries)
+    assert sq.reduce(sq.representative_basis) == RatMatrix.identity(sq.dim)
+    return sq
+
+
+def _rand_fraction_matrix(rng, rows, cols):
+    return RatMatrix(rows, cols, [
+        [Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for _ in range(cols)]
+        for _ in range(rows)
+    ])
+
+
+def test_subquotient_representatives_match_greedy_scan():
+    rng = random.Random(7)
+    for _ in range(150):
+        n = rng.randint(0, 6)
+        cycles = _rand_fraction_matrix(rng, n, rng.randint(0, 6))
+        mix = _rand_fraction_matrix(rng, cycles.cols, rng.randint(0, 4))
+        _check_against_greedy(cycles, cycles @ mix)
+
+
+def test_subquotient_representatives_edge_cases():
+    # a redundant spanning set: column 2 = 2 * column 0 - 3/2 * column 1
+    z = M([["1/2", 0, 1], [0, "-2/3", 1], [0, 0, 0], ["3/4", 1, 0]])
+    # no boundaries: every cycle-basis column is a representative
+    sq = _check_against_greedy(z, RatMatrix.zeros(4, 0))
+    assert sq.representative_basis == image_basis(z)
+    sq = _check_against_greedy(z, z @ RatMatrix.zeros(3, 2))
+    assert sq.dim == rank(z) == 2
+    # span B = span Z: nothing survives
+    assert _check_against_greedy(z, z).dim == 0
+    assert _check_against_greedy(z, z @ M([[1, 1, 0], [0, 1, 1], [1, 0, 1]])).dim == 0
+    # zero ambient dimension
+    assert _check_against_greedy(RatMatrix.zeros(0, 3), RatMatrix.zeros(0, 2)).dim == 0
+    # a cycle that is itself a boundary is never a representative
+    sq = _check_against_greedy(RatMatrix.identity(3), M([[0], [0], [1]]))
+    assert sq.representative_basis == M([[1, 0], [0, 1], [0, 0]])
+    sq = _check_against_greedy(RatMatrix.identity(3), M([["1/2"], [0], [0]]))
+    assert sq.representative_basis == M([[0, 0], [1, 0], [0, 1]])
+    with pytest.raises(ContainmentViolation):
+        subquotient(z, RatMatrix.identity(4))
 
 
 def test_subquotient_zero_spaces():

@@ -141,7 +141,26 @@ def test_stabilization_bound_and_empty():
     assert stabilization_bound(k) == 1
     assert limit_page(k).dims() == {}
     s = _staircase(0, 0, 2)
-    assert stabilization_bound(s) >= 3
+    assert stabilization_bound(s) == 3
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_stabilization_bound_is_tight_on_staircases(r):
+    k = _staircase(0, 0, r)
+    p_span = k.p_hi - k.p_lo
+    assert stabilization_index(k) == stabilization_bound(k) == r + 1 == p_span + 1
+
+
+def test_stabilization_bound_is_sound_random():
+    rng = random.Random(36)
+    for _ in range(30):
+        k = random_double_complex(rng)
+        if k.is_zero():
+            continue
+        # the bound before it dropped the q-span
+        wide = (k.p_hi - k.p_lo) + (k.q_hi - k.q_lo) + 2
+        assert page(k, stabilization_bound(k)).dims() == page(k, wide).dims()
+        assert limit_page(k).dims() == page(k, wide).dims()
 
 
 def test_first_page_map_identity_and_doubling():
