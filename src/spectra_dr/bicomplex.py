@@ -2,7 +2,8 @@
 
 d1 raises the first (column) index, d2 the second (row) index.  Construction
 enforces d1^2 = 0, d2^2 = 0 and d1 d2 + d2 d1 = 0 on the whole support, so the
-total differential D = d1 + d2 squares to zero with no extra signs.
+total differential D = d1 + d2 squares to zero with no extra signs; only the
+stored (nonzero) differentials are multiplied to check it.
 
 Totalization fixes the summand order inside total degree k once and for all:
 blocks (p, k-p) with p ascending.  The filtration and spectral-sequence code
@@ -17,7 +18,7 @@ from typing import Mapping, Sequence
 
 from .cochain import ChainMap, CochainComplex
 from .errors import NotChainCompatible, ParseError, ValidationError, WitnessFailure
-from .linalg import F0, F1, RatMatrix, rank
+from .linalg import RatMatrix, check_piece_dims, rank
 
 
 def _pq_key(s: str) -> tuple:
@@ -26,6 +27,15 @@ def _pq_key(s: str) -> tuple:
         return (int(p), int(q))
     except (ValueError, AttributeError) as exc:
         raise ParseError(f"bad bidegree key {s!r}: {exc}") from None
+
+
+def products_vanish(*pairs) -> bool:
+    """True when the sum of f @ g over the pairs (f, g) is zero.  A pair with
+    an absent (None) factor is skipped; the rest form one product
+    [f1 | f2 ...] @ [g1; g2 ...], which adds only nonzero terms."""
+    pairs = [(f, g) for f, g in pairs if f is not None and g is not None]
+    return not pairs or (RatMatrix.hstack([f for f, _ in pairs])
+                         @ RatMatrix.vstack([g for _, g in pairs])).is_zero()
 
 
 class DoubleComplex:
@@ -56,6 +66,7 @@ class DoubleComplex:
             object.__setattr__(self, "p_hi", -1)
             object.__setattr__(self, "q_lo", 0)
             object.__setattr__(self, "q_hi", -1)
+        check_piece_dims(clean)
 
         def keep(diffs, step):
             kept = {}
@@ -79,19 +90,17 @@ class DoubleComplex:
         self._validate()
 
     def _validate(self):
-        for p in range(self.p_lo, self.p_hi + 1):
-            for q in range(self.q_lo, self.q_hi + 1):
-                if self.dim(p, q) == 0:
-                    continue
-                if not (self.d1(p + 1, q) @ self.d1(p, q)).is_zero():
-                    raise ValidationError(f"d1 o d1 != 0 from ({p},{q})")
-                if not (self.d2(p, q + 1) @ self.d2(p, q)).is_zero():
-                    raise ValidationError(f"d2 o d2 != 0 from ({p},{q})")
-                anti = self.d1(p, q + 1) @ self.d2(p, q) + self.d2(p + 1, q) @ self.d1(p, q)
-                if not anti.is_zero():
-                    raise ValidationError(
-                        f"d1 and d2 do not anticommute from ({p},{q})"
-                    )
+        d1, d2 = self._d1, self._d2
+        for p, q in sorted(d1.keys() | d2.keys()):
+            a, b = d1.get((p, q)), d2.get((p, q))
+            if not products_vanish((d1.get((p + 1, q)), a)):
+                raise ValidationError(f"d1 o d1 != 0 from ({p},{q})")
+            if not products_vanish((d2.get((p, q + 1)), b)):
+                raise ValidationError(f"d2 o d2 != 0 from ({p},{q})")
+            if not products_vanish((d1.get((p, q + 1)), b), (d2.get((p + 1, q)), a)):
+                raise ValidationError(
+                    f"d1 and d2 do not anticommute from ({p},{q})"
+                )
 
     def __setattr__(self, name, value):
         raise AttributeError("DoubleComplex is immutable")
@@ -238,26 +247,17 @@ def total(k: DoubleComplex) -> CochainComplex:
             dims[deg] = n
     diffs = {}
     for deg in range(lo, hi):
-        src = block_offsets(k, deg)
-        tgt = block_offsets(k, deg + 1)
-        if not src or not tgt:
+        if deg not in dims or deg + 1 not in dims:
             continue
-        tpos = {(p, q): (off, n) for (p, q, off, n) in tgt}
-        rows = sum(n for _, _, _, n in tgt)
-        cols = sum(n for _, _, _, n in src)
-        mat = [[F0] * cols for _ in range(rows)]
-        for (p, q, coff, n) in src:
-            for step, d in (((1, 0), k.d1(p, q)), ((0, 1), k.d2(p, q))):
-                key = (p + step[0], q + step[1])
-                if key in tpos and d.rows:
-                    roff, _ = tpos[key]
-                    for i in range(d.rows):
-                        drow = d.row(i)
-                        orow = mat[roff + i]
-                        for j in range(d.cols):
-                            if drow[j]:
-                                orow[coff + j] = drow[j]
-        diffs[deg] = RatMatrix(rows, cols, mat)
+        tpos = {(p, q): off for (p, q, off, _n) in block_offsets(k, deg + 1)}
+        blocks = []
+        for (p, q, coff, _n) in block_offsets(k, deg):
+            # a stored differential has a nonzero target block
+            if (p, q) in k._d1:
+                blocks.append((tpos[(p + 1, q)], coff, k._d1[(p, q)]))
+            if (p, q) in k._d2:
+                blocks.append((tpos[(p, q + 1)], coff, k._d2[(p, q)]))
+        diffs[deg] = RatMatrix.from_blocks(dims[deg + 1], dims[deg], blocks)
     return CochainComplex(dims, diffs)
 
 
@@ -416,26 +416,17 @@ def total_map(f: BicomplexMap) -> ChainMap:
     hi = max(src_t.hi, tgt_t.hi)
     mats = {}
     for deg in range(lo, hi + 1):
-        src = block_offsets(f.source, deg)
-        tgt = block_offsets(f.target, deg)
         rows = tgt_t.dim(deg)
         cols = src_t.dim(deg)
         if rows == 0 or cols == 0:
             continue
-        tpos = {(p, q): off for (p, q, off, _) in tgt}
-        mat = [[F0] * cols for _ in range(rows)]
-        for (p, q, coff, n) in src:
-            if (p, q) not in tpos:
-                continue
-            roff = tpos[(p, q)]
-            block = f.mat(p, q)
-            for i in range(block.rows):
-                brow = block.row(i)
-                orow = mat[roff + i]
-                for j in range(block.cols):
-                    if brow[j]:
-                        orow[coff + j] = brow[j]
-        mats[deg] = RatMatrix(rows, cols, mat)
+        tpos = {(p, q): off for (p, q, off, _n) in block_offsets(f.target, deg)}
+        blocks = [
+            (tpos[(p, q)], coff, f._mats[(p, q)])
+            for (p, q, coff, _n) in block_offsets(f.source, deg)
+            if (p, q) in f._mats
+        ]
+        mats[deg] = RatMatrix.from_blocks(rows, cols, blocks)
     return ChainMap(src_t, tgt_t, mats)
 
 
@@ -462,14 +453,12 @@ def verify_total_dual_iso(k: DoubleComplex) -> ChainMap:
             continue
         # A^deg blocks mirror T^{-deg} (p ascending); B^deg blocks are the
         # same K-bidegrees visited in the reverse order.
-        src_blocks = block_offsets(k, -deg)
-        mat = [[F0] * na for _ in range(nb)]
+        blocks = []
         roff = 0
-        for (p, q, aoff, n) in reversed(src_blocks):
-            for i in range(n):
-                mat[roff + i][aoff + i] = F1
+        for (_p, _q, aoff, n) in reversed(block_offsets(k, -deg)):
+            blocks.append((roff, aoff, RatMatrix.identity(n)))
             roff += n
-        mats[deg] = RatMatrix(nb, na, mat)
+        mats[deg] = RatMatrix.from_blocks(nb, na, blocks)
     try:
         witness = ChainMap(a, b, mats)
     except NotChainCompatible as exc:

@@ -11,7 +11,8 @@ A Subquotient packages (cycles mod boundaries) inside a fixed ambient space;
 every cohomology group, spectral-sequence term and Bott-Chern group in the
 package is one of these.  Its representatives come from one leftmost-pivot
 Gauss-Jordan pass over [B | Z]: the pivot columns inside Z are exactly the
-cycles a greedy left-to-right scan would add to the boundaries.
+cycles a greedy left-to-right scan would add to the boundaries, and the
+pivot count certifies that the boundaries lie in the cycle span.
 
 Matrices built by RatMatrix's own operations and by the eliminations already
 hold Fractions, so they are constructed with the private keyword
@@ -24,7 +25,7 @@ import os
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ContainmentViolation, NotChainCompatible, ParseError, ValidationError
 
@@ -42,6 +43,17 @@ def _max_dim() -> int:
         return int(raw)
     except ValueError:
         raise ValidationError(f"SPECTRA_DR_MAX_DIM must be an integer, got {raw!r}")
+
+
+def check_piece_dims(dims: Mapping, context: str = "") -> None:
+    """Refuse a graded piece (grading tuple -> dim) larger than
+    SPECTRA_DR_MAX_DIM before any matrix on it is built, naming the least
+    such key after context.  The cap is read only when there are pieces."""
+    cap = _max_dim() if dims else 0
+    key = min((key for key, n in dims.items() if n > cap), default=None)
+    if key is not None:
+        raise ValidationError(f"{context}piece ({','.join(map(str, key))}) has dim"
+                              f" {dims[key]} > SPECTRA_DR_MAX_DIM={cap}")
 
 
 def rat_from(value) -> Fraction:
@@ -283,21 +295,35 @@ class RatMatrix:
 
     @staticmethod
     def block_diag(mats: Sequence["RatMatrix"]) -> "RatMatrix":
-        mats = [m for m in mats]
-        rows = sum(m.rows for m in mats)
-        cols = sum(m.cols for m in mats)
-        out = [[F0] * cols for _ in range(rows)]
+        blocks = []
         r0 = c0 = 0
         for m in mats:
-            for i in range(m.rows):
-                mr = m._rows[i]
-                orow = out[r0 + i]
-                for j in range(m.cols):
-                    if mr[j]:
-                        orow[c0 + j] = mr[j]
+            blocks.append((r0, c0, m))
             r0 += m.rows
             c0 += m.cols
-        return RatMatrix(rows, cols, out, _trusted=True)
+        return RatMatrix.from_blocks(r0, c0, blocks)
+
+    @staticmethod
+    def from_blocks(rows: int, cols: int, blocks) -> "RatMatrix":
+        """The rows x cols matrix that is zero outside the given blocks, each a
+        (row offset, column offset, RatMatrix) triple copied into place.
+        Raises ValidationError for a block that does not fit."""
+
+        def placed():  # a generator: __init__ checks the cap before allocation
+            out = [(F0,) * cols] * rows
+            for r0, c0, m in blocks:
+                c1 = c0 + m.cols
+                if r0 < 0 or c0 < 0 or r0 + m.rows > rows or c1 > cols:
+                    raise ValidationError(
+                        f"block {m.rows}x{m.cols} at ({r0},{c0}) does not fit"
+                        f" in {rows}x{cols}"
+                    )
+                for i, mrow in enumerate(m._rows, r0):
+                    row = out[i]
+                    out[i] = row[:c0] + mrow + row[c1:]
+            yield from out
+
+        return RatMatrix(rows, cols, placed(), _trusted=True)
 
     @staticmethod
     def kron(a: "RatMatrix", b: "RatMatrix") -> "RatMatrix":
@@ -656,11 +682,13 @@ def subquotient(cycles: RatMatrix, boundaries: RatMatrix) -> Subquotient:
     ambient = cycles.rows
     z = image_basis(cycles)
     b = image_basis(boundaries)
-    if not in_span(z, b):
-        raise ContainmentViolation("boundaries not contained in cycles")
     nb = b.cols
     aug = [list(rb) + list(rz) for rb, rz in zip(b._rows, z._rows)]
     pivots, _ = _rref(aug, nb + z.cols)
+    # rank [B | Z] = dim(span B + span Z), which equals rank Z = z.cols
+    # exactly when span B <= span Z
+    if len(pivots) != z.cols:
+        raise ContainmentViolation("boundaries not contained in cycles")
     reps = [c - nb for c in pivots if c >= nb]
     return Subquotient(ambient, z, b, z.select_columns(reps))
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import warnings
 from itertools import combinations
+from math import comb
 
 from .bicomplex import BicomplexMap, DoubleComplex, dual2, shift2
 from .errors import (
@@ -40,7 +41,15 @@ from .errors import (
     PreconditionViolation,
     ValidationError,
 )
-from .linalg import F0, RatMatrix, kernel_basis, rat_from, rat_str, subquotient
+from .linalg import (
+    F0,
+    RatMatrix,
+    check_piece_dims,
+    kernel_basis,
+    rat_from,
+    rat_str,
+    subquotient,
+)
 from .tensorops import collapse_summands, quad_tensor, ss_collapse
 from .truncation import (
     column_cohomology_dim,
@@ -258,6 +267,16 @@ class ModelDoubleComplex:
         return word
 
 
+def _check_model_size(what: str, n: int, m: int) -> None:
+    """Refuse a model on n generators with twist rank m whose largest piece,
+    (n//2, n//2) of dim C(n, n//2)^2 * m, exceeds the matrix cap, before any
+    label or matrix is built.  what names the input in the error."""
+    if m != 1:
+        what = f"{what} twist_rank={m}"
+    h = n // 2
+    check_piece_dims({(h, h): comb(n, h) ** 2 * m}, f"{what}: ")
+
+
 def _exterior_labels(n: int) -> dict:
     labels = {}
     for p in range(n + 1):
@@ -275,6 +294,7 @@ def _twist(base: ModelDoubleComplex, m: int) -> ModelDoubleComplex:
         raise ValidationError(f"bad twist rank {m!r}")
     if m == 1:
         return base
+    _check_model_size(f"twist n={base.n}", base.n, m)
     ident = RatMatrix.identity(m)
     dims = {key: m * d for key, d in base.complex.dims().items()}
     d1 = {key: RatMatrix.kron(ident, mat) for key, mat in base.complex._d1.items()}
@@ -296,6 +316,7 @@ def torus_model(n: int, twist_rank: int = 1) -> ModelDoubleComplex:
     """All structure constants zero: dims C(n,p)C(n,q), no differentials."""
     if not isinstance(n, int) or n < 0:
         raise ValidationError(f"bad generator count {n!r}")
+    _check_model_size(f"torus n={n}", n, twist_rank)
     labels = _exterior_labels(n)
     dims = {key: len(labs) for key, labs in labels.items()}
     base = ModelDoubleComplex(n, 1, DoubleComplex(dims), labels)
@@ -359,6 +380,7 @@ def lie_model(spec: LieModelSpec) -> ModelDoubleComplex:
             name = f"w^{g + 1}" if g < n else f"wb^{g - n + 1}"
             raise JacobiViolation(f"d^2 != 0 on generator {name}")
 
+    _check_model_size(f"lie n={n}", n, spec.twist_rank)
     labels = _exterior_labels(n)
     index = {
         key: {lab[2:]: pos for pos, lab in enumerate(labs)}
@@ -403,6 +425,7 @@ def product_model(x: ModelDoubleComplex, y: ModelDoubleComplex) -> ModelDoubleCo
     """
     n = x.n + y.n
     m = x.twist_rank * y.twist_rank
+    _check_model_size(f"product n={x.n}+{y.n}", n, m)
     quad = quad_tensor(x.complex, y.complex)
     cx = ss_collapse(quad)
     labels = {}

@@ -36,8 +36,6 @@ from .bicomplex import (
 from .cochain import CochainComplex, cohomology, cohomology_dim
 from .errors import WitnessFailure
 from .linalg import (
-    F0,
-    F1,
     RatMatrix,
     Subquotient,
     induced_map,
@@ -81,10 +79,8 @@ def _z_basis(k: DoubleComplex, t: CochainComplex, p: int, q: int, r: int) -> Rat
         ker = RatMatrix.identity(len(cols))
     if ker.cols == 0:
         return RatMatrix.zeros(ambient, 0)
-    mat = [(F0,) * ker.cols] * ambient
-    for i, ci in enumerate(cols):
-        mat[ci] = ker.row(i)
-    return RatMatrix(ambient, ker.cols, mat, _trusted=True)
+    # the blocks with column index >= p are a suffix of T^deg
+    return RatMatrix.from_blocks(ambient, ker.cols, [(ambient - len(cols), 0, ker)])
 
 
 class SpectralPage:
@@ -281,10 +277,10 @@ def filtration_dims(k: DoubleComplex, deg: int) -> list:
                 diffs[d] = t.diff(d).submatrix(cols_here[d + 1], cols_here[d])
         sub = CochainComplex(dims, diffs)
         h_sub = cohomology(sub, deg)
-        embed = [[F0] * dims[deg] for _ in range(t.dim(deg))]
-        for j, ci in enumerate(cols_here[deg]):
-            embed[ci][j] = F1
-        ind = induced_map(RatMatrix(t.dim(deg), dims[deg], embed), h_sub, h_full)
+        n, amb = dims[deg], t.dim(deg)
+        # F^p T^deg is spanned by the last n coordinates of T^deg
+        embed = RatMatrix.from_blocks(amb, n, [(amb - n, 0, RatMatrix.identity(n))])
+        ind = induced_map(embed, h_sub, h_full)
         out.append(rank(ind))
     return out
 

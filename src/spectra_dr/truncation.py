@@ -47,7 +47,7 @@ from .cochain import (
     cohomology_map,
 )
 from .errors import PreconditionViolation, WitnessFailure
-from .linalg import F0, F1, RatMatrix, rank
+from .linalg import RatMatrix, rank
 from .report import Report
 from .spectral import filtration_dims, first_page
 
@@ -158,15 +158,14 @@ def four_term_check(s_cx: DoubleComplex, s: int, s_prime: int, t: int,
 def _section_matrix(sub: DoubleComplex, amb: DoubleComplex, deg: int) -> RatMatrix:
     """Coordinate section T^deg(sub) -> T^deg(amb) placing each sub block at
     its ambient offset (sub's blocks are a subset of amb's)."""
-    rows = sum(n for (_p, _q, _o, n) in block_offsets(amb, deg))
-    cols = sum(n for (_p, _q, _o, n) in block_offsets(sub, deg))
-    apos = {(p, q): off for (p, q, off, _n) in block_offsets(amb, deg)}
-    mat = [[F0] * cols for _ in range(rows)]
-    for (p, q, soff, n) in block_offsets(sub, deg):
-        aoff = apos[(p, q)]
-        for i in range(n):
-            mat[aoff + i][soff + i] = F1
-    return RatMatrix(rows, cols, mat)
+    amb_blocks = block_offsets(amb, deg)
+    sub_blocks = block_offsets(sub, deg)
+    apos = {(p, q): off for (p, q, off, _n) in amb_blocks}
+    return RatMatrix.from_blocks(
+        sum(n for (_p, _q, _o, n) in amb_blocks),
+        sum(n for (_p, _q, _o, n) in sub_blocks),
+        [(apos[(p, q)], soff, RatMatrix.identity(n)) for (p, q, soff, n) in sub_blocks],
+    )
 
 
 def connecting_matrix(s_cx: DoubleComplex, r: int, s: int, t: int, k: int) -> RatMatrix:

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -29,7 +30,7 @@ from spectra_dr.cochain import (
 )
 from spectra_dr.errors import NotChainCompatible, ParseError, ValidationError
 from spectra_dr.linalg import RatMatrix
-from spectra_dr.randgen import random_double_complex
+from spectra_dr.randgen import random_double_complex, random_matrix
 
 
 def M(rows):
@@ -72,6 +73,108 @@ def test_rejects_bad_differentials():
             {(0, 0): one, (1, 0): one},
             {},
         )
+
+
+def _first_violation_by_bounding_box(dims, d1, d2):
+    """The original validation loop, kept as an oracle: every nonzero
+    bidegree of the bounding box in ascending order, zero matrices standing
+    in for absent differentials.  Returns the first message, or None."""
+
+    def get(diffs, p, q, step):
+        m = diffs.get((p, q))
+        if m is None:
+            tgt = (p + step[0], q + step[1])
+            return RatMatrix.zeros(dims.get(tgt, 0), dims.get((p, q), 0))
+        return m
+
+    def f1(p, q):
+        return get(d1, p, q, (1, 0))
+
+    def f2(p, q):
+        return get(d2, p, q, (0, 1))
+
+    keys = [key for key, n in dims.items() if n]
+    for p in range(min(p for p, _ in keys), max(p for p, _ in keys) + 1):
+        for q in range(min(q for _, q in keys), max(q for _, q in keys) + 1):
+            if not dims.get((p, q)):
+                continue
+            if not (f1(p + 1, q) @ f1(p, q)).is_zero():
+                return f"d1 o d1 != 0 from ({p},{q})"
+            if not (f2(p, q + 1) @ f2(p, q)).is_zero():
+                return f"d2 o d2 != 0 from ({p},{q})"
+            if not (f1(p, q + 1) @ f2(p, q) + f2(p + 1, q) @ f1(p, q)).is_zero():
+                return f"d1 and d2 do not anticommute from ({p},{q})"
+    return None
+
+
+def _first_violation(dims, d1, d2):
+    try:
+        DoubleComplex(dims, d1, d2)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def test_rejection_messages():
+    one = M([[1]])
+    line = {(0, 0): 1, (0, 1): 1, (0, 2): 1}
+    assert _first_violation(line, {}, {(0, 0): one, (0, 1): one}) == "d2 o d2 != 0 from (0,0)"
+    row = {(0, 0): 1, (1, 0): 1, (2, 0): 1}
+    assert _first_violation(row, {(0, 0): one, (1, 0): one}, {}) == "d1 o d1 != 0 from (0,0)"
+    square = {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1}
+    assert (_first_violation(square, {(0, 0): one, (0, 1): one}, {(0, 0): one, (1, 0): one})
+            == "d1 and d2 do not anticommute from (0,0)")
+    # one composite missing, the other nonzero
+    assert (_first_violation(square, {(0, 1): one}, {(0, 0): one})
+            == "d1 and d2 do not anticommute from (0,0)")
+
+
+def test_two_violations_report_the_first_in_bidegree_order():
+    one = M([[1]])
+    # d1 o d1 and d2 o d2 both fail at (0,0): d1 o d1 is checked first
+    dims = {(0, 0): 1, (1, 0): 1, (2, 0): 1, (0, 1): 1, (0, 2): 1}
+    d1 = {(0, 0): one, (1, 0): one}
+    d2 = {(0, 0): one, (0, 1): one}
+    assert _first_violation(dims, d1, d2) == "d1 o d1 != 0 from (0,0)"
+    assert _first_violation_by_bounding_box(dims, d1, d2) == "d1 o d1 != 0 from (0,0)"
+    # p before q: (0,5) precedes (1,0)
+    dims = {(1, 0): 1, (2, 0): 1, (3, 0): 1, (0, 5): 1, (0, 6): 1, (0, 7): 1}
+    d1 = {(1, 0): one, (2, 0): one}
+    d2 = {(0, 5): one, (0, 6): one}
+    assert _first_violation(dims, d1, d2) == "d2 o d2 != 0 from (0,5)"
+    assert _first_violation_by_bounding_box(dims, d1, d2) == "d2 o d2 != 0 from (0,5)"
+
+
+def test_first_violation_matches_bounding_box_scan():
+    rng = random.Random(31)
+    rejected = 0
+    for _ in range(80):
+        k = random_double_complex(rng, p_span=3, q_span=3, blocks=3)
+        dims = k.dims()
+        d1, d2 = dict(k._d1), dict(k._d2)
+        for _ in range(rng.randint(1, 3)):
+            (p, q), n = rng.choice(sorted(dims.items()))
+            diffs, tgt = rng.choice(((d1, (p + 1, q)), (d2, (p, q + 1))))
+            if dims.get(tgt):
+                diffs[(p, q)] = random_matrix(rng, dims[tgt], n)
+        want = _first_violation_by_bounding_box(dims, d1, d2)
+        assert _first_violation(dims, d1, d2) == want
+        rejected += want is not None
+    assert rejected >= 20
+
+
+def test_piece_over_the_size_cap_is_named(monkeypatch):
+    monkeypatch.setenv("SPECTRA_DR_MAX_DIM", "4")
+    assert DoubleComplex({(0, 0): 4, (1, 0): 4}).total_dim() == 8
+    with pytest.raises(
+        ValidationError,
+        match=re.escape("piece (1,-1) has dim 5 > SPECTRA_DR_MAX_DIM=4"),
+    ):
+        DoubleComplex({(0, 0): 4, (2, 3): 6, (1, -1): 5})
+    monkeypatch.setenv("SPECTRA_DR_MAX_DIM", "junk")
+    with pytest.raises(ValidationError, match="must be an integer"):
+        DoubleComplex({(0, 0): 1})
+    assert DoubleComplex({(0, 0): 0}).is_zero()
 
 
 def test_total_of_unit_square_is_exact():

@@ -1,6 +1,7 @@
 import io
 import json
 import sys
+import time
 
 import pytest
 
@@ -172,6 +173,21 @@ def test_model_info_json(capsys):
         "n": 1, "twist_rank": 1,
         "dims": {"0,0": 1, "0,1": 1, "1,0": 1, "1,1": 1},
     }
+
+
+def test_model_oversized_input_refused_by_name(capsys, monkeypatch, tmp_path):
+    monkeypatch.delenv("SPECTRA_DR_MAX_DIM", raising=False)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "model", "torus", "--n", "8", "--info")
+    elapsed = time.perf_counter() - start
+    assert code == 2 and out == ""
+    assert err == "error: torus n=8: piece (4,4) has dim 4900 > SPECTRA_DR_MAX_DIM=4096\n"
+    assert elapsed < 0.1
+    spec = tmp_path / "n8.json"
+    spec.write_text(json.dumps({"n": 8, "d": {"3": [{"wedge": [1, 2], "coeff": "-1"}]}}))
+    code, out, err = run(capsys, "model", "lie", "--spec", str(spec), "--info")
+    assert code == 2 and out == ""
+    assert "lie n=8: piece (4,4) has dim 4900 > SPECTRA_DR_MAX_DIM=4096" in err
 
 
 def test_model_emits_parseable_complex(capsys):

@@ -102,6 +102,64 @@ def test_stack_and_kron():
     assert RatMatrix.kron(RatMatrix.identity(2), a) == RatMatrix.block_diag([a, a])
 
 
+def test_from_blocks_places_each_block():
+    a = M([[1, 2], [3, 4]])
+    b = M([["1/2"], [-1]])
+    got = RatMatrix.from_blocks(4, 5, [(0, 1, a), (2, 4, b), (3, 0, M([[7]]))])
+    assert got == M([
+        [0, 1, 2, 0, 0],
+        [0, 3, 4, 0, 0],
+        [0, 0, 0, 0, "1/2"],
+        [7, 0, 0, 0, -1],
+    ])
+    # blocks flush with every edge, and empty blocks anywhere inside
+    assert RatMatrix.from_blocks(2, 2, [(0, 0, a)]) == a
+    assert RatMatrix.from_blocks(2, 3, [(2, 3, RatMatrix.zeros(0, 0)),
+                                        (1, 0, RatMatrix.zeros(1, 0))]) == RatMatrix.zeros(2, 3)
+    # random blocks, one per band of rows, against an entry-by-entry fill
+    rng = random.Random(5)
+    for _ in range(30):
+        cols = rng.randint(0, 5)
+        blocks = []
+        r0 = 0
+        for _ in range(rng.randint(0, 3)):
+            m = rand_matrix(rng, rng.randint(0, 3), rng.randint(0, cols))
+            blocks.append((r0, rng.randint(0, cols - m.cols), m))
+            r0 += m.rows + rng.randint(0, 1)
+        want = [[0] * cols for _ in range(r0)]
+        for b0, c0, m in blocks:
+            for i in range(m.rows):
+                for j in range(m.cols):
+                    want[b0 + i][c0 + j] = m[i, j]
+        assert RatMatrix.from_blocks(r0, cols, blocks) == RatMatrix(r0, cols, want)
+
+
+def test_from_blocks_empty_is_zero():
+    assert RatMatrix.from_blocks(3, 2, []) == RatMatrix.zeros(3, 2)
+    assert RatMatrix.from_blocks(0, 4, []) == RatMatrix.zeros(0, 4)
+    assert RatMatrix.from_blocks(0, 0, []).shape == (0, 0)
+
+
+@pytest.mark.parametrize("r0, c0", [(-1, 0), (0, -1), (2, 0), (0, 3), (3, 4)])
+def test_from_blocks_rejects_a_block_that_does_not_fit(r0, c0):
+    with pytest.raises(ValidationError, match="does not fit in 3x4"):
+        RatMatrix.from_blocks(3, 4, [(0, 0, M([[1]])), (r0, c0, M([[1, 2], [3, 4]]))])
+
+
+def test_from_blocks_reads_the_size_cap(monkeypatch):
+    monkeypatch.setenv("SPECTRA_DR_MAX_DIM", "8")
+    assert RatMatrix.from_blocks(8, 8, [(7, 7, M([[1]]))]).shape == (8, 8)
+    with pytest.raises(ValidationError, match="exceeds SPECTRA_DR_MAX_DIM=8"):
+        RatMatrix.from_blocks(9, 1, [])
+    with pytest.raises(ValidationError, match="exceeds SPECTRA_DR_MAX_DIM=8"):
+        RatMatrix.block_diag([RatMatrix.identity(5), RatMatrix.identity(4)])
+    monkeypatch.setenv("SPECTRA_DR_MAX_DIM", "junk")
+    with pytest.raises(ValidationError, match="must be an integer"):
+        RatMatrix.from_blocks(1, 1, [])
+    monkeypatch.delenv("SPECTRA_DR_MAX_DIM")
+    clear_caches()
+
+
 def test_hash_and_eq():
     a = M([[1, 2], [2, 4]])
     b = RatMatrix(2, 2, [1, 2, 2, 4])
@@ -256,6 +314,14 @@ def test_subquotient_frozen():
 def test_subquotient_errors():
     with pytest.raises(ContainmentViolation):
         subquotient(M([[1], [1]]), RatMatrix.identity(2))
+    # as many boundaries as cycles, but a different span
+    with pytest.raises(ContainmentViolation):
+        subquotient(M([[1], [0]]), M([[0], [1]]))
+    with pytest.raises(ContainmentViolation):
+        subquotient(M([[1, 0], [0, 1], [0, 0]]), M([[1, 0], [0, 0], [0, 1]]))
+    # more independent boundaries than cycles
+    with pytest.raises(ContainmentViolation):
+        subquotient(M([[1], [0], [0]]), M([[1, 0], [0, 1], [0, 0]]))
     sq = subquotient(M([[1], [1]]), RatMatrix.zeros(2, 0))
     with pytest.raises(ContainmentViolation):
         sq.reduce(M([[1], [0]]))

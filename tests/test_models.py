@@ -1,9 +1,11 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from spectra_dr.bicomplex import BicomplexMap, total, total_map
+from spectra_dr import models
+from spectra_dr.bicomplex import BicomplexMap, DoubleComplex, total, total_map
 from spectra_dr.cochain import betti_numbers, cohomology_dim, is_cohomology_iso
 from spectra_dr.errors import (
     IntegralNotClosed,
@@ -36,6 +38,7 @@ from spectra_dr.models import (
     torus_model,
     wedge,
 )
+from spectra_dr.tensorops import QuadComplex
 from spectra_dr.truncation import (
     column_cohomology_dim,
     frolicher_is_equality,
@@ -321,6 +324,86 @@ def test_kunneth_predict_spot(iw):
     for window in [(0, 2), (1, 3), (2, 2)]:
         for c in range(0, 9):
             assert hyper(prod, window, c) == kunneth_predict(t1, iw, window, c)
+
+
+def test_product_validation_builds_no_zero_matrix(monkeypatch, iw):
+    t1 = torus_model(1)
+    validating = []
+    validated = []
+    zeros = []
+    real_zeros = RatMatrix.zeros
+
+    def counting_zeros(rows, cols):
+        if validating:
+            zeros.append((rows, cols))
+        return real_zeros(rows, cols)
+
+    monkeypatch.setattr(RatMatrix, "zeros", staticmethod(counting_zeros))
+    for cls in (DoubleComplex, QuadComplex):
+        def validate(self, _real=cls._validate):
+            validating.append(self)
+            try:
+                return _real(self)
+            finally:
+                validated.append(type(self).__name__)
+                validating.pop()
+
+        monkeypatch.setattr(cls, "_validate", validate)
+    product_model(t1, iw)
+    assert {"DoubleComplex", "QuadComplex"} <= set(validated)
+    assert zeros == []
+
+
+# -- admission ------------------------------------------------------------
+
+
+@pytest.fixture()
+def builders_spied(monkeypatch):
+    """Default size cap; records every call that would start building."""
+    monkeypatch.delenv("SPECTRA_DR_MAX_DIM", raising=False)
+    calls = []
+    real_labels, real_quad = models._exterior_labels, models.quad_tensor
+    monkeypatch.setattr(models, "_exterior_labels",
+                        lambda n: calls.append(("labels", n)) or real_labels(n))
+    monkeypatch.setattr(models, "quad_tensor",
+                        lambda k, l: calls.append(("quad", k)) or real_quad(k, l))
+    return calls
+
+
+def _cap_error(text):
+    return pytest.raises(ValidationError, match=re.escape(text + " > SPECTRA_DR_MAX_DIM=4096"))
+
+
+def test_oversized_torus_refused_before_labels(builders_spied):
+    with _cap_error("torus n=8: piece (4,4) has dim 4900"):
+        torus_model(8)
+    with _cap_error("torus n=3 twist_rank=500: piece (1,1) has dim 4500"):
+        torus_model(3, 500)
+    assert builders_spied == []
+    assert torus_model(7).dim(3, 4) == 1225
+    assert builders_spied == [("labels", 7)]
+
+
+def test_oversized_lie_spec_refused_before_labels(builders_spied):
+    spec = LieModelSpec(8, {3: [(1, 2, "-1")]})
+    with _cap_error("lie n=8: piece (4,4) has dim 4900"):
+        lie_model(spec)
+    with _cap_error("lie n=3 twist_rank=456: piece (1,1) has dim 4104"):
+        lie_model(iwasawa_spec(456))
+    assert builders_spied == []
+
+
+def test_oversized_twist_and_product_refused(builders_spied, iw):
+    with _cap_error("twist n=3 twist_rank=500: piece (1,1) has dim 4500"):
+        iw.with_twist_rank(500)
+    iw41 = iw.with_twist_rank(41)
+    t2 = torus_model(2)
+    builders_spied.clear()
+    with _cap_error("product n=2+3 twist_rank=41: piece (2,2) has dim 4100"):
+        product_model(t2, iw41)
+    with _cap_error("product n=4+4: piece (4,4) has dim 4900"):
+        product_model(torus_model(4), torus_model(4))
+    assert [c for c in builders_spied if c[0] == "quad"] == []
 
 
 # -- twists ---------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -103,6 +104,44 @@ def test_quad_rejects_bad_input():
             d1={(0, 0, 0, 0): one, (0, 1, 0, 0): one},
             d2={(0, 0, 0, 0): one, (1, 0, 0, 0): one},
         )
+
+
+def _unit(i):
+    return tuple(1 if k == i else 0 for k in range(1, 5))
+
+
+def _plus(*keys):
+    return tuple(map(sum, zip(*keys)))
+
+
+@pytest.mark.parametrize("i", [1, 2, 3, 4])
+def test_quad_rejects_nonzero_square(i):
+    one = M([[1]])
+    zero, e = (0, 0, 0, 0), _unit(i)
+    dims = {zero: 1, e: 1, _plus(e, e): 1}
+    with pytest.raises(ValidationError, match=re.escape(f"d{i} o d{i} != 0 from (0, 0, 0, 0)")):
+        QuadComplex(dims, **{f"d{i}": {zero: one, e: one}})
+
+
+@pytest.mark.parametrize("i, j", [(i, j) for i in range(1, 5) for j in range(i + 1, 5)])
+def test_quad_rejects_commuting_pair(i, j):
+    one = M([[1]])
+    zero, ei, ej = (0, 0, 0, 0), _unit(i), _unit(j)
+    dims = {zero: 1, ei: 1, ej: 1, _plus(ei, ej): 1}
+    diffs = {f"d{i}": {zero: one, ej: one}, f"d{j}": {zero: one, ei: one}}
+    with pytest.raises(ValidationError,
+                       match=re.escape(f"d{i} and d{j} do not anticommute from (0, 0, 0, 0)")):
+        QuadComplex(dims, **diffs)
+    # with one sign flipped the square anticommutes
+    diffs[f"d{j}"][ei] = M([[-1]])
+    assert QuadComplex(dims, **diffs).dims() == dims
+
+
+def test_quad_piece_over_the_size_cap_is_named(monkeypatch):
+    monkeypatch.setenv("SPECTRA_DR_MAX_DIM", "4")
+    with pytest.raises(ValidationError,
+                       match=re.escape("piece (0,1,0,0) has dim 5 > SPECTRA_DR_MAX_DIM=4")):
+        QuadComplex({(0, 0, 0, 0): 4, (0, 1, 0, 0): 5})
 
 
 def test_quad_slice_matches_row_tensor():
