@@ -235,7 +235,9 @@ def block_offsets(k: DoubleComplex, deg: int) -> list:
 
 @lru_cache(maxsize=None)
 def total(k: DoubleComplex) -> CochainComplex:
-    """Total complex with differential D = d1 + d2."""
+    """Total complex with differential D = d1 + d2.  Raises ValidationError
+    naming the least total degree larger than SPECTRA_DR_MAX_DIM before any
+    matrix is assembled."""
     if k.is_zero():
         return CochainComplex({})
     lo = k.p_lo + k.q_lo
@@ -245,6 +247,7 @@ def total(k: DoubleComplex) -> CochainComplex:
         n = sum(k.dim(p, deg - p) for p in k.p_range())
         if n:
             dims[deg] = n
+    check_piece_dims(dims, noun="total degree")
     diffs = {}
     for deg in range(lo, hi):
         if deg not in dims or deg + 1 not in dims:

@@ -1,11 +1,30 @@
 """Exact rational matrices and the elimination routines everything else rides on.
 
-Scalars are fractions.Fraction throughout; no floats anywhere.  Rank, kernel
-and image go through fraction-free (Bareiss) elimination on integer-cleared
-rows with full pivoting, which keeps intermediate entries polynomial in the
-input instead of exploding the way naive Fraction pivoting does.  Solving and
-span membership use a plain Gauss-Jordan over Fraction with no column swaps so
-pivot columns refer to the original matrix.
+Scalars are fractions.Fraction throughout; no floats anywhere.
+
+Storage.  A RatMatrix keeps, for each row, one flat tuple
+``(c0, v0, c1, v1, ...)`` of its nonzero entries with the columns ascending;
+a zero row is ``()``.  The form is canonical, so equality is tuple equality,
+and every operation (products, sums, stacking, block placement, Kronecker
+products, transposes, zero tests, hashing) walks the nonzeros only.
+``row``, ``col``, ``m[i, j]``, ``repr`` and ``to_json`` still hand out dense
+values.  Matrices built by RatMatrix's own operations and by the eliminations
+already hold sparse rows of nonzero Fractions, so they are constructed with
+the private keyword ``_trusted=True``, which skips the per-entry coercion but
+not the size cap.
+
+Elimination.  Rank, kernel and independent columns go through
+fraction-free (Bareiss) elimination on integer-cleared rows with full
+pivoting, which keeps intermediate entries polynomial in the input instead of
+exploding the way naive Fraction pivoting does.  The rows are ``{column:
+int}`` dicts keyed by original column, and a position permutation stands in
+for the column swaps.  The pivot is the nonzero with the least
+``(|v|, row position, column position)``, which is what a dense row-major
+scan for the smallest magnitude picks (including its stop at the first 1),
+so the pivot columns and kernel bases do not depend on the storage.
+Solving and span membership use a Gauss-Jordan over ``{column: Fraction}``
+rows with leftmost pivots and no column swaps, so pivot columns refer to the
+original matrix.
 
 A Subquotient packages (cycles mod boundaries) inside a fixed ambient space;
 every cohomology group, spectral-sequence term and Bott-Chern group in the
@@ -13,15 +32,12 @@ package is one of these.  Its representatives come from one leftmost-pivot
 Gauss-Jordan pass over [B | Z]: the pivot columns inside Z are exactly the
 cycles a greedy left-to-right scan would add to the boundaries, and the
 pivot count certifies that the boundaries lie in the cycle span.
-
-Matrices built by RatMatrix's own operations and by the eliminations already
-hold Fractions, so they are constructed with the private keyword
-``_trusted=True``, which skips the per-entry coercion but not the size cap.
 """
 
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -45,14 +61,16 @@ def _max_dim() -> int:
         raise ValidationError(f"SPECTRA_DR_MAX_DIM must be an integer, got {raw!r}")
 
 
-def check_piece_dims(dims: Mapping, context: str = "") -> None:
-    """Refuse a graded piece (grading tuple -> dim) larger than
+def check_piece_dims(dims: Mapping, context: str = "", noun: str = "piece") -> None:
+    """Refuse a graded piece (grading key -> dim) larger than
     SPECTRA_DR_MAX_DIM before any matrix on it is built, naming the least
-    such key after context.  The cap is read only when there are pieces."""
+    such key after context and noun.  The cap is read only when there are
+    pieces."""
     cap = _max_dim() if dims else 0
     key = min((key for key, n in dims.items() if n > cap), default=None)
     if key is not None:
-        raise ValidationError(f"{context}piece ({','.join(map(str, key))}) has dim"
+        name = f"({','.join(map(str, key))})" if isinstance(key, tuple) else key
+        raise ValidationError(f"{context}{noun} {name} has dim"
                               f" {dims[key]} > SPECTRA_DR_MAX_DIM={cap}")
 
 
@@ -81,9 +99,75 @@ def rat_str(value: Fraction) -> str:
     return str(value)
 
 
+# -- sparse rows ------------------------------------------------------------
+# A sparse row is a flat tuple (c0, v0, c1, v1, ...), columns ascending,
+# values nonzero.  zip(it, it) over one iterator walks its (column, value)
+# pairs without slicing.
+
+
+def _pairs(row):
+    it = iter(row)
+    return zip(it, it)
+
+
+def _pack(d: dict) -> tuple:
+    """The sparse row of a {column: value} dict, dropping zero values."""
+    out = []
+    for c in sorted(d):
+        v = d[c]
+        if v:
+            out += (c, v)
+    return tuple(out)
+
+
+def _shift(row: tuple, off: int) -> tuple:
+    """The row with every column moved right by off."""
+    if not off or not row:
+        return row
+    out = list(row)
+    out[0::2] = [c + off for c in row[0::2]]
+    return tuple(out)
+
+
+def _map_values(row: tuple, f) -> tuple:
+    out = list(row)
+    out[1::2] = [f(v) for v in row[1::2]]
+    return tuple(out)
+
+
+def _literal_row(entries) -> tuple:
+    """The sparse row of an untrusted dense literal.  The zero literals "0"
+    and 0 are skipped without building a Fraction (False is not an int
+    here, so it still reaches rat_from and raises)."""
+    out = []
+    for c, x in enumerate(entries):
+        t = type(x)
+        if (t is str and x == "0") or (t is int and x == 0):
+            continue
+        v = rat_from(x)
+        if v:
+            out += (c, v)
+    return tuple(out)
+
+
+def _merge(ra: tuple, rb: tuple, sign: int) -> tuple:
+    """The sparse row ra + sign * rb."""
+    if not rb:
+        return ra
+    if not ra:
+        return rb if sign > 0 else _map_values(rb, Fraction.__neg__)
+    d = dict(_pairs(ra))
+    for c, v in _pairs(rb):
+        if sign < 0:
+            v = -v
+        d[c] = d[c] + v if c in d else v
+    return _pack(d)
+
+
 class RatMatrix:
-    """Immutable matrix over Fraction.  Zero-row and zero-column shapes are
-    first-class: eliminations, products and stacking all accept them."""
+    """Immutable matrix over Fraction, stored as sparse rows (see the module
+    docstring).  Zero-row and zero-column shapes are first-class:
+    eliminations, products and stacking all accept them."""
 
     __slots__ = ("rows", "cols", "_rows", "_hash")
 
@@ -96,11 +180,10 @@ class RatMatrix:
                 f"matrix shape {rows}x{cols} exceeds SPECTRA_DR_MAX_DIM={cap}"
             )
         if _trusted:
-            # internal: exactly `rows` row sequences of `cols` Fractions each
-            data = tuple(map(tuple, entries))
+            # internal: exactly `rows` sparse row tuples
+            data = tuple(entries)
         elif entries is None:
-            row = (F0,) * cols
-            data = tuple(row for _ in range(rows))
+            data = ((),) * rows
         else:
             entries = list(entries)
             if len(entries) == rows and all(
@@ -108,11 +191,10 @@ class RatMatrix:
             ):
                 if any(len(r) != cols for r in entries):
                     raise ValidationError("ragged rows in matrix literal")
-                data = tuple(tuple(rat_from(x) for x in r) for r in entries)
+                data = tuple(map(_literal_row, entries))
             elif len(entries) == rows * cols:
-                flat = [rat_from(x) for x in entries]
                 data = tuple(
-                    tuple(flat[i * cols : (i + 1) * cols]) for i in range(rows)
+                    _literal_row(entries[i * cols : (i + 1) * cols]) for i in range(rows)
                 )
             else:
                 raise ValidationError(
@@ -134,10 +216,7 @@ class RatMatrix:
 
     @staticmethod
     def identity(n: int) -> "RatMatrix":
-        return RatMatrix(
-            n, n, [[F1 if i == j else F0 for j in range(n)] for i in range(n)],
-            _trusted=True,
-        )
+        return RatMatrix(n, n, [(i, F1) for i in range(n)], _trusted=True)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence], cols: int | None = None) -> "RatMatrix":
@@ -165,59 +244,61 @@ class RatMatrix:
 
     def __getitem__(self, key) -> Fraction:
         i, j = key
-        return self._rows[i][j]
+        row = self._rows[i]
+        j = range(self.cols)[j]  # tuple-style bounds check and negative index
+        for c, v in _pairs(row):
+            if c >= j:
+                return v if c == j else F0
+        return F0
 
     def row(self, i: int) -> tuple:
-        return self._rows[i]
+        out = [F0] * self.cols
+        for c, v in _pairs(self._rows[i]):
+            out[c] = v
+        return tuple(out)
 
     def col(self, j: int) -> tuple:
-        return tuple(r[j] for r in self._rows)
+        return tuple(self[i, j] for i in range(self.rows))
 
     def col_matrix(self, j: int) -> "RatMatrix":
-        return RatMatrix(self.rows, 1, [[r[j]] for r in self._rows], _trusted=True)
+        col = self.col(j)
+        return RatMatrix(self.rows, 1, [(0, x) if x else () for x in col], _trusted=True)
 
     def columns(self) -> list:
         return [self.col(j) for j in range(self.cols)]
 
     def row_lists(self) -> list:
-        return [list(r) for r in self._rows]
+        return [list(self.row(i)) for i in range(self.rows)]
 
     @property
     def shape(self) -> tuple:
         return (self.rows, self.cols)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for r in self._rows for x in r)
+        return not any(self._rows)
 
     # -- algebra ----------------------------------------------------------
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
         self._same_shape(other)
         return RatMatrix(
-            self.rows,
-            self.cols,
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._rows, other._rows)
-            ],
+            self.rows, self.cols,
+            [_merge(ra, rb, 1) for ra, rb in zip(self._rows, other._rows)],
             _trusted=True,
         )
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
         self._same_shape(other)
         return RatMatrix(
-            self.rows,
-            self.cols,
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._rows, other._rows)
-            ],
+            self.rows, self.cols,
+            [_merge(ra, rb, -1) for ra, rb in zip(self._rows, other._rows)],
             _trusted=True,
         )
 
     def __neg__(self) -> "RatMatrix":
         return RatMatrix(
-            self.rows, self.cols, [[-a for a in r] for r in self._rows],
+            self.rows, self.cols,
+            [_map_values(r, Fraction.__neg__) for r in self._rows],
             _trusted=True,
         )
 
@@ -225,8 +306,10 @@ class RatMatrix:
         c = rat_from(c)
         if c == 1:
             return self
+        if not c:  # stored values must stay nonzero
+            return RatMatrix(self.rows, self.cols)
         return RatMatrix(
-            self.rows, self.cols, [[c * a for a in r] for r in self._rows],
+            self.rows, self.cols, [_map_values(r, c.__mul__) for r in self._rows],
             _trusted=True,
         )
 
@@ -235,31 +318,35 @@ class RatMatrix:
             raise ValidationError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        ocols = other.cols
         orows = other._rows
         out = []
         for arow in self._rows:
-            acc = [F0] * ocols
-            for k, a in enumerate(arow):
-                if a:
-                    brow = orows[k]
-                    for j, b in enumerate(brow):
-                        if b:
-                            acc[j] = acc[j] + a * b
-            out.append(acc)
-        return RatMatrix(self.rows, ocols, out, _trusted=True)
+            acc = {}
+            for k, a in _pairs(arow):
+                for j, b in _pairs(orows[k]):
+                    acc[j] = acc[j] + a * b if j in acc else a * b
+            out.append(_pack(acc) if acc else ())
+        return RatMatrix(self.rows, other.cols, out, _trusted=True)
 
     def transpose(self) -> "RatMatrix":
-        cols = zip(*self._rows) if self.rows else [()] * self.cols
-        return RatMatrix(self.cols, self.rows, cols, _trusted=True)
+        out = [[] for _ in range(self.cols)]
+        for i, r in enumerate(self._rows):
+            for c, v in _pairs(r):
+                out[c] += (i, v)
+        return RatMatrix(self.cols, self.rows, map(tuple, out), _trusted=True)
 
     def submatrix(self, row_idx: Iterable[int], col_idx: Iterable[int]) -> "RatMatrix":
         ri = list(row_idx)
         ci = list(col_idx)
-        return RatMatrix(
-            len(ri), len(ci), [[self._rows[i][j] for j in ci] for i in ri],
-            _trusted=True,
-        )
+        where = {}  # original column -> its positions in ci (repeats allowed)
+        for new, c in enumerate(ci):
+            where.setdefault(range(self.cols)[c], []).append(new)
+        rows = self._rows
+        data = []
+        for i in ri:
+            picked = sorted((new, v) for c, v in _pairs(rows[i]) for new in where.get(c, ()))
+            data.append(tuple(x for t in picked for x in t))
+        return RatMatrix(len(ri), len(ci), data, _trusted=True)
 
     def select_columns(self, col_idx: Iterable[int]) -> "RatMatrix":
         return self.submatrix(range(self.rows), col_idx)
@@ -274,11 +361,14 @@ class RatMatrix:
         rows = mats[0].rows
         if any(m.rows != rows for m in mats):
             raise ValidationError("hstack row mismatch")
-        out = [[] for _ in range(rows)]
+        out = [()] * rows
+        off = 0
         for m in mats:
-            for i in range(rows):
-                out[i].extend(m._rows[i])
-        return RatMatrix(rows, sum(m.cols for m in mats), out, _trusted=True)
+            for i, r in enumerate(m._rows):
+                if r:
+                    out[i] += _shift(r, off)
+            off += m.cols
+        return RatMatrix(rows, off, out, _trusted=True)
 
     @staticmethod
     def vstack(mats: Sequence["RatMatrix"]) -> "RatMatrix":
@@ -306,11 +396,12 @@ class RatMatrix:
     @staticmethod
     def from_blocks(rows: int, cols: int, blocks) -> "RatMatrix":
         """The rows x cols matrix that is zero outside the given blocks, each a
-        (row offset, column offset, RatMatrix) triple copied into place.
-        Raises ValidationError for a block that does not fit."""
+        (row offset, column offset, RatMatrix) triple copied into place; a
+        later block overwrites the columns it spans.  Raises ValidationError
+        for a block that does not fit."""
 
         def placed():  # a generator: __init__ checks the cap before allocation
-            out = [(F0,) * cols] * rows
+            out = [()] * rows
             for r0, c0, m in blocks:
                 c1 = c0 + m.cols
                 if r0 < 0 or c0 < 0 or r0 + m.rows > rows or c1 > cols:
@@ -320,29 +411,31 @@ class RatMatrix:
                     )
                 for i, mrow in enumerate(m._rows, r0):
                     row = out[i]
-                    out[i] = row[:c0] + mrow + row[c1:]
+                    if row:
+                        held = row[0::2]
+                        lo = 2 * bisect_left(held, c0)
+                        hi = 2 * bisect_left(held, c1)
+                        out[i] = row[:lo] + _shift(mrow, c0) + row[hi:]
+                    elif mrow:
+                        out[i] = _shift(mrow, c0)
             yield from out
 
         return RatMatrix(rows, cols, placed(), _trusted=True)
 
     @staticmethod
     def kron(a: "RatMatrix", b: "RatMatrix") -> "RatMatrix":
-        rows = a.rows * b.rows
-        cols = a.cols * b.cols
-        out = [[F0] * cols for _ in range(rows)]
-        for i in range(a.rows):
-            arow = a._rows[i]
-            for j in range(a.cols):
-                x = arow[j]
-                if not x:
-                    continue
-                for k in range(b.rows):
-                    brow = b._rows[k]
-                    orow = out[i * b.rows + k]
-                    for l in range(b.cols):
-                        if brow[l]:
-                            orow[j * b.cols + l] = x * brow[l]
-        return RatMatrix(rows, cols, out, _trusted=True)
+        bcols = b.cols
+        bpairs = [list(_pairs(r)) for r in b._rows]
+        out = []
+        for arow in a._rows:
+            apairs = [(j * bcols, x) for j, x in _pairs(arow)]
+            for bp in bpairs:
+                row = []
+                for base, x in apairs:
+                    for l, y in bp:
+                        row += (base + l, x * y)
+                out.append(tuple(row))
+        return RatMatrix(a.rows * b.rows, a.cols * bcols, out, _trusted=True)
 
     # -- plumbing ---------------------------------------------------------
 
@@ -370,8 +463,7 @@ class RatMatrix:
             h = hash((self.rows, self.cols, tuple(
                 (i, j, x.numerator, x.denominator)
                 for i, r in enumerate(self._rows)
-                for j, x in enumerate(r)
-                if x
+                for j, x in _pairs(r)
             )))
             object.__setattr__(self, "_hash", h)
         return h
@@ -380,7 +472,7 @@ class RatMatrix:
         if self.rows * self.cols == 0:
             return f"RatMatrix({self.rows}x{self.cols})"
         body = "; ".join(
-            " ".join(rat_str(x) for x in r) for r in self._rows
+            " ".join(rat_str(x) for x in self.row(i)) for i in range(self.rows)
         )
         return f"RatMatrix({self.rows}x{self.cols}: {body})"
 
@@ -390,7 +482,7 @@ class RatMatrix:
         return {
             "rows": self.rows,
             "cols": self.cols,
-            "entries": [[rat_str(x) for x in r] for r in self._rows],
+            "entries": [[rat_str(x) for x in self.row(i)] for i in range(self.rows)],
         }
 
     @staticmethod
@@ -415,66 +507,74 @@ class RatMatrix:
 
 def _integer_rows(m: RatMatrix) -> list:
     """Clear denominators row by row (row scaling preserves rank, kernel and
-    pivot-column structure)."""
+    pivot-column structure).  One {column: int} dict per row."""
     out = []
     for r in m._rows:
         lcm = 1
-        for x in r:
+        for x in r[1::2]:
             d = x.denominator
             if d != 1:
                 lcm = lcm * d // gcd(lcm, d)
-        out.append([int(x * lcm) if lcm != 1 else x.numerator for x in r])
+        out.append({c: x.numerator * (lcm // x.denominator) for c, x in _pairs(r)})
     return out
 
 
 def _bareiss(a: list, nrows: int, ncols: int):
-    """In-place fraction-free echelon with full pivoting.
+    """In-place fraction-free echelon with full pivoting on {column: int}
+    rows keyed by original column.
 
-    Returns (rank, colperm, a).  After return, a[i][j] for j >= i (in
-    permuted coordinates) is upper triangular with nonzero a[i][i] for
-    i < rank.  Pivot choice: nonzero entry of smallest magnitude, which keeps
-    integer growth down.
+    Returns (rank, colperm, a).  colperm[k] is the original column at
+    position k; rows a[i], i < rank, are the pivot rows, a[i] holding the
+    pivot a[i][colperm[i]] and otherwise only columns at positions > i.  The
+    pivot is the nonzero of least (|v|, row position, column position): the
+    smallest magnitude keeps integer growth down, and the tie rule is that
+    of a dense row-major scan, so the pivots match a dense elimination.
     """
     colperm = list(range(ncols))
+    pos = list(range(ncols))  # pos[c]: position of original column c
     prev = 1
     rank = 0
-    limit = min(nrows, ncols)
-    for r in range(limit):
+    for r in range(min(nrows, ncols)):
         best = None
-        bi = bj = -1
+        bi = bc = bp = -1
         for i in range(r, nrows):
-            ai = a[i]
-            for j in range(r, ncols):
-                v = ai[j]
-                if v:
-                    av = -v if v < 0 else v
-                    if best is None or av < best:
-                        best, bi, bj = av, i, j
-                        if av == 1:
-                            break
+            row = a[i]
+            if not row:
+                continue
+            for c, v in row.items():
+                av = -v if v < 0 else v
+                if best is None or av < best:
+                    best, bi, bc, bp = av, i, c, pos[c]
+                elif av == best and i == bi and pos[c] < bp:
+                    bc, bp = c, pos[c]
             if best == 1:
                 break
         if best is None:
             break
         if bi != r:
             a[r], a[bi] = a[bi], a[r]
-        if bj != r:
-            for row in a:
-                row[r], row[bj] = row[bj], row[r]
-            colperm[r], colperm[bj] = colperm[bj], colperm[r]
-        piv = a[r][r]
+        if bp != r:
+            moved = colperm[r]
+            colperm[r], colperm[bp] = bc, moved
+            pos[bc], pos[moved] = r, bp
+        prow = a[r]
+        piv = prow[bc]
+        scale = prev != 1 or piv != 1
         for i in range(r + 1, nrows):
-            ai = a[i]
-            head = ai[r]
+            row = a[i]
+            if not row:
+                continue
+            head = row.pop(bc, 0)
             if head:
-                ar = a[r]
-                for j in range(r + 1, ncols):
-                    ai[j] = (piv * ai[j] - head * ar[j]) // prev
-                ai[r] = 0
-            elif prev != 1 or piv != 1:
-                for j in range(r + 1, ncols):
-                    if ai[j]:
-                        ai[j] = piv * ai[j] // prev
+                new = {}
+                for c in row.keys() | prow.keys():
+                    if c != bc:
+                        x = (piv * row.get(c, 0) - head * prow.get(c, 0)) // prev
+                        if x:
+                            new[c] = x
+                a[i] = new
+            elif scale:
+                a[i] = {c: piv * v // prev for c, v in row.items()}
         prev = piv
         rank = r + 1
     return rank, colperm, a
@@ -488,21 +588,21 @@ def rank(m: RatMatrix) -> int:
     return r
 
 
-def _primitive(vec: list) -> list:
-    """Scale a Fraction vector to a primitive integer vector (positive scale
-    factor, so signs of entries are preserved)."""
+def _primitive(vec: dict) -> dict:
+    """Scale a {column: Fraction} vector to a primitive integer vector
+    (positive scale factor, so signs of entries are preserved)."""
     lcm = 1
-    for x in vec:
+    for x in vec.values():
         d = x.denominator
         if d != 1:
             lcm = lcm * d // gcd(lcm, d)
-    ints = [int(x * lcm) for x in vec]
+    ints = {c: x.numerator * (lcm // x.denominator) for c, x in vec.items()}
     g = 0
-    for v in ints:
+    for v in ints.values():
         g = gcd(g, v)
     if g > 1:
-        ints = [v // g for v in ints]
-    return [Fraction(v) for v in ints]
+        ints = {c: v // g for c, v in ints.items()}
+    return {c: Fraction(v) for c, v in ints.items()}
 
 
 @lru_cache(maxsize=None)
@@ -521,23 +621,22 @@ def kernel_basis(m: RatMatrix) -> RatMatrix:
     r, colperm, a = _bareiss(_integer_rows(m), m.rows, n)
     if r == n:
         return RatMatrix.zeros(n, 0)
-    free = sorted(range(r, n), key=lambda f: colperm[f])
-    cols = []
-    for f in free:
-        y = [F0] * n
-        y[f] = F1
+    pivcols = colperm[:r]
+    out = [[] for _ in range(n)]
+    for t, f in enumerate(sorted(colperm[r:])):
+        x = {f: F1}
         for i in range(r - 1, -1, -1):
-            s = F0
             ai = a[i]
-            for j in range(i + 1, n):
-                if ai[j] and y[j]:
-                    s += ai[j] * y[j]
-            y[i] = -s / a[i][i]
-        x = [F0] * n
-        for j in range(n):
-            x[colperm[j]] = y[j]
-        cols.append(_primitive(x))
-    return RatMatrix(n, len(cols), zip(*cols), _trusted=True)
+            pc = pivcols[i]
+            s = F0
+            for c, v in ai.items():
+                if c != pc and c in x:
+                    s += v * x[c]
+            if s:
+                x[pc] = -s / ai[pc]
+        for c, v in _primitive(x).items():
+            out[c] += (t, v)
+    return RatMatrix(n, n - r, map(tuple, out), _trusted=True)
 
 
 @lru_cache(maxsize=None)
@@ -559,33 +658,48 @@ def image_basis(m: RatMatrix) -> RatMatrix:
 
 
 def _rref(rows: list, lead_cols: int):
-    """Reduced row echelon of a Fraction row-list; pivots restricted to the
-    first lead_cols columns.  Returns (pivot column list, rows)."""
+    """Reduced row echelon, in place, of a list of {column: Fraction} rows;
+    pivots restricted to the first lead_cols columns, each the topmost row
+    holding the leftmost column left.  Returns (pivot column list, rows)."""
     nrows = len(rows)
     pivots = []
     r = 0
-    for c in range(lead_cols):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                piv = i
-                break
+    # elimination never brings in a column that no row held to begin with
+    for c in sorted(k for k in set().union(*rows) if k < lead_cols):
+        piv = next((i for i in range(r, nrows) if c in rows[i]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         prow = rows[r]
         inv = F1 / prow[c]
         if inv != 1:
-            rows[r] = prow = [x * inv for x in prow]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
+            rows[r] = prow = {k: x * inv for k, x in prow.items()}
+        for row in rows:
+            f = row.get(c)
+            if f and row is not prow:
+                for k, b in prow.items():
+                    v = row.get(k, F0) - f * b
+                    if v:
+                        row[k] = v
+                    else:
+                        del row[k]
         pivots.append(c)
         r += 1
         if r == nrows:
             break
     return pivots, rows
+
+
+def _joined_rows(left: RatMatrix, right: RatMatrix) -> list:
+    """The rows of [left | right] as {column: Fraction} dicts."""
+    off = left.cols
+    out = []
+    for ra, rb in zip(left._rows, right._rows):
+        d = dict(_pairs(ra))
+        for c, v in _pairs(rb):
+            d[c + off] = v
+        out.append(d)
+    return out
 
 
 def solve_matrix(a: RatMatrix, b: RatMatrix) -> RatMatrix | None:
@@ -599,16 +713,14 @@ def solve_matrix(a: RatMatrix, b: RatMatrix) -> RatMatrix | None:
         return RatMatrix.zeros(n, 0)
     if a.rows == 0:
         return RatMatrix.zeros(n, k)
-    aug = [list(ra) + list(rb) for ra, rb in zip(a._rows, b._rows)]
-    pivots, rows = _rref(aug, n)
+    pivots, rows = _rref(_joined_rows(a, b), n)
     npiv = len(pivots)
     for i in range(npiv, a.rows):
-        tail = rows[i][n:]
-        if any(tail):
+        if any(c >= n for c in rows[i]):
             return None
-    out = [[F0] * k for _ in range(n)]
+    out = [()] * n
     for i, c in enumerate(pivots):
-        out[c] = rows[i][n:]
+        out[c] = _pack({j - n: v for j, v in rows[i].items() if j >= n})
     return RatMatrix(n, k, out, _trusted=True)
 
 
@@ -683,8 +795,7 @@ def subquotient(cycles: RatMatrix, boundaries: RatMatrix) -> Subquotient:
     z = image_basis(cycles)
     b = image_basis(boundaries)
     nb = b.cols
-    aug = [list(rb) + list(rz) for rb, rz in zip(b._rows, z._rows)]
-    pivots, _ = _rref(aug, nb + z.cols)
+    pivots, _ = _rref(_joined_rows(b, z), nb + z.cols)
     # rank [B | Z] = dim(span B + span Z), which equals rank Z = z.cols
     # exactly when span B <= span Z
     if len(pivots) != z.cols:

@@ -190,6 +190,28 @@ def test_model_oversized_input_refused_by_name(capsys, monkeypatch, tmp_path):
     assert "lie n=8: piece (4,4) has dim 4900 > SPECTRA_DR_MAX_DIM=4096" in err
 
 
+def test_oversized_total_degree_refused_by_name(capsys, monkeypatch, tmp_path):
+    from spectra_dr.linalg import RatMatrix
+
+    monkeypatch.delenv("SPECTRA_DR_MAX_DIM", raising=False)
+    code, out, _ = run(capsys, "model", "torus", "--n", "7", "--twist-rank", "3")
+    assert code == 0
+    path = tmp_path / "t7.json"
+    path.write_text(out)
+    assembled = []
+    real = RatMatrix.from_blocks
+
+    def spy(rows, cols, blocks):
+        assembled.append((rows, cols))
+        return real(rows, cols, blocks)
+
+    monkeypatch.setattr(RatMatrix, "from_blocks", staticmethod(spy))
+    code, out, err = run(capsys, "cohomology", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: total degree 5 has dim 6006 > SPECTRA_DR_MAX_DIM=4096\n"
+    assert assembled == []
+
+
 def test_model_emits_parseable_complex(capsys):
     from spectra_dr.models import iwasawa_spec, lie_model
 

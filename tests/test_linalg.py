@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -427,3 +428,321 @@ def test_induced_map_functorial():
         lhs = induced_map(f @ g, sq, sq)
         rhs = induced_map(f, sq, sq) @ induced_map(g, sq, sq)
         assert lhs == rhs
+
+
+# -- literals ---------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [True, False, 0.5, "1/0", None])
+def test_matrix_literal_rejects_non_rationals(bad):
+    with pytest.raises(ParseError):
+        RatMatrix(2, 2, [[1, 0], [bad, "0"]])
+    with pytest.raises(ParseError):
+        RatMatrix(1, 3, [0, "0", bad])
+
+
+def test_zero_literals_give_the_zero_matrix():
+    assert RatMatrix(2, 3, [["0"] * 3, ["0"] * 3]) == RatMatrix.zeros(2, 3)
+    assert RatMatrix(2, 3, [[0] * 3, [0] * 3]) == RatMatrix.zeros(2, 3)
+    assert RatMatrix(2, 2, ["0", 0, "0/7", Fraction(0)]) == RatMatrix.zeros(2, 2)
+    assert RatMatrix.from_json({"rows": 1, "cols": 2, "entries": [["0", "0"]]}).is_zero()
+    assert M([["0", "-3/6"]]) == M([[0, "-1/2"]])
+
+
+# -- differential tests: sparse rows against the dense engine -----------------
+# The dense elimination engine the sparse one replaced, kept as an oracle.
+# It runs on dense lists of Fractions taken through the public row().
+
+
+def _dense(m):
+    return [list(m.row(i)) for i in range(m.rows)]
+
+
+def _dense_integer_rows(rows):
+    out = []
+    for r in rows:
+        lcm = 1
+        for x in r:
+            d = x.denominator
+            if d != 1:
+                lcm = lcm * d // gcd(lcm, d)
+        out.append([int(x * lcm) if lcm != 1 else x.numerator for x in r])
+    return out
+
+
+def _dense_bareiss(a, nrows, ncols):
+    colperm = list(range(ncols))
+    prev = 1
+    rank = 0
+    limit = min(nrows, ncols)
+    for r in range(limit):
+        best = None
+        bi = bj = -1
+        for i in range(r, nrows):
+            ai = a[i]
+            for j in range(r, ncols):
+                v = ai[j]
+                if v:
+                    av = -v if v < 0 else v
+                    if best is None or av < best:
+                        best, bi, bj = av, i, j
+                        if av == 1:
+                            break
+            if best == 1:
+                break
+        if best is None:
+            break
+        if bi != r:
+            a[r], a[bi] = a[bi], a[r]
+        if bj != r:
+            for row in a:
+                row[r], row[bj] = row[bj], row[r]
+            colperm[r], colperm[bj] = colperm[bj], colperm[r]
+        piv = a[r][r]
+        for i in range(r + 1, nrows):
+            ai = a[i]
+            head = ai[r]
+            if head:
+                ar = a[r]
+                for j in range(r + 1, ncols):
+                    ai[j] = (piv * ai[j] - head * ar[j]) // prev
+                ai[r] = 0
+            elif prev != 1 or piv != 1:
+                for j in range(r + 1, ncols):
+                    if ai[j]:
+                        ai[j] = piv * ai[j] // prev
+        prev = piv
+        rank = r + 1
+    return rank, colperm, a
+
+
+def _dense_rref(rows, lead_cols):
+    nrows = len(rows)
+    pivots = []
+    r = 0
+    for c in range(lead_cols):
+        piv = None
+        for i in range(r, nrows):
+            if rows[i][c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        inv = Fraction(1) / prow[c]
+        if inv != 1:
+            rows[r] = prow = [x * inv for x in prow]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots, rows
+
+
+def _dense_elim(m):
+    return _dense_bareiss(_dense_integer_rows(_dense(m)), m.rows, m.cols)
+
+
+def _dense_rank(m):
+    return 0 if m.rows == 0 or m.cols == 0 else _dense_elim(m)[0]
+
+
+def _dense_pivots(m):
+    if m.rows == 0 or m.cols == 0:
+        return ()
+    r, colperm, _ = _dense_elim(m)
+    return tuple(sorted(colperm[:r]))
+
+
+def _dense_primitive(vec):
+    lcm = 1
+    for x in vec:
+        if x.denominator != 1:
+            lcm = lcm * x.denominator // gcd(lcm, x.denominator)
+    ints = [int(x * lcm) for x in vec]
+    g = 0
+    for v in ints:
+        g = gcd(g, v)
+    return [Fraction(v // g) if g > 1 else Fraction(v) for v in ints]
+
+
+def _dense_kernel(m):
+    n = m.cols
+    if n == 0:
+        return RatMatrix.zeros(0, 0)
+    if m.rows == 0:
+        return RatMatrix.identity(n)
+    r, colperm, a = _dense_elim(m)
+    cols = []
+    for f in sorted(range(r, n), key=lambda f: colperm[f]):
+        y = [Fraction(0)] * n
+        y[f] = Fraction(1)
+        for i in range(r - 1, -1, -1):
+            s = sum((a[i][j] * y[j] for j in range(i + 1, n)), Fraction(0))
+            y[i] = -s / a[i][i]
+        x = [Fraction(0)] * n
+        for j in range(n):
+            x[colperm[j]] = y[j]
+        cols.append(_dense_primitive(x))
+    return RatMatrix(n, len(cols), [list(row) for row in zip(*cols)] if cols else [[]] * n)
+
+
+def _dense_solve(a, b):
+    n, k = a.cols, b.cols
+    if k == 0:
+        return RatMatrix.zeros(n, 0)
+    if a.rows == 0:
+        return RatMatrix.zeros(n, k)
+    aug = [ra + rb for ra, rb in zip(_dense(a), _dense(b))]
+    pivots, rows = _dense_rref(aug, n)
+    if any(any(rows[i][n:]) for i in range(len(pivots), a.rows)):
+        return None
+    out = [[0] * k for _ in range(n)]
+    for i, c in enumerate(pivots):
+        out[c] = rows[i][n:]
+    return RatMatrix(n, k, out)
+
+
+def _dense_representatives(cycles, boundaries):
+    z = cycles.select_columns(_dense_pivots(cycles))
+    b = boundaries.select_columns(_dense_pivots(boundaries))
+    aug = [rb + rz for rb, rz in zip(_dense(b), _dense(z))]
+    pivots, _ = _dense_rref(aug, b.cols + z.cols)
+    return z.select_columns([c - b.cols for c in pivots if c >= b.cols])
+
+
+def _entries(rng, kind):
+    if kind == "rational":
+        return Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 5)))
+    return rng.randint(-3, 3)
+
+
+def _gen(rng, kind):
+    """One seeded matrix of the given kind."""
+    if kind == "zero-shape":
+        r, c = rng.choice([(0, rng.randint(0, 5)), (rng.randint(0, 5), 0),
+                           (rng.randint(1, 5), rng.randint(1, 5))])
+        return RatMatrix.zeros(r, c)
+    if kind == "sparse":
+        r, c = rng.randint(6, 16), rng.randint(6, 16)
+        rows = [[0] * c for _ in range(r)]
+        for _ in range(max(1, r * c // 16)):
+            rows[rng.randrange(r)][rng.randrange(c)] = rng.choice((1, -1, 1, -1, 2, -3))
+        return RatMatrix(r, c, rows)
+    if kind == "block":
+        blocks = [rand_matrix(rng, rng.randint(0, 3), rng.randint(0, 3), -2, 2)
+                  for _ in range(rng.randint(1, 5))]
+        m = RatMatrix.block_diag(blocks)
+        ri = list(range(m.rows))
+        ci = list(range(m.cols))
+        rng.shuffle(ri)
+        rng.shuffle(ci)
+        return m.submatrix(ri, ci)
+    r, c = rng.randint(1, 7), rng.randint(1, 7)
+    return RatMatrix(r, c, [[_entries(rng, kind) for _ in range(c)] for _ in range(r)])
+
+
+def _like(rng, m, kind):
+    """Another matrix of m's shape."""
+    density = 0.1 if kind == "sparse" else 0.5
+    return RatMatrix(m.rows, m.cols, [[_entries(rng, kind) if rng.random() < density else 0
+                                       for _ in range(m.cols)] for _ in range(m.rows)])
+
+
+KINDS = ["dense", "sparse", "block", "rational", "zero-shape"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_elimination_matches_dense_engine(kind):
+    rng = random.Random(f"elim-{kind}")
+    for _ in range(200):
+        m = _gen(rng, kind)
+        assert rank(m) == _dense_rank(m)
+        assert pivot_columns(m) == _dense_pivots(m)
+        assert kernel_basis(m) == _dense_kernel(m)
+        consistent = m @ _like(rng, RatMatrix.zeros(m.cols, rng.randint(0, 3)), kind)
+        for rhs in (consistent, _like(rng, consistent, kind)):
+            assert solve_matrix(m, rhs) == _dense_solve(m, rhs)
+        boundaries = m @ _like(rng, RatMatrix.zeros(m.cols, rng.randint(0, 4)), kind)
+        sq = subquotient(m, boundaries)
+        assert sq.representative_basis == _dense_representatives(m, boundaries)
+    clear_caches()
+
+
+def _from_dense(rows, cols):
+    return RatMatrix(len(rows), cols, rows)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_algebra_matches_dense_lists(kind):
+    rng = random.Random(f"algebra-{kind}")
+    for _ in range(200):
+        a = _gen(rng, kind)
+        n, da = a.cols, _dense(a)
+        b = _like(rng, a, kind)
+        db = _dense(b)
+        zero = RatMatrix.zeros(a.rows, n)
+        assert _from_dense(da, n) == a and hash(_from_dense(da, n)) == hash(a)
+        assert a + b == _from_dense([[x + y for x, y in zip(p, q)] for p, q in zip(da, db)], n)
+        assert a - b == _from_dense([[x - y for x, y in zip(p, q)] for p, q in zip(da, db)], n)
+        assert a - a == zero and hash(a - a) == hash(zero)
+        assert -a == _from_dense([[-x for x in r] for r in da], n)
+        for c in (0, 1, -1, Fraction(2, 3)):
+            assert a.scale(c) == _from_dense([[c * x for x in r] for r in da], n)
+        assert a.is_zero() == (not any(any(r) for r in da))
+        assert a.transpose() == RatMatrix(n, a.rows, [[r[j] for r in da] for j in range(n)])
+        assert a.transpose().transpose() == a
+        other = _like(rng, RatMatrix.zeros(n, rng.randint(0, 4)), kind)
+        do = _dense(other)
+        assert a @ other == _from_dense(
+            [[sum((x * do[k][j] for k, x in enumerate(r) if x), Fraction(0))
+              for j in range(other.cols)] for r in da], other.cols)
+        # rows and columns picked with repeats and in any order
+        ri = [rng.randrange(a.rows) for _ in range(rng.randint(0, 4))] if a.rows else []
+        ci = [rng.randrange(n) for _ in range(rng.randint(0, 6))] if n else []
+        assert a.submatrix(ri, ci) == _from_dense([[da[i][j] for j in ci] for i in ri], len(ci))
+        kept = sorted(set(ci))
+        assert a.select_columns(kept) == _from_dense([[r[j] for j in kept] for r in da], len(kept))
+        wide = [p + q + p for p, q in zip(da, db)]
+        assert RatMatrix.hstack([a, b, a]) == _from_dense(wide, 3 * n)
+        assert RatMatrix.vstack([b, a]) == _from_dense(db + da, n)
+        small = rand_matrix(rng, rng.randint(0, 3), rng.randint(0, 3))
+        ds = _dense(small)
+        assert RatMatrix.kron(a, small) == _from_dense(
+            [[x * y for x in ra for y in rs] for ra in da for rs in ds], n * small.cols)
+        # overlapping blocks: a later block overwrites the columns it spans
+        want = [list(r) for r in da]
+        blocks = []
+        for _ in range(rng.randint(0, 3)):
+            blk = rand_matrix(rng, rng.randint(0, a.rows), rng.randint(0, n))
+            r0 = rng.randint(0, a.rows - blk.rows)
+            c0 = rng.randint(0, n - blk.cols)
+            blocks.append((r0, c0, blk))
+            for i, row in enumerate(_dense(blk)):
+                want[r0 + i][c0:c0 + blk.cols] = row
+        assert RatMatrix.from_blocks(a.rows, n, [(0, 0, a)] + blocks) == _from_dense(want, n)
+        assert [a.row(i) for i in range(a.rows)] == [tuple(r) for r in da]
+        for _ in range(4 if a.rows and n else 0):
+            i, j = rng.randrange(a.rows), rng.randrange(n)
+            assert a[i, j] == da[i][j] and type(a[i, j]) is Fraction
+            assert a[i - a.rows, j - n] == da[i][j]
+            assert a.col(j) == tuple(r[j] for r in da)
+            assert a.col_matrix(j) == a.select_columns([j])
+        assert a.to_json()["entries"] == [[rat_str(x) for x in r] for r in da]
+        assert RatMatrix.from_json(a.to_json()) == a
+
+
+def test_sparse_rank_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(11)
+    for kind in KINDS:
+        for _ in range(24):
+            m = _gen(rng, kind)
+            want = sympy.Matrix(m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator)
+                                                 for i in range(m.rows) for x in m.row(i)]).rank()
+            assert rank(m) == want
+    clear_caches()

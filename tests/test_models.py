@@ -38,6 +38,7 @@ from spectra_dr.models import (
     torus_model,
     wedge,
 )
+from spectra_dr.spectral import limit_page, stabilization_index
 from spectra_dr.tensorops import QuadComplex
 from spectra_dr.truncation import (
     column_cohomology_dim,
@@ -324,6 +325,34 @@ def test_kunneth_predict_spot(iw):
     for window in [(0, 2), (1, 3), (2, 2)]:
         for c in range(0, 9):
             assert hyper(prod, window, c) == kunneth_predict(t1, iw, window, c)
+
+
+def _convolve(a, b):
+    out = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j] = out.get(i + j, 0) + x * y
+    return out
+
+
+def test_iwasawa_squared_betti_numbers_follow_kunneth(iw):
+    betti_iw = betti_numbers(total(iw.complex))
+    assert betti_iw == {0: 1, 1: 4, 2: 8, 3: 10, 4: 8, 5: 4, 6: 1}
+    prod = product_model(iw, iw)
+    assert prod.complex.total_dim() == 4096
+    assert betti_numbers(total(prod.complex)) == _convolve(betti_iw, betti_iw)
+
+
+def test_t2_iwasawa_spectral_sequence_stabilizes_at_page_2(iw):
+    t2 = torus_model(2)
+    prod = product_model(t2, iw)
+    assert stabilization_index(prod.complex) == 2
+    antidiagonals = {}
+    for (p, q), n in limit_page(prod.complex).dims().items():
+        antidiagonals[p + q] = antidiagonals.get(p + q, 0) + n
+    betti = betti_numbers(total(prod.complex))
+    assert antidiagonals == betti
+    assert betti == _convolve(betti_numbers(total(t2.complex)), betti_numbers(total(iw.complex)))
 
 
 def test_product_validation_builds_no_zero_matrix(monkeypatch, iw):
