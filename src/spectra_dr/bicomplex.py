@@ -1,9 +1,8 @@
 """Double complexes: two anticommuting differentials on a bigraded space.
 
-d1 raises the first (column) index, d2 the second (row) index.  Construction
-enforces d1^2 = 0, d2^2 = 0 and d1 d2 + d2 d1 = 0 on the whole support, so the
-total differential D = d1 + d2 squares to zero with no extra signs; only the
-stored (nonzero) differentials are multiplied to check it.
+d1 raises the first (column) index, d2 the second (row) index.  The graded
+core in cochain validates d1^2 = 0, d2^2 = 0 and d1 d2 + d2 d1 = 0, so the
+total differential D = d1 + d2 squares to zero with no extra signs.
 
 Totalization fixes the summand order inside total degree k once and for all:
 blocks (p, k-p) with p ascending.  The filtration and spectral-sequence code
@@ -16,8 +15,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .cochain import ChainMap, CochainComplex
-from .errors import NotChainCompatible, ParseError, ValidationError, WitnessFailure
+from .cochain import ChainMap, CochainComplex, GradedComplex, GradedMap
+from .errors import NotChainCompatible, ParseError, WitnessFailure
 from .linalg import RatMatrix, check_piece_dims, rank
 
 
@@ -29,134 +28,52 @@ def _pq_key(s: str) -> tuple:
         raise ParseError(f"bad bidegree key {s!r}: {exc}") from None
 
 
-def products_vanish(*pairs) -> bool:
-    """True when the sum of f @ g over the pairs (f, g) is zero.  A pair with
-    an absent (None) factor is skipped; the rest form one product
-    [f1 | f2 ...] @ [g1; g2 ...], which adds only nonzero terms."""
-    pairs = [(f, g) for f, g in pairs if f is not None and g is not None]
-    return not pairs or (RatMatrix.hstack([f for f, _ in pairs])
-                         @ RatMatrix.vstack([g for _, g in pairs])).is_zero()
-
-
-class DoubleComplex:
+class DoubleComplex(GradedComplex):
     """Immutable bounded double complex.  dims maps (p, q) -> dimension;
     d1[(p, q)] has shape dim(p+1, q) x dim(p, q); d2[(p, q)] has shape
     dim(p, q+1) x dim(p, q)."""
 
-    __slots__ = ("_dims", "_d1", "_d2", "p_lo", "p_hi", "q_lo", "q_hi", "_hash")
+    __slots__ = ("p_lo", "p_hi", "q_lo", "q_hi")
+    _STEPS = (lambda k: (k[0] + 1, k[1]), lambda k: (k[0], k[1] + 1))
+    _NAMES = ("d1", "d2")
+    _AT = "({0[0]},{0[1]})"
+    _parse_key = staticmethod(_pq_key)
 
     def __init__(self, dims: Mapping, d1: Mapping | None = None, d2: Mapping | None = None):
-        clean = {}
-        for key, n in dims.items():
-            p, q = key
-            if not isinstance(n, int) or n < 0:
-                raise ValidationError(f"bad dimension at {key}: {n!r}")
-            if n > 0:
-                clean[(p, q)] = n
-        object.__setattr__(self, "_dims", clean)
-        if clean:
-            ps = [p for p, _ in clean]
-            qs = [q for _, q in clean]
-            object.__setattr__(self, "p_lo", min(ps))
-            object.__setattr__(self, "p_hi", max(ps))
-            object.__setattr__(self, "q_lo", min(qs))
-            object.__setattr__(self, "q_hi", max(qs))
-        else:
-            object.__setattr__(self, "p_lo", 0)
-            object.__setattr__(self, "p_hi", -1)
-            object.__setattr__(self, "q_lo", 0)
-            object.__setattr__(self, "q_hi", -1)
-        check_piece_dims(clean)
+        super().__init__(dims, (d1, d2))
+        ps = [p for p, _ in self._dims]
+        qs = [q for _, q in self._dims]
+        object.__setattr__(self, "p_lo", min(ps, default=0))
+        object.__setattr__(self, "p_hi", max(ps, default=-1))
+        object.__setattr__(self, "q_lo", min(qs, default=0))
+        object.__setattr__(self, "q_hi", max(qs, default=-1))
 
-        def keep(diffs, step):
-            kept = {}
-            for key, m in (diffs or {}).items():
-                p, q = key
-                if not isinstance(m, RatMatrix):
-                    raise ValidationError(f"differential at {key} is not a RatMatrix")
-                tgt = (p + step[0], q + step[1])
-                want = (clean.get(tgt, 0), clean.get((p, q), 0))
-                if m.shape != want:
-                    raise ValidationError(
-                        f"differential at {key} has shape {m.shape}, expected {want}"
-                    )
-                if m.rows and m.cols and not m.is_zero():
-                    kept[(p, q)] = m
-            return kept
+    @property
+    def _d1(self) -> dict:
+        return self._diffs[0]
 
-        object.__setattr__(self, "_d1", keep(d1, (1, 0)))
-        object.__setattr__(self, "_d2", keep(d2, (0, 1)))
-        object.__setattr__(self, "_hash", None)
-        self._validate()
-
-    def _validate(self):
-        d1, d2 = self._d1, self._d2
-        for p, q in sorted(d1.keys() | d2.keys()):
-            a, b = d1.get((p, q)), d2.get((p, q))
-            if not products_vanish((d1.get((p + 1, q)), a)):
-                raise ValidationError(f"d1 o d1 != 0 from ({p},{q})")
-            if not products_vanish((d2.get((p, q + 1)), b)):
-                raise ValidationError(f"d2 o d2 != 0 from ({p},{q})")
-            if not products_vanish((d1.get((p, q + 1)), b), (d2.get((p + 1, q)), a)):
-                raise ValidationError(
-                    f"d1 and d2 do not anticommute from ({p},{q})"
-                )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DoubleComplex is immutable")
+    @property
+    def _d2(self) -> dict:
+        return self._diffs[1]
 
     def dim(self, p: int, q: int) -> int:
         return self._dims.get((p, q), 0)
 
     def d1(self, p: int, q: int) -> RatMatrix:
-        m = self._d1.get((p, q))
-        if m is None:
-            return RatMatrix.zeros(self.dim(p + 1, q), self.dim(p, q))
-        return m
+        return self._block(0, (p, q))
 
     def d2(self, p: int, q: int) -> RatMatrix:
-        m = self._d2.get((p, q))
-        if m is None:
-            return RatMatrix.zeros(self.dim(p, q + 1), self.dim(p, q))
-        return m
+        return self._block(1, (p, q))
 
     @property
     def support(self) -> tuple:
         return (self.p_lo, self.p_hi, self.q_lo, self.q_hi)
-
-    def dims(self) -> dict:
-        return dict(self._dims)
-
-    def is_zero(self) -> bool:
-        return not self._dims
-
-    def total_dim(self) -> int:
-        return sum(self._dims.values())
 
     def p_range(self) -> range:
         return range(self.p_lo, self.p_hi + 1)
 
     def q_range(self) -> range:
         return range(self.q_lo, self.q_hi + 1)
-
-    def _key(self):
-        return (
-            tuple(sorted(self._dims.items())),
-            tuple(sorted(self._d1.items())),
-            tuple(sorted(self._d2.items())),
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DoubleComplex):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash(self._key())
-            object.__setattr__(self, "_hash", h)
-        return h
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -170,8 +87,8 @@ class DoubleComplex:
         return {
             "support": [self.p_lo, self.p_hi, self.q_lo, self.q_hi],
             "dims": {f"{p},{q}": n for (p, q), n in sorted(self._dims.items())},
-            "d1": {f"{p},{q}": m.to_json() for (p, q), m in sorted(self._d1.items())},
-            "d2": {f"{p},{q}": m.to_json() for (p, q), m in sorted(self._d2.items())},
+            "d1": self._blocks_json(self._diffs[0]),
+            "d2": self._blocks_json(self._diffs[1]),
         }
 
     @staticmethod
@@ -248,6 +165,7 @@ def total(k: DoubleComplex) -> CochainComplex:
         if n:
             dims[deg] = n
     check_piece_dims(dims, noun="total degree")
+    d1, d2 = k._diffs
     diffs = {}
     for deg in range(lo, hi):
         if deg not in dims or deg + 1 not in dims:
@@ -256,10 +174,10 @@ def total(k: DoubleComplex) -> CochainComplex:
         blocks = []
         for (p, q, coff, _n) in block_offsets(k, deg):
             # a stored differential has a nonzero target block
-            if (p, q) in k._d1:
-                blocks.append((tpos[(p + 1, q)], coff, k._d1[(p, q)]))
-            if (p, q) in k._d2:
-                blocks.append((tpos[(p, q + 1)], coff, k._d2[(p, q)]))
+            if (p, q) in d1:
+                blocks.append((tpos[(p + 1, q)], coff, d1[(p, q)]))
+            if (p, q) in d2:
+                blocks.append((tpos[(p, q + 1)], coff, d2[(p, q)]))
         diffs[deg] = RatMatrix.from_blocks(dims[deg + 1], dims[deg], blocks)
     return CochainComplex(dims, diffs)
 
@@ -322,79 +240,17 @@ def direct_sum2(parts: Sequence[DoubleComplex]) -> DoubleComplex:
 # -- maps of double complexes --------------------------------------------
 
 
-class BicomplexMap:
+class BicomplexMap(GradedMap):
     """Bidegreewise map commuting with both differentials; both families of
     squares are checked eagerly."""
 
-    __slots__ = ("source", "target", "_mats")
-
-    def __init__(self, source: DoubleComplex, target: DoubleComplex, mats: Mapping):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        kept = {}
-        for key, m in mats.items():
-            p, q = key
-            want = (target.dim(p, q), source.dim(p, q))
-            if m.shape != want:
-                raise ValidationError(
-                    f"bicomplex map at {key} has shape {m.shape}, expected {want}"
-                )
-            if m.rows and m.cols and not m.is_zero():
-                kept[(p, q)] = m
-        object.__setattr__(self, "_mats", kept)
-        p_lo = min(source.p_lo, target.p_lo)
-        p_hi = max(source.p_hi, target.p_hi)
-        q_lo = min(source.q_lo, target.q_lo)
-        q_hi = max(source.q_hi, target.q_hi)
-        for p in range(p_lo, p_hi + 1):
-            for q in range(q_lo, q_hi + 1):
-                f = self.mat(p, q)
-                if target.d1(p, q) @ f != self.mat(p + 1, q) @ source.d1(p, q):
-                    raise NotChainCompatible(
-                        f"bicomplex map square (d1) at ({p},{q}) does not commute"
-                    )
-                if target.d2(p, q) @ f != self.mat(p, q + 1) @ source.d2(p, q):
-                    raise NotChainCompatible(
-                        f"bicomplex map square (d2) at ({p},{q}) does not commute"
-                    )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BicomplexMap is immutable")
+    __slots__ = ()
+    _SPACE = DoubleComplex
+    _NOUN = "bicomplex map"
+    _SQUARE = "bicomplex map square ({name}) at {at} does not commute"
 
     def mat(self, p: int, q: int) -> RatMatrix:
-        m = self._mats.get((p, q))
-        if m is None:
-            return RatMatrix.zeros(self.target.dim(p, q), self.source.dim(p, q))
-        return m
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BicomplexMap):
-            return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and self._mats == other._mats
-        )
-
-    def __repr__(self) -> str:
-        return f"BicomplexMap({self.source!r} -> {self.target!r})"
-
-    def to_json(self) -> dict:
-        return {
-            "source": self.source.to_json(),
-            "target": self.target.to_json(),
-            "mats": {f"{p},{q}": m.to_json() for (p, q), m in sorted(self._mats.items())},
-        }
-
-    @staticmethod
-    def from_json(obj) -> "BicomplexMap":
-        try:
-            src = DoubleComplex.from_json(obj["source"])
-            tgt = DoubleComplex.from_json(obj["target"])
-            mats = {_pq_key(k): RatMatrix.from_json(v) for k, v in obj.get("mats", {}).items()}
-        except (KeyError, AttributeError, TypeError) as exc:
-            raise ParseError(f"bad bicomplex map JSON: {exc}") from None
-        return BicomplexMap(src, tgt, mats)
+        return self._block((p, q))
 
 
 def identity_bicomplex_map(k: DoubleComplex) -> BicomplexMap:
@@ -403,11 +259,8 @@ def identity_bicomplex_map(k: DoubleComplex) -> BicomplexMap:
 
 
 def compose2(g: BicomplexMap, f: BicomplexMap) -> BicomplexMap:
-    if f.target != g.source:
-        raise ValidationError("bicomplex maps not composable")
-    keys = set(f.source.dims()) | set(g.target.dims())
-    mats = {key: g.mat(*key) @ f.mat(*key) for key in keys}
-    return BicomplexMap(f.source, g.target, mats)
+    """g o f (apply f first)."""
+    return BicomplexMap._composite(g, f)
 
 
 def total_map(f: BicomplexMap) -> ChainMap:

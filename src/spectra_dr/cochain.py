@@ -1,11 +1,18 @@
-"""Bounded cochain complexes of finite-dimensional rational vector spaces.
+"""Bounded graded complexes, cochain complexes and the maps between them.
 
-A complex stores only its nonzero graded pieces; dim(k) and diff(k) answer 0 /
-zero-matrix outside the stored window, so arithmetic never special-cases the
-boundary degrees.  diff(k) maps degree k to degree k+1 and d o d = 0 is
-enforced at construction.
+GradedComplex is the one container behind CochainComplex (here),
+DoubleComplex (bicomplex) and QuadComplex (tensorops): a finite multigraded
+space with one differential per grading step.  It stores only nonzero pieces
+and nonzero blocks; an absent block reads as a zero matrix, so arithmetic
+never special-cases the boundary.  Construction normalises the keys, checks
+every block's shape, refuses a piece larger than SPECTRA_DR_MAX_DIM by name,
+and checks that each differential squares to zero and each pair
+anticommutes, multiplying only stored blocks.  GradedMap is the one map
+behind ChainMap and BicomplexMap; its squares are checked only where a
+stored block can make them nonzero.
 
 Conventions pinned here and relied on everywhere else:
+- diff(k) maps degree k to degree k+1,
 - shift(K, m)^k = K^{k+m} with the SAME differentials (no sign),
 - dual(K)^k = (K^{-k})* with diff (-1)^{k+1} * transpose(diff_K(-k-1)).
 """
@@ -13,12 +20,15 @@ Conventions pinned here and relied on everywhere else:
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
+from operator import index
 from typing import Mapping, Sequence
 
 from .errors import NotChainCompatible, ParseError, ValidationError
 from .linalg import (
     RatMatrix,
     Subquotient,
+    check_piece_dims,
     induced_map,
     kernel_basis,
     rank,
@@ -26,58 +36,116 @@ from .linalg import (
 )
 
 
-class CochainComplex:
-    """Immutable bounded complex.  dims maps degree -> dimension, diffs maps
-    degree k -> matrix of d^k (shape dim(k+1) x dim(k)); zero data is dropped."""
+def products_vanish(*pairs) -> bool:
+    """True when the sum of f @ g over the pairs (f, g) is zero.  A pair with
+    an absent (None) factor is skipped; the rest form one product
+    [f1 | f2 ...] @ [g1; g2 ...], which adds only nonzero terms."""
+    pairs = [(f, g) for f, g in pairs if f is not None and g is not None]
+    if len(pairs) < 2:
+        return not pairs or (pairs[0][0] @ pairs[0][1]).is_zero()
+    return (RatMatrix.hstack([f for f, _ in pairs])
+            @ RatMatrix.vstack([g for _, g in pairs])).is_zero()
 
-    __slots__ = ("_dims", "_diffs", "lo", "hi", "_hash")
 
-    def __init__(self, dims: Mapping[int, int], diffs: Mapping[int, RatMatrix] | None = None):
+class GradedComplex:
+    """Immutable bounded graded space with one differential per grading step.
+
+    Keys are tuples of one integer per grading.  A subclass fixes the steps
+    (`_STEPS`: for differential i, the function key -> the key it maps to)
+    and how messages name the differentials (`_NAMES`), a key (`_AT`, a
+    format of the key) and a piece (`_PIECE`).  `_diffs` holds one dict
+    key -> block per step.
+    """
+
+    __slots__ = ("_dims", "_diffs", "_hash")
+    _AT = "{0}"
+    _PIECE = "piece"
+
+    def __init__(self, dims: Mapping, diffs: Sequence):
+        grade = self._grade
         clean = {}
-        for k, n in dims.items():
-            if not isinstance(k, int) or not isinstance(n, int) or n < 0:
-                raise ValidationError(f"bad graded piece ({k!r}: {n!r})")
-            if n > 0:
-                clean[k] = n
+        for key, n in dims.items():
+            key = grade(key)
+            if not isinstance(n, int) or n < 0:
+                raise ValidationError(f"bad dimension at {self._AT.format(key)}: {n!r}")
+            if n:
+                clean[key] = n
+        check_piece_dims(clean, noun=self._PIECE)
+        stored = []
+        for i, (step, given) in enumerate(zip(self._STEPS, diffs)):
+            kept = {}
+            for key, m in (given or {}).items():
+                key = grade(key)
+                if not isinstance(m, RatMatrix):
+                    raise ValidationError(f"{self._name(i, key)} is not a RatMatrix")
+                want = (clean.get(step(key), 0), clean.get(key, 0))
+                if m.shape != want:
+                    raise ValidationError(
+                        f"{self._name(i, key)} has shape {m.shape}, expected {want}"
+                    )
+                if not m.is_zero():
+                    kept[key] = m
+            stored.append(kept)
         object.__setattr__(self, "_dims", clean)
-        if clean:
-            object.__setattr__(self, "lo", min(clean))
-            object.__setattr__(self, "hi", max(clean))
-        else:
-            object.__setattr__(self, "lo", 0)
-            object.__setattr__(self, "hi", -1)
-        kept = {}
-        for k, m in (diffs or {}).items():
-            if not isinstance(m, RatMatrix):
-                raise ValidationError(f"diff at degree {k} is not a RatMatrix")
-            want = (clean.get(k + 1, 0), clean.get(k, 0))
-            if m.shape != want:
-                raise ValidationError(
-                    f"diff at degree {k} has shape {m.shape}, expected {want}"
-                )
-            if m.rows and m.cols and not m.is_zero():
-                kept[k] = m
-        object.__setattr__(self, "_diffs", kept)
+        object.__setattr__(self, "_diffs", tuple(stored))
         object.__setattr__(self, "_hash", None)
-        for k, m in kept.items():
-            nxt = kept.get(k + 1)
-            if nxt is not None and not (nxt @ m).is_zero():
-                raise ValidationError(f"d o d != 0 from degree {k}")
+        self._validate()
+
+    def _grade(self, key) -> tuple:
+        """key as a tuple of one integer per grading; ValidationError
+        otherwise."""
+        try:
+            graded = tuple(map(index, key))
+        except TypeError:
+            graded = ()
+        if len(graded) != len(self._STEPS):
+            raise ValidationError(f"key must be {len(self._STEPS)} integers, got {key!r}")
+        return graded
+
+    def _validate(self):
+        """Each differential squares to zero and each pair anticommutes.
+        Only stored blocks are multiplied; keys ascend, and at each key the
+        squares are checked before the pairs (i, j), i < j."""
+        ds, steps = self._diffs, self._STEPS
+        pairs = list(combinations(range(len(ds)), 2))
+        for key in sorted(set().union(*ds)):
+            ups = [step(key) for step in steps]
+            here = [d.get(key) for d in ds]
+            for i, d in enumerate(ds):
+                if not products_vanish((d.get(ups[i]), here[i])):
+                    raise ValidationError(self._violation(i, i, key))
+            for i, j in pairs:
+                if not products_vanish((ds[j].get(ups[i]), here[i]),
+                                       (ds[i].get(ups[j]), here[j])):
+                    raise ValidationError(self._violation(i, j, key))
+
+    def _name(self, i: int, key) -> str:
+        return f"{self._NAMES[i]} at {self._AT.format(key)}"
+
+    def _violation(self, i: int, j: int, key) -> str:
+        a, b, at = self._NAMES[i], self._NAMES[j], self._AT.format(key)
+        if i == j:
+            return f"{a} o {a} != 0 from {at}"
+        return f"{a} and {b} do not anticommute from {at}"
+
+    @staticmethod
+    def _key_str(key) -> str:
+        return ",".join(map(str, key))
+
+    def _blocks_json(self, blocks: Mapping) -> dict:
+        """key string -> matrix JSON, keys ascending."""
+        return {self._key_str(k): m.to_json() for k, m in sorted(blocks.items())}
 
     def __setattr__(self, name, value):
-        raise AttributeError("CochainComplex is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def dim(self, k: int) -> int:
-        return self._dims.get(k, 0)
-
-    def diff(self, k: int) -> RatMatrix:
-        m = self._diffs.get(k)
+    def _block(self, i: int, key) -> RatMatrix:
+        """Differential i at key: the stored block, or a zero matrix."""
+        m = self._diffs[i].get(key)
         if m is None:
-            return RatMatrix.zeros(self.dim(k + 1), self.dim(k))
+            dims = self._dims
+            return RatMatrix.zeros(dims.get(self._STEPS[i](key), 0), dims.get(key, 0))
         return m
-
-    def degrees(self) -> range:
-        return range(self.lo, self.hi + 1)
 
     def dims(self) -> dict:
         return dict(self._dims)
@@ -91,11 +159,11 @@ class CochainComplex:
     def _key(self):
         return (
             tuple(sorted(self._dims.items())),
-            tuple(sorted(self._diffs.items())),
+            tuple(tuple(sorted(d.items())) for d in self._diffs),
         )
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, CochainComplex):
+        if type(other) is not type(self):
             return NotImplemented
         return self._key() == other._key()
 
@@ -105,6 +173,40 @@ class CochainComplex:
             h = hash(self._key())
             object.__setattr__(self, "_hash", h)
         return h
+
+
+class CochainComplex(GradedComplex):
+    """Immutable bounded complex.  dims maps degree -> dimension, diffs maps
+    degree k -> matrix of d^k (shape dim(k+1) x dim(k)); zero data is dropped."""
+
+    __slots__ = ("lo", "hi")
+    _STEPS = (lambda k: k + 1,)
+    _NAMES = ("d",)
+    _AT = "degree {0}"
+    _PIECE = "degree"
+    _key_str = staticmethod(str)
+    _parse_key = staticmethod(int)
+
+    def __init__(self, dims: Mapping[int, int], diffs: Mapping[int, RatMatrix] | None = None):
+        super().__init__(dims, (diffs,))
+        object.__setattr__(self, "lo", min(self._dims, default=0))
+        object.__setattr__(self, "hi", max(self._dims, default=-1))
+
+    @staticmethod
+    def _grade(k) -> int:
+        try:
+            return index(k)
+        except TypeError:
+            raise ValidationError(f"degree must be an integer, got {k!r}") from None
+
+    def dim(self, k: int) -> int:
+        return self._dims.get(k, 0)
+
+    def diff(self, k: int) -> RatMatrix:
+        return self._block(0, k)
+
+    def degrees(self) -> range:
+        return range(self.lo, self.hi + 1)
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -117,7 +219,7 @@ class CochainComplex:
             "lo": self.lo,
             "hi": self.hi,
             "dims": {str(k): n for k, n in sorted(self._dims.items())},
-            "diffs": {str(k): m.to_json() for k, m in sorted(self._diffs.items())},
+            "diffs": self._blocks_json(self._diffs[0]),
         }
 
     @staticmethod
@@ -177,7 +279,7 @@ def shift(k_complex: CochainComplex, m: int) -> CochainComplex:
     """Degree shift: shift(K, m)^k = K^{k+m}.  Differentials are reused
     without any sign."""
     dims = {k - m: n for k, n in k_complex.dims().items()}
-    diffs = {k - m: d for k, d in k_complex._diffs.items()}
+    diffs = {k - m: d for k, d in k_complex._diffs[0].items()}
     return CochainComplex(dims, diffs)
 
 
@@ -185,7 +287,7 @@ def dual(k_complex: CochainComplex) -> CochainComplex:
     """Linear dual: dual(K)^k = (K^{-k})* with d^k = (-1)^{k+1} d_K^{-k-1}^T."""
     dims = {-k: n for k, n in k_complex.dims().items()}
     diffs = {}
-    for j, d in k_complex._diffs.items():
+    for j, d in k_complex._diffs[0].items():
         # lands at degree -j-1; sign (-1)^{(-j-1)+1} = (-1)^j
         m = d.transpose()
         diffs[-j - 1] = m if j % 2 == 0 else -m
@@ -207,50 +309,80 @@ def direct_sum(parts: Sequence[CochainComplex]) -> CochainComplex:
     return CochainComplex(dims, diffs)
 
 
-# -- chain maps -----------------------------------------------------------
+# -- maps -----------------------------------------------------------------
 
 
-class ChainMap:
-    """Degreewise map commuting with the differentials; squares are checked
-    eagerly at construction."""
+class GradedMap:
+    """Immutable map between two graded complexes of one kind, one block per
+    key, commuting with every differential; the squares are checked at
+    construction.
+
+    A subclass names the kind of complex it maps (`_SPACE`), itself
+    (`_NOUN`) and a failed square (`_SQUARE`, formatted with the name of
+    the differential and the key).
+    """
 
     __slots__ = ("source", "target", "_mats")
 
-    def __init__(self, source: CochainComplex, target: CochainComplex,
-                 mats: Mapping[int, RatMatrix]):
+    def __init__(self, source: GradedComplex, target: GradedComplex, mats: Mapping):
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
+        grade, sd, td = source._grade, source._dims, target._dims
         kept = {}
-        for k, m in mats.items():
-            want = (target.dim(k), source.dim(k))
+        for key, m in mats.items():
+            key = grade(key)
+            want = (td.get(key, 0), sd.get(key, 0))
             if m.shape != want:
                 raise ValidationError(
-                    f"chain map at degree {k} has shape {m.shape}, expected {want}"
+                    f"{self._NOUN} at {source._AT.format(key)} has shape {m.shape},"
+                    f" expected {want}"
                 )
-            if m.rows and m.cols and not m.is_zero():
-                kept[k] = m
+            if not m.is_zero():
+                kept[key] = m
         object.__setattr__(self, "_mats", kept)
-        lo = min(source.lo, target.lo)
-        hi = max(source.hi, target.hi)
-        for k in range(lo - 1, hi + 1):
-            lhs = target.diff(k) @ self.mat(k)
-            rhs = self.mat(k + 1) @ source.diff(k)
-            if lhs != rhs:
-                raise NotChainCompatible(
-                    f"chain map square at degree {k} does not commute"
-                )
+        self._check_squares()
+
+    def _check_squares(self):
+        """t_i(key) @ f(key) == f(key + e_i) @ s_i(key) for every
+        differential i.  A square can be nonzero only at a key with a stored
+        map block or a stored source block, so only those keys are visited,
+        ascending, with d1 before d2 at each."""
+        src, tgt, mats = self.source, self.target, self._mats
+        for key in sorted(set(mats).union(*src._diffs)):
+            f = mats.get(key)
+            for i, step in enumerate(src._STEPS):
+                t, s = tgt._diffs[i].get(key), src._diffs[i].get(key)
+                g = mats.get(step(key)) if s is not None else None
+                lhs = t @ f if t is not None and f is not None else None
+                rhs = g @ s if g is not None else None
+                if lhs is None:
+                    ok = rhs is None or rhs.is_zero()
+                else:
+                    ok = lhs.is_zero() if rhs is None else lhs == rhs
+                if not ok:
+                    raise NotChainCompatible(self._SQUARE.format(
+                        name=src._NAMES[i], at=src._AT.format(key)))
+
+    @classmethod
+    def _composite(cls, g: "GradedMap", f: "GradedMap") -> "GradedMap":
+        """g o f (apply f first), multiplying only keys stored in both."""
+        if f.target != g.source:
+            raise ValidationError(f"{cls._NOUN}s not composable")
+        gm = g._mats
+        return cls(f.source, g.target, {k: gm[k] @ m for k, m in f._mats.items() if k in gm})
 
     def __setattr__(self, name, value):
-        raise AttributeError("ChainMap is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def mat(self, k: int) -> RatMatrix:
-        m = self._mats.get(k)
+    def _block(self, key) -> RatMatrix:
+        """The map at key: the stored block, or a zero matrix."""
+        m = self._mats.get(key)
         if m is None:
-            return RatMatrix.zeros(self.target.dim(k), self.source.dim(k))
+            return RatMatrix.zeros(self.target._dims.get(key, 0), self.source._dims.get(key, 0))
         return m
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, ChainMap):
+        if type(other) is not type(self):
             return NotImplemented
         return (
             self.source == other.source
@@ -259,39 +391,49 @@ class ChainMap:
         )
 
     def __repr__(self) -> str:
-        return f"ChainMap({self.source!r} -> {self.target!r})"
+        return f"{type(self).__name__}({self.source!r} -> {self.target!r})"
 
     def to_json(self) -> dict:
         return {
             "source": self.source.to_json(),
             "target": self.target.to_json(),
-            "mats": {str(k): m.to_json() for k, m in sorted(self._mats.items())},
+            "mats": self.source._blocks_json(self._mats),
         }
 
-    @staticmethod
-    def from_json(obj) -> "ChainMap":
+    @classmethod
+    def from_json(cls, obj) -> "GradedMap":
+        space = cls._SPACE
         try:
-            src = CochainComplex.from_json(obj["source"])
-            tgt = CochainComplex.from_json(obj["target"])
-            mats = {int(k): RatMatrix.from_json(v) for k, v in obj.get("mats", {}).items()}
+            src = space.from_json(obj["source"])
+            tgt = space.from_json(obj["target"])
+            mats = {space._parse_key(k): RatMatrix.from_json(v)
+                    for k, v in obj.get("mats", {}).items()}
         except (KeyError, AttributeError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad chain map JSON: {exc}") from None
-        return ChainMap(src, tgt, mats)
+            raise ParseError(f"bad {cls._NOUN} JSON: {exc}") from None
+        return cls(src, tgt, mats)
+
+
+class ChainMap(GradedMap):
+    """Degreewise map commuting with the differentials; squares are checked
+    eagerly at construction."""
+
+    __slots__ = ()
+    _SPACE = CochainComplex
+    _NOUN = "chain map"
+    _SQUARE = "chain map square at {at} does not commute"
+
+    def mat(self, k: int) -> RatMatrix:
+        return self._block(k)
 
 
 def identity_chain_map(k_complex: CochainComplex) -> ChainMap:
-    mats = {k: RatMatrix.identity(k_complex.dim(k)) for k in k_complex.degrees()}
+    mats = {k: RatMatrix.identity(n) for k, n in k_complex.dims().items()}
     return ChainMap(k_complex, k_complex, mats)
 
 
 def compose(g: ChainMap, f: ChainMap) -> ChainMap:
     """g o f (apply f first)."""
-    if f.target != g.source:
-        raise ValidationError("chain maps not composable")
-    lo = min(f.source.lo, g.target.lo)
-    hi = max(f.source.hi, g.target.hi)
-    mats = {k: g.mat(k) @ f.mat(k) for k in range(lo, hi + 1)}
-    return ChainMap(f.source, g.target, mats)
+    return ChainMap._composite(g, f)
 
 
 def cohomology_map(f: ChainMap, k: int) -> RatMatrix:

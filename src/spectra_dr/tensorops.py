@@ -24,13 +24,12 @@ from .bicomplex import (
     DoubleComplex,
     BicomplexMap,
     block_offsets,
-    products_vanish,
     row_complex,
     total,
 )
-from .cochain import ChainMap, CochainComplex, cohomology_dim
+from .cochain import ChainMap, CochainComplex, GradedComplex, cohomology_dim
 from .errors import NotChainCompatible, ParseError, ValidationError, WitnessFailure
-from .linalg import RatMatrix, check_piece_dims, rank
+from .linalg import RatMatrix, rank
 from .report import Report
 
 
@@ -99,128 +98,38 @@ def _pqrs_key(s: str) -> tuple:
     return tuple(parts)
 
 
-_STEPS = {
-    1: (1, 0, 0, 0),
-    2: (0, 1, 0, 0),
-    3: (0, 0, 1, 0),
-    4: (0, 0, 0, 1),
-}
-
-
-class QuadComplex:
+class QuadComplex(GradedComplex):
     """Four commuting gradings with one differential per direction; every
     differential squares to zero and every pair anticommutes."""
 
-    __slots__ = ("_dims", "_diffs", "_hash")
+    __slots__ = ()
+    _STEPS = (
+        lambda k: (k[0] + 1, k[1], k[2], k[3]),
+        lambda k: (k[0], k[1] + 1, k[2], k[3]),
+        lambda k: (k[0], k[1], k[2] + 1, k[3]),
+        lambda k: (k[0], k[1], k[2], k[3] + 1),
+    )
+    _NAMES = ("d1", "d2", "d3", "d4")
 
     def __init__(self, dims: Mapping, d1=None, d2=None, d3=None, d4=None):
-        clean = {}
-        for key, n in dims.items():
-            if len(key) != 4:
-                raise ValidationError(f"quad key must have 4 components: {key!r}")
-            if not isinstance(n, int) or n < 0:
-                raise ValidationError(f"bad dimension at {key}: {n!r}")
-            if n > 0:
-                clean[tuple(key)] = n
-        object.__setattr__(self, "_dims", clean)
-        check_piece_dims(clean)
-        diffs = {}
-        for i, d in ((1, d1), (2, d2), (3, d3), (4, d4)):
-            step = _STEPS[i]
-            kept = {}
-            for key, m in (d or {}).items():
-                key = tuple(key)
-                tgt = tuple(a + b for a, b in zip(key, step))
-                want = (clean.get(tgt, 0), clean.get(key, 0))
-                if m.shape != want:
-                    raise ValidationError(
-                        f"d{i} at {key} has shape {m.shape}, expected {want}"
-                    )
-                if m.rows and m.cols and not m.is_zero():
-                    kept[key] = m
-            diffs[i] = kept
-        object.__setattr__(self, "_diffs", diffs)
-        object.__setattr__(self, "_hash", None)
-        self._validate()
-
-    def _validate(self):
-        ds, shift = self._diffs, self._shift
-        for key in sorted(set().union(*ds.values())):
-            for i in range(1, 5):
-                if not products_vanish((ds[i].get(shift(key, i)), ds[i].get(key))):
-                    raise ValidationError(f"d{i} o d{i} != 0 from {key}")
-            for i in range(1, 5):
-                for j in range(i + 1, 5):
-                    if not products_vanish(
-                        (ds[j].get(shift(key, i)), ds[i].get(key)),
-                        (ds[i].get(shift(key, j)), ds[j].get(key)),
-                    ):
-                        raise ValidationError(
-                            f"d{i} and d{j} do not anticommute from {key}"
-                        )
-
-    @staticmethod
-    def _shift(key, i):
-        step = _STEPS[i]
-        return tuple(a + b for a, b in zip(key, step))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadComplex is immutable")
+        super().__init__(dims, (d1, d2, d3, d4))
 
     def dim(self, key) -> int:
         return self._dims.get(tuple(key), 0)
 
     def diff(self, i: int, key) -> RatMatrix:
-        key = tuple(key)
-        m = self._diffs[i].get(key)
-        if m is None:
-            return RatMatrix.zeros(self.dim(self._shift(key, i)), self.dim(key))
-        return m
+        return self._block(i - 1, tuple(key))
 
     def keys(self):
         return set(self._dims)
 
-    def dims(self) -> dict:
-        return dict(self._dims)
-
-    def is_zero(self) -> bool:
-        return not self._dims
-
-    def _key(self):
-        return (
-            tuple(sorted(self._dims.items())),
-            tuple(
-                (i, tuple(sorted(self._diffs[i].items()))) for i in range(1, 5)
-            ),
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QuadComplex):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash(self._key())
-            object.__setattr__(self, "_hash", h)
-        return h
-
     def __repr__(self) -> str:
-        return f"QuadComplex(cells={len(self._dims)}, total dim {sum(self._dims.values())})"
+        return f"QuadComplex(cells={len(self._dims)}, total dim {self.total_dim()})"
 
     def to_json(self) -> dict:
-        out = {
-            "dims": {
-                ",".join(str(x) for x in key): n
-                for key, n in sorted(self._dims.items())
-            }
-        }
-        for i in range(1, 5):
-            out[f"d{i}"] = {
-                ",".join(str(x) for x in key): m.to_json()
-                for key, m in sorted(self._diffs[i].items())
-            }
+        out = {"dims": {self._key_str(key): n for key, n in sorted(self._dims.items())}}
+        for name, d in zip(self._NAMES, self._diffs):
+            out[name] = self._blocks_json(d)
         return out
 
     @staticmethod
@@ -279,10 +188,10 @@ def quad_slice(a: QuadComplex, p: int, q: int) -> DoubleComplex:
         if key[0] == p and key[1] == q:
             r, s = key[2], key[3]
             dims[(r, s)] = n
-            m3 = a._diffs[3].get(key)
+            m3 = a._diffs[2].get(key)
             if m3 is not None:
                 d1[(r, s)] = m3
-            m4 = a._diffs[4].get(key)
+            m4 = a._diffs[3].get(key)
             if m4 is not None:
                 d2[(r, s)] = m4
     return DoubleComplex(dims, d1, d2)
@@ -323,15 +232,15 @@ def ss_collapse(a: QuadComplex) -> DoubleComplex:
     d2_out = {}
     for (k, l), cells in layout.items():
         for tdeg, directions, out in (
-            ((k + 1, l), (1, 2), d1_out),
-            ((k, l + 1), (3, 4), d2_out),
+            ((k + 1, l), (0, 1), d1_out),
+            ((k, l + 1), (2, 3), d2_out),
         ):
             tgt = layout.get(tdeg)
             if tgt is None:
                 continue
             tpos = {cell[:4]: cell[4] for cell in tgt}
             blocks = [
-                (tpos[a._shift(cell[:4], i)], cell[4], a._diffs[i][cell[:4]])
+                (tpos[a._STEPS[i](cell[:4])], cell[4], a._diffs[i][cell[:4]])
                 for cell in cells
                 for i in directions
                 if cell[:4] in a._diffs[i]

@@ -57,13 +57,10 @@ def truncate(s_cx: DoubleComplex, window: tuple) -> DoubleComplex:
     s, t = window
     if s > t:
         return DoubleComplex({})
+    d1, d2 = s_cx._diffs
     dims = {(p, q): n for (p, q), n in s_cx.dims().items() if s <= p <= t}
-    d1 = {
-        (p, q): m for (p, q), m in s_cx._d1.items() if s <= p < t
-    }
-    d2 = {
-        (p, q): m for (p, q), m in s_cx._d2.items() if s <= p <= t
-    }
+    d1 = {(p, q): m for (p, q), m in d1.items() if s <= p < t}
+    d2 = {(p, q): m for (p, q), m in d2.items() if s <= p <= t}
     return DoubleComplex(dims, d1, d2)
 
 
@@ -192,18 +189,11 @@ def connecting_matrix(s_cx: DoubleComplex, r: int, s: int, t: int, k: int) -> Ra
     sec = _section_matrix(c, b, k)
     lifted = tb.diff(k) @ (sec @ h_c.representative_basis)
     # certify: the image must vanish on the quotient columns (p < s)
-    amb_blocks = block_offsets(b, k + 1)
-    keep = []
-    for (p, _q, off, n) in amb_blocks:
-        if p < s:
-            for i in range(off, off + n):
-                for j in range(lifted.cols):
-                    if lifted[i, j]:
-                        raise WitnessFailure(
-                            "connecting map left a component in the quotient window"
-                        )
-        else:
-            keep.extend(range(off, off + n))
+    quotient, keep = [], []
+    for (p, _q, off, n) in block_offsets(b, k + 1):
+        (quotient if p < s else keep).extend(range(off, off + n))
+    if not lifted.submatrix(quotient, range(lifted.cols)).is_zero():
+        raise WitnessFailure("connecting map left a component in the quotient window")
     restricted = lifted.submatrix(keep, range(lifted.cols))
     # rows kept in ambient order coincide with A's own block layout
     return h_a.reduce(restricted)

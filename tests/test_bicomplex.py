@@ -22,6 +22,7 @@ from spectra_dr.bicomplex import (
     verify_total_dual_iso,
 )
 from spectra_dr.cochain import (
+    ChainMap,
     betti_numbers,
     cohomology_dim,
     dual,
@@ -31,6 +32,7 @@ from spectra_dr.cochain import (
 from spectra_dr.errors import NotChainCompatible, ParseError, ValidationError
 from spectra_dr.linalg import RatMatrix
 from spectra_dr.randgen import random_double_complex, random_matrix
+from spectra_dr.truncation import window_map
 
 
 def M(rows):
@@ -161,6 +163,89 @@ def test_first_violation_matches_bounding_box_scan():
         assert _first_violation(dims, d1, d2) == want
         rejected += want is not None
     assert rejected >= 20
+
+
+def _chain_square_failure_by_bounding_box(source, target, mats):
+    """The original ChainMap square loop, kept as an oracle: every degree of
+    both supports (and one below), zero matrices for absent blocks."""
+
+    def mat(k):
+        m = mats.get(k)
+        return RatMatrix.zeros(target.dim(k), source.dim(k)) if m is None else m
+
+    for k in range(min(source.lo, target.lo) - 1, max(source.hi, target.hi) + 1):
+        if target.diff(k) @ mat(k) != mat(k + 1) @ source.diff(k):
+            return f"chain map square at degree {k} does not commute"
+    return None
+
+
+def _bicomplex_square_failure_by_bounding_box(source, target, mats):
+    """The original BicomplexMap square loop, kept as an oracle: every
+    bidegree of the bounding box of both supports, zero matrices for absent
+    blocks."""
+
+    def mat(p, q):
+        m = mats.get((p, q))
+        return RatMatrix.zeros(target.dim(p, q), source.dim(p, q)) if m is None else m
+
+    for p in range(min(source.p_lo, target.p_lo), max(source.p_hi, target.p_hi) + 1):
+        for q in range(min(source.q_lo, target.q_lo), max(source.q_hi, target.q_hi) + 1):
+            f = mat(p, q)
+            if target.d1(p, q) @ f != mat(p + 1, q) @ source.d1(p, q):
+                return f"bicomplex map square (d1) at ({p},{q}) does not commute"
+            if target.d2(p, q) @ f != mat(p, q + 1) @ source.d2(p, q):
+                return f"bicomplex map square (d2) at ({p},{q}) does not commute"
+    return None
+
+
+def _seeded_map(rng, kind):
+    """A valid map: an identity, a window inclusion or projection, or the
+    total map of one of those."""
+    k = random_double_complex(rng, p_span=3, q_span=3)
+    if kind == "identity":
+        return identity_bicomplex_map(k)
+    if kind == "identity_chain":
+        return identity_chain_map(total(k))
+    lo, hi = k.p_lo, k.p_hi
+    a, b = sorted(rng.randint(lo - 1, hi + 1) for _ in range(2))
+    c = rng.randint(b, hi + 1)
+    if rng.random() < 0.5:
+        f = window_map(k, (b, c), (a, c))  # inclusion, shared right edge
+    else:
+        f = window_map(k, (a, c), (a, b))  # projection, shared left edge
+    return total_map(f) if kind == "total" else f
+
+
+def test_first_map_square_failure_matches_bounding_box_scan():
+    rng = random.Random(41)
+    kinds = ("identity", "window", "total", "identity_chain")
+    rejected = 0
+    for n in range(120):
+        f = _seeded_map(rng, kinds[n % 4])
+        cls = type(f)
+        oracle = (_chain_square_failure_by_bounding_box if cls is ChainMap
+                  else _bicomplex_square_failure_by_bounding_box)
+        src, tgt = f.source, f.target
+        mats = dict(f._mats)
+        if mats and n % 3 == 0:
+            # a dropped block breaks the squares into and out of its key
+            del mats[rng.choice(sorted(mats))]
+        else:
+            keys = [key for key, m in src.dims().items()
+                    if (tgt.dim(key) if cls is ChainMap else tgt.dim(*key))]
+            if keys:
+                key = rng.choice(sorted(keys))
+                rows = tgt.dim(key) if cls is ChainMap else tgt.dim(*key)
+                mats[key] = random_matrix(rng, rows, src.dims()[key])
+        want = oracle(src, tgt, mats)
+        try:
+            cls(src, tgt, mats)
+            got = None
+        except NotChainCompatible as exc:
+            got = str(exc)
+        assert got == want
+        rejected += want is not None
+    assert rejected >= 40
 
 
 def test_piece_over_the_size_cap_is_named(monkeypatch):

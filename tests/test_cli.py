@@ -212,6 +212,15 @@ def test_oversized_total_degree_refused_by_name(capsys, monkeypatch, tmp_path):
     assert assembled == []
 
 
+def test_oversized_degree_refused_by_name(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("SPECTRA_DR_MAX_DIM", raising=False)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"dims": {"0": 5000}, "diffs": {}}))
+    code, out, err = run(capsys, "cohomology", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: degree 0 has dim 5000 > SPECTRA_DR_MAX_DIM=4096\n"
+
+
 def test_model_emits_parseable_complex(capsys):
     from spectra_dr.models import iwasawa_spec, lie_model
 

@@ -1,7 +1,9 @@
 import random
+import re
 
 import pytest
 
+from spectra_dr.bicomplex import BicomplexMap, DoubleComplex
 from spectra_dr.cochain import (
     ChainMap,
     CochainComplex,
@@ -21,6 +23,7 @@ from spectra_dr.cochain import (
 )
 from spectra_dr.errors import NotChainCompatible, ParseError, ValidationError
 from spectra_dr.linalg import RatMatrix
+from spectra_dr.tensorops import QuadComplex
 
 
 def M(rows):
@@ -75,6 +78,46 @@ def test_construction_rejects_bad_data():
         CochainComplex(
             {0: 1, 1: 1, 2: 1}, {0: M([[1]]), 1: M([[1]])}
         )
+
+
+def test_first_d_squared_violation_is_the_lowest_degree():
+    one = M([[1]])
+    dims = {k: 1 for k in range(6)}
+    # both d o d from degree 3 and from degree 0 fail; handed over descending
+    with pytest.raises(ValidationError, match=re.escape("d o d != 0 from degree 0")):
+        CochainComplex(dims, {4: one, 3: one, 1: one, 0: one})
+
+
+def test_degree_over_the_size_cap_is_named(monkeypatch):
+    monkeypatch.setenv("SPECTRA_DR_MAX_DIM", "4")
+    assert CochainComplex({0: 4, 1: 4}).total_dim() == 8
+    with pytest.raises(
+        ValidationError, match=re.escape("degree -1 has dim 5 > SPECTRA_DR_MAX_DIM=4")
+    ):
+        CochainComplex({0: 4, 2: 6, -1: 5})
+    monkeypatch.setenv("SPECTRA_DR_MAX_DIM", "junk")
+    with pytest.raises(ValidationError, match="must be an integer"):
+        CochainComplex({0: 1})
+    assert CochainComplex({0: 0}).is_zero()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: CochainComplex({"0": 1}),
+    lambda: CochainComplex({0: 1, 1: 1}, {(0,): M([[1]])}),
+    lambda: DoubleComplex({5: 1}),
+    lambda: DoubleComplex({(0, 0, 0): 1}),
+    lambda: DoubleComplex({(0, "1"): 1}),
+    lambda: DoubleComplex({(0, 0): 1, (1, 0): 1}, {"0,0": M([[1]])}),
+    lambda: QuadComplex({(0, 0, 0): 1}),
+    lambda: QuadComplex({(0, 0, 0, "a"): 1}),
+    lambda: QuadComplex({(0, 0, 0, 0): 1, (1, 0, 0, 0): 1}, d1={7: M([[1]])}),
+    lambda: ChainMap(single_space(0, 1), single_space(0, 1), {"0": M([[1]])}),
+    lambda: BicomplexMap(DoubleComplex({(0, 0): 1}), DoubleComplex({(0, 0): 1}),
+                         {(0, 0, 0): M([[1]])}),
+])
+def test_malformed_key_is_a_validation_error(build):
+    with pytest.raises(ValidationError):
+        build()
 
 
 def test_cohomology_frozen():

@@ -6,7 +6,7 @@ import pytest
 
 from spectra_dr import models
 from spectra_dr.bicomplex import BicomplexMap, DoubleComplex, total, total_map
-from spectra_dr.cochain import betti_numbers, cohomology_dim, is_cohomology_iso
+from spectra_dr.cochain import ChainMap, betti_numbers, cohomology_dim, is_cohomology_iso
 from spectra_dr.errors import (
     IntegralNotClosed,
     JacobiViolation,
@@ -380,6 +380,33 @@ def test_product_validation_builds_no_zero_matrix(monkeypatch, iw):
         monkeypatch.setattr(cls, "_validate", validate)
     product_model(t1, iw)
     assert {"DoubleComplex", "QuadComplex"} <= set(validated)
+    assert zeros == []
+
+
+def test_map_squares_build_no_zero_matrix(monkeypatch, iw):
+    constructing = []
+    built = []
+    zeros = []
+    real_zeros = RatMatrix.zeros
+
+    def counting_zeros(rows, cols):
+        if constructing:
+            zeros.append((rows, cols))
+        return real_zeros(rows, cols)
+
+    monkeypatch.setattr(RatMatrix, "zeros", staticmethod(counting_zeros))
+    for cls in (BicomplexMap, ChainMap):
+        def init(self, *args, _real=cls.__init__):
+            constructing.append(self)
+            try:
+                return _real(self, *args)
+            finally:
+                built.append(type(self).__name__)
+                constructing.pop()
+
+        monkeypatch.setattr(cls, "__init__", init)
+    total_map(duality_map(iw, (0, 3)))
+    assert built == ["BicomplexMap", "ChainMap"]
     assert zeros == []
 
 

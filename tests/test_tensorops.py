@@ -137,6 +137,11 @@ def test_quad_rejects_commuting_pair(i, j):
     assert QuadComplex(dims, **diffs).dims() == dims
 
 
+def test_quad_rejects_a_differential_that_is_not_a_matrix():
+    with pytest.raises(ValidationError, match=re.escape("d2 at (0, 0, 0, 0) is not a RatMatrix")):
+        QuadComplex({(0, 0, 0, 0): 1, (0, 1, 0, 0): 1}, d2={(0, 0, 0, 0): [[1]]})
+
+
 def test_quad_piece_over_the_size_cap_is_named(monkeypatch):
     monkeypatch.setenv("SPECTRA_DR_MAX_DIM", "4")
     with pytest.raises(ValidationError,
