@@ -114,15 +114,13 @@ def row_complex(k: DoubleComplex, p: int) -> CochainComplex:
     """The column p viewed as a complex in q with differential d2 (one
     Dolbeault column of a model)."""
     dims = {q: k.dim(p, q) for q in k.q_range()}
-    diffs = {q: k.d2(p, q) for q in k.q_range() if k.dim(p, q) and k.dim(p, q + 1)}
-    return CochainComplex(dims, diffs)
+    return CochainComplex(dims, {q: m for (pp, q), m in k._d2.items() if pp == p})
 
 
 def column_complex(k: DoubleComplex, q: int) -> CochainComplex:
     """The row q viewed as a complex in p with differential d1."""
     dims = {p: k.dim(p, q) for p in k.p_range()}
-    diffs = {p: k.d1(p, q) for p in k.p_range() if k.dim(p, q) and k.dim(p + 1, q)}
-    return CochainComplex(dims, diffs)
+    return CochainComplex(dims, {p: m for (p, qq), m in k._d1.items() if qq == q})
 
 
 # -- totalization ---------------------------------------------------------
@@ -221,19 +219,7 @@ def transpose2(k: DoubleComplex) -> DoubleComplex:
 
 def direct_sum2(parts: Sequence[DoubleComplex]) -> DoubleComplex:
     """Bidegreewise direct sum, summands in input order."""
-    parts = list(parts)
-    keys = set()
-    for part in parts:
-        keys.update(part.dims())
-    dims = {key: sum(part.dim(*key) for part in parts) for key in keys}
-    d1 = {}
-    d2 = {}
-    for (p, q) in keys:
-        if dims.get((p, q)):
-            if dims.get((p + 1, q)):
-                d1[(p, q)] = RatMatrix.block_diag([part.d1(p, q) for part in parts])
-            if dims.get((p, q + 1)):
-                d2[(p, q)] = RatMatrix.block_diag([part.d2(p, q) for part in parts])
+    dims, (d1, d2) = DoubleComplex._summed(parts)
     return DoubleComplex(dims, d1, d2)
 
 

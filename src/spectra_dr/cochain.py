@@ -139,6 +139,32 @@ class GradedComplex:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    @classmethod
+    def _summed(cls, parts: Sequence) -> tuple:
+        """(dims, differentials) of the direct sum of parts, summands in
+        input order inside each piece.  Only stored blocks are placed."""
+        parts = list(parts)
+        keys = set()
+        for part in parts:
+            keys.update(part._dims)
+        dims = {key: sum(part._dims.get(key, 0) for part in parts) for key in keys}
+        diffs = []
+        for i, step in enumerate(cls._STEPS):
+            d = {}
+            for key in dims:
+                blocks = []
+                r0 = c0 = 0
+                for part in parts:
+                    m = part._diffs[i].get(key)
+                    if m is not None:
+                        blocks.append((r0, c0, m))
+                    r0 += part._dims.get(step(key), 0)
+                    c0 += part._dims.get(key, 0)
+                if blocks:
+                    d[key] = RatMatrix.from_blocks(r0, c0, blocks)
+            diffs.append(d)
+        return dims, diffs
+
     def _block(self, i: int, key) -> RatMatrix:
         """Differential i at key: the stored block, or a zero matrix."""
         m = self._diffs[i].get(key)
@@ -297,15 +323,7 @@ def dual(k_complex: CochainComplex) -> CochainComplex:
 def direct_sum(parts: Sequence[CochainComplex]) -> CochainComplex:
     """Degreewise direct sum; summands keep their input order inside each
     degree."""
-    parts = list(parts)
-    degrees = set()
-    for p in parts:
-        degrees.update(p.dims())
-    dims = {k: sum(p.dim(k) for p in parts) for k in degrees}
-    diffs = {}
-    for k in degrees:
-        if dims.get(k, 0) and dims.get(k + 1, 0):
-            diffs[k] = RatMatrix.block_diag([p.diff(k) for p in parts])
+    dims, (diffs,) = CochainComplex._summed(parts)
     return CochainComplex(dims, diffs)
 
 

@@ -37,7 +37,6 @@ from .cochain import CochainComplex, cohomology, cohomology_dim
 from .errors import WitnessFailure
 from .linalg import (
     RatMatrix,
-    Subquotient,
     induced_map,
     kernel_basis,
     rank,
@@ -257,32 +256,14 @@ def convergence_check(k: DoubleComplex) -> Report:
 def filtration_dims(k: DoubleComplex, deg: int) -> list:
     """[dim im(H^deg(F^p T) -> H^deg(T)) for p = p_lo .. p_hi+1].
 
-    First entry is the full Betti number, last is 0.
+    First entry is the full Betti number, last is 0.  The image is spanned
+    by the classes of the cycles of T^deg inside F^p, which are Z_r^{p,q}
+    for r past the last column; reduce checks that each is a cycle.
     """
     t = total(k)
-    out = []
-    h_full = cohomology(t, deg)
-    for p in range(k.p_lo, k.p_hi + 2):
-        cols_here = {d: _suffix_columns(k, p, d) for d in (deg - 1, deg, deg + 1)}
-        if not cols_here[deg]:
-            out.append(0)
-            continue
-        if len(cols_here[deg]) == t.dim(deg) and p == k.p_lo:
-            out.append(cohomology_dim(t, deg))
-            continue
-        dims = {d: len(cols_here[d]) for d in cols_here}
-        diffs = {}
-        for d in (deg - 1, deg):
-            if dims.get(d) and dims.get(d + 1):
-                diffs[d] = t.diff(d).submatrix(cols_here[d + 1], cols_here[d])
-        sub = CochainComplex(dims, diffs)
-        h_sub = cohomology(sub, deg)
-        n, amb = dims[deg], t.dim(deg)
-        # F^p T^deg is spanned by the last n coordinates of T^deg
-        embed = RatMatrix.from_blocks(amb, n, [(amb - n, 0, RatMatrix.identity(n))])
-        ind = induced_map(embed, h_sub, h_full)
-        out.append(rank(ind))
-    return out
+    h = cohomology(t, deg)
+    return [rank(h.reduce(_z_basis(k, t, p, deg - p, k.p_hi + 1 - p)))
+            for p in range(k.p_lo, k.p_hi + 2)]
 
 
 def first_page_map(f: BicomplexMap) -> dict:

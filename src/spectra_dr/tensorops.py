@@ -33,6 +33,24 @@ from .linalg import RatMatrix, rank
 from .report import Report
 
 
+def _left_legs(blocks: Mapping, dims: Mapping) -> dict:
+    """d (x) 1 at (a, b) for every stored block d at a of the left factor
+    and every piece b of the right one; absent blocks build nothing."""
+    return {(a, b): RatMatrix.kron(m, RatMatrix.identity(n))
+            for a, m in blocks.items() for b, n in dims.items()}
+
+
+def _right_legs(dims: Mapping, blocks: Mapping, degree) -> dict:
+    """(-1)^degree(a) 1 (x) d at (a, b) for every piece a of the left factor
+    and every stored block d at b of the right one."""
+    out = {}
+    for b, m in blocks.items():
+        for a, n in dims.items():
+            leg = RatMatrix.kron(RatMatrix.identity(n), m)
+            out[(a, b)] = -leg if degree(a) % 2 else leg
+    return out
+
+
 def tensor(k: CochainComplex, l: CochainComplex, parity: int = 0) -> DoubleComplex:
     """Double complex K (x) L with the parity-m sign on the second leg."""
     if parity not in (0, 1):
@@ -43,18 +61,8 @@ def tensor(k: CochainComplex, l: CochainComplex, parity: int = 0) -> DoubleCompl
             n = k.dim(p) * l.dim(q)
             if n:
                 dims[(p, q)] = n
-    d1 = {}
-    d2 = {}
-    for p in k.degrees():
-        for q in l.degrees():
-            if not (k.dim(p) and l.dim(q)):
-                continue
-            if k.dim(p + 1):
-                d1[(p, q)] = RatMatrix.kron(k.diff(p), RatMatrix.identity(l.dim(q)))
-            if l.dim(q + 1):
-                m = RatMatrix.kron(RatMatrix.identity(k.dim(p)), l.diff(q))
-                d2[(p, q)] = m if (parity + p) % 2 == 0 else -m
-    return DoubleComplex(dims, d1, d2)
+    return DoubleComplex(dims, _left_legs(k._diffs[0], l._dims),
+                         _right_legs(k._dims, l._diffs[0], lambda p: p + parity))
 
 
 def parity_iso(k: CochainComplex, l: CochainComplex) -> BicomplexMap:
@@ -157,25 +165,11 @@ def quad_tensor(k: DoubleComplex, l: DoubleComplex) -> QuadComplex:
     for (p, r), nk in k.dims().items():
         for (q, s), nl in l.dims().items():
             dims[(p, q, r, s)] = nk * nl
-    d1 = {}
-    d2 = {}
-    d3 = {}
-    d4 = {}
-    for (p, r), nk in k.dims().items():
-        for (q, s), nl in l.dims().items():
-            key = (p, q, r, s)
-            sign = 1 if (p + r) % 2 == 0 else -1
-            if k.dim(p + 1, r):
-                d1[key] = RatMatrix.kron(k.d1(p, r), RatMatrix.identity(nl))
-            if l.dim(q + 1, s):
-                m = RatMatrix.kron(RatMatrix.identity(nk), l.d1(q, s))
-                d2[key] = m if sign == 1 else -m
-            if k.dim(p, r + 1):
-                d3[key] = RatMatrix.kron(k.d2(p, r), RatMatrix.identity(nl))
-            if l.dim(q, s + 1):
-                m = RatMatrix.kron(RatMatrix.identity(nk), l.d2(q, s))
-                d4[key] = m if sign == 1 else -m
-    return QuadComplex(dims, d1, d2, d3, d4)
+    (kd1, kd2), (ld1, ld2) = k._diffs, l._diffs
+    legs = (_left_legs(kd1, l._dims), _right_legs(k._dims, ld1, sum),
+            _left_legs(kd2, l._dims), _right_legs(k._dims, ld2, sum))
+    return QuadComplex(dims, *({(p, q, r, s): m for ((p, r), (q, s)), m in d.items()}
+                               for d in legs))
 
 
 def quad_slice(a: QuadComplex, p: int, q: int) -> DoubleComplex:

@@ -49,7 +49,7 @@ from .cochain import (
 from .errors import PreconditionViolation, WitnessFailure
 from .linalg import RatMatrix, rank
 from .report import Report
-from .spectral import filtration_dims, first_page
+from .spectral import filtration_dims
 
 
 def truncate(s_cx: DoubleComplex, window: tuple) -> DoubleComplex:
@@ -101,12 +101,6 @@ def hyper_dims(s_cx: DoubleComplex, window: tuple) -> dict:
         if n:
             out[k] = n
     return out
-
-
-def truncated_first_page(s_cx: DoubleComplex, window: tuple):
-    """First spectral page of the truncated complex (its terms are the
-    column cohomologies inside the window)."""
-    return first_page(truncate(s_cx, window))
 
 
 # -- four-term sequence ---------------------------------------------------

@@ -1,9 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+from spectra_dr.bicomplex import total
+from spectra_dr.cochain import cohomology
 from spectra_dr.errors import (
     ContainmentViolation,
     NotChainCompatible,
@@ -24,6 +27,7 @@ from spectra_dr.linalg import (
     solve_matrix,
     subquotient,
 )
+from spectra_dr.randgen import random_double_complex
 
 
 def M(rows):
@@ -298,6 +302,24 @@ def test_elimination_random_consistency():
         assert in_span(im, m)
 
 
+def test_solve_matrix_edge_shapes():
+    # more right-hand columns than rows, with a free column in a
+    a = M([[1, 2, 0], [0, 1, "1/2"]])
+    b = M([[1, 0, 3, 5, 0], [2, -1, 0, "1/2", 0]])
+    x = solve_matrix(a, b)
+    assert a @ x == b
+    assert x == M([[-3, 2, 3, 4, 0], [2, -1, 0, "1/2", 0], [0, 0, 0, 0, 0]])
+    # a with no columns reaches only the zero right-hand side
+    assert solve_matrix(RatMatrix.zeros(2, 0), RatMatrix.zeros(2, 3)) == RatMatrix.zeros(0, 3)
+    assert solve_matrix(RatMatrix.zeros(2, 0), M([[0], [1]])) is None
+    # the only nonzero of [a | b] is in the right-hand part
+    assert solve_matrix(RatMatrix.zeros(2, 3), M([[0, 0], [0, 5]])) is None
+    assert solve_matrix(RatMatrix.zeros(2, 3), RatMatrix.zeros(2, 2)) == RatMatrix.zeros(3, 2)
+    # a dependent row of a whose right-hand side is not dependent
+    assert solve_matrix(M([[1, 1], [2, 2]]), M([[1, 0], [2, 1]])) is None
+    assert solve_matrix(M([[1, 1], [2, 2]]), M([[1, 0], [2, 0]])) == M([[1, 0], [0, 0]])
+
+
 # -- subquotients ---------------------------------------------------------
 
 def test_subquotient_frozen():
@@ -428,6 +450,48 @@ def test_induced_map_functorial():
         lhs = induced_map(f @ g, sq, sq)
         rhs = induced_map(f, sq, sq) @ induced_map(g, sq, sq)
         assert lhs == rhs
+
+
+def _three_solve_induced_map(mat, source, target):
+    """The original induced_map, kept as an oracle: one solve each for the
+    images of the cycles and of the boundaries, then reduce."""
+    if not in_span(target.cycle_basis, mat @ source.cycle_basis):
+        raise NotChainCompatible("map does not send cycles to cycles")
+    if not in_span(target.boundary_basis, mat @ source.boundary_basis):
+        raise NotChainCompatible("map does not send boundaries to boundaries")
+    return target.reduce(mat @ source.representative_basis)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except NotChainCompatible as exc:
+        return str(exc)
+
+
+def test_induced_map_matches_three_solves():
+    rng = random.Random(43)
+    seen = Counter()
+    subquotients = 0
+    while subquotients < 300:
+        t = total(random_double_complex(rng))
+        for deg in t.degrees():
+            sq, nxt = cohomology(t, deg), cohomology(t, deg + 1)
+            subquotients += 1
+            n, z, r = sq.ambient_dim, sq.cycle_basis, sq.representative_basis
+            cases = [(mat, sq) for mat in (
+                RatMatrix.identity(n), RatMatrix.zeros(n, n), rand_matrix(rng, n, n),
+                z @ rand_matrix(rng, z.cols, n), r @ rand_matrix(rng, r.cols, n))]
+            cases += [(t.diff(deg), nxt), (rand_matrix(rng, nxt.ambient_dim, n), nxt)]
+            for mat, target in cases:
+                got = _outcome(induced_map, mat, sq, target)
+                assert got == _outcome(_three_solve_induced_map, mat, sq, target)
+                seen[got if isinstance(got, str) else "ok"] += 1
+                if not isinstance(got, str):
+                    assert got.shape == (target.dim, sq.dim)
+    assert set(seen) == {"ok", "map does not send cycles to cycles",
+                         "map does not send boundaries to boundaries"}
+    assert min(seen.values()) >= 50
 
 
 # -- literals ---------------------------------------------------------------

@@ -5,8 +5,23 @@ from fractions import Fraction
 import pytest
 
 from spectra_dr import models
-from spectra_dr.bicomplex import BicomplexMap, DoubleComplex, total, total_map
-from spectra_dr.cochain import ChainMap, betti_numbers, cohomology_dim, is_cohomology_iso
+from spectra_dr.bicomplex import (
+    BicomplexMap,
+    DoubleComplex,
+    column_complex,
+    direct_sum2,
+    row_complex,
+    total,
+    total_map,
+)
+from spectra_dr.cochain import (
+    ChainMap,
+    CochainComplex,
+    betti_numbers,
+    cohomology_dim,
+    direct_sum,
+    is_cohomology_iso,
+)
 from spectra_dr.errors import (
     IntegralNotClosed,
     JacobiViolation,
@@ -39,7 +54,7 @@ from spectra_dr.models import (
     wedge,
 )
 from spectra_dr.spectral import limit_page, stabilization_index
-from spectra_dr.tensorops import QuadComplex
+from spectra_dr.tensorops import QuadComplex, tensor
 from spectra_dr.truncation import (
     column_cohomology_dim,
     frolicher_is_equality,
@@ -408,6 +423,57 @@ def test_map_squares_build_no_zero_matrix(monkeypatch, iw):
     total_map(duality_map(iw, (0, 3)))
     assert built == ["BicomplexMap", "ChainMap"]
     assert zeros == []
+
+
+def _bounding_box_builders(k):
+    """row_complex, column_complex, direct_sum, direct_sum2 and tensor as
+    they were built before: a block, zero when absent, wherever both pieces
+    exist."""
+    rows = [CochainComplex({q: k.dim(p, q) for q in k.q_range()},
+                           {q: k.d2(p, q) for q in k.q_range()
+                            if k.dim(p, q) and k.dim(p, q + 1)}) for p in k.p_range()]
+    cols = [CochainComplex({p: k.dim(p, q) for p in k.p_range()},
+                           {p: k.d1(p, q) for p in k.p_range()
+                            if k.dim(p, q) and k.dim(p + 1, q)}) for q in k.q_range()]
+    dims = {q: sum(r.dim(q) for r in rows) for q in k.q_range()}
+    sums = CochainComplex(dims, {q: RatMatrix.block_diag([r.diff(q) for r in rows])
+                                 for q in dims if dims[q] and dims.get(q + 1)})
+    parts = [k, torus_model(1).complex, k]
+    dims = {key: sum(part.dim(*key) for part in parts) for key in k.dims()}
+    summed = DoubleComplex(
+        dims,
+        {(p, q): RatMatrix.block_diag([part.d1(p, q) for part in parts])
+         for (p, q) in dims if dims.get((p + 1, q))},
+        {(p, q): RatMatrix.block_diag([part.d2(p, q) for part in parts])
+         for (p, q) in dims if dims.get((p, q + 1))})
+    a, b = rows[1], cols[0]
+    pieces = [(p, q) for p in a.degrees() for q in b.degrees() if a.dim(p) and b.dim(q)]
+    twisted = DoubleComplex(
+        {(p, q): a.dim(p) * b.dim(q) for p, q in pieces},
+        {(p, q): RatMatrix.kron(a.diff(p), RatMatrix.identity(b.dim(q)))
+         for p, q in pieces if a.dim(p + 1)},
+        {(p, q): RatMatrix.kron(RatMatrix.identity(a.dim(p)), b.diff(q)).scale(-1 if p % 2 == 0 else 1)
+         for p, q in pieces if b.dim(q + 1)})
+    return rows, cols, sums, summed, twisted
+
+
+def test_builders_build_no_zero_block(monkeypatch, iw):
+    zeros = []
+    real_zeros = RatMatrix.zeros
+
+    def counting_zeros(rows, cols):
+        zeros.append((rows, cols))
+        return real_zeros(rows, cols)
+
+    monkeypatch.setattr(RatMatrix, "zeros", staticmethod(counting_zeros))
+    product_model(iw, iw)
+    k = iw.complex
+    rows = [row_complex(k, p) for p in k.p_range()]
+    cols = [column_complex(k, q) for q in k.q_range()]
+    built = (rows, cols, direct_sum(rows), direct_sum2([k, torus_model(1).complex, k]),
+             tensor(rows[1], cols[0], parity=1))
+    assert zeros == []
+    assert built == _bounding_box_builders(k)
 
 
 # -- admission ------------------------------------------------------------

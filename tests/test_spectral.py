@@ -3,9 +3,9 @@ import random
 import pytest
 
 from spectra_dr.bicomplex import DoubleComplex, identity_bicomplex_map, total
-from spectra_dr.cochain import betti_numbers, cohomology_dim
+from spectra_dr.cochain import CochainComplex, betti_numbers, cohomology, cohomology_dim
 from spectra_dr.errors import WitnessFailure
-from spectra_dr.linalg import RatMatrix
+from spectra_dr.linalg import RatMatrix, induced_map, rank
 from spectra_dr.randgen import (
     _hseg,
     _staircase,
@@ -13,6 +13,7 @@ from spectra_dr.randgen import (
     random_double_complex,
 )
 from spectra_dr.spectral import (
+    _suffix_columns,
     convergence_check,
     degenerates_at,
     degenerates_at_first_page,
@@ -129,6 +130,45 @@ def test_filtration_graded_matches_limit():
             fd = filtration_dims(k, deg)
             for i, p in enumerate(k.p_range()):
                 assert fd[i] - fd[i + 1] == limit.dim(p, deg - p)
+
+
+def _filtration_dims_through_subcomplex(k, deg):
+    """The original filtration_dims, kept as an oracle: for each p, the
+    subcomplex F^p T, its cohomology, the embedding into T and the rank of
+    the induced map on H^deg."""
+    t = total(k)
+    out = []
+    h_full = cohomology(t, deg)
+    for p in range(k.p_lo, k.p_hi + 2):
+        cols_here = {d: _suffix_columns(k, p, d) for d in (deg - 1, deg, deg + 1)}
+        if not cols_here[deg]:
+            out.append(0)
+            continue
+        if len(cols_here[deg]) == t.dim(deg) and p == k.p_lo:
+            out.append(cohomology_dim(t, deg))
+            continue
+        dims = {d: len(cols_here[d]) for d in cols_here}
+        diffs = {}
+        for d in (deg - 1, deg):
+            if dims.get(d) and dims.get(d + 1):
+                diffs[d] = t.diff(d).submatrix(cols_here[d + 1], cols_here[d])
+        h_sub = cohomology(CochainComplex(dims, diffs), deg)
+        n, amb = dims[deg], t.dim(deg)
+        embed = RatMatrix.from_blocks(amb, n, [(amb - n, 0, RatMatrix.identity(n))])
+        out.append(rank(induced_map(embed, h_sub, h_full)))
+    return out
+
+
+def test_filtration_dims_match_the_subcomplex_oracle():
+    rng = random.Random(35)
+    checked = 0
+    for _ in range(120):
+        k = random_double_complex(rng, rng.randint(1, 4), rng.randint(1, 4))
+        t = total(k)
+        for deg in range(t.lo - 1, t.hi + 2):
+            assert filtration_dims(k, deg) == _filtration_dims_through_subcomplex(k, deg)
+            checked += 1
+    assert checked > 500
 
 
 def test_page_requires_positive_r():
