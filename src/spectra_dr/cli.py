@@ -178,10 +178,10 @@ def _cmd_cohomology(args) -> int:
 
 def _cmd_spectral(args) -> int:
     cx = _need_double(args.input)
+    if args.pages is not None and args.pages < 1:
+        raise PreconditionViolation(f"page count must be >= 1, got {args.pages}")
     stable = stabilization_index(cx)
     last = args.pages if args.pages is not None else stable
-    if last < 1:
-        raise PreconditionViolation(f"page count must be >= 1, got {last}")
     pages = [page(cx, r).to_json() for r in range(1, last + 1)]
     lim = limit_page(cx)
     payload = {

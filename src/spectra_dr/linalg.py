@@ -26,7 +26,15 @@ and subquotient, walks the columns once in ascending order and pivots on the
 least-magnitude entry, ties to the topmost row, of the first column a
 remaining row holds; its pivot columns are those of the reduced echelon
 form, so solutions (free variables zero) and representatives do not depend
-on the row picked.  Kernels and solutions then come from one
+on the row picked.  A map from each column to the remaining rows that hold
+it gives leftmost pivoting its candidates and both rules the rows a step
+eliminates, so a step touches only the rows that hold its pivot column.
+Every other remaining row owes Bareiss's scaling by piv / prev; it is
+applied lazily.  Each row is stamped with the prev of its last update and
+is brought up to date as v * prev // stamp when next read: the factors
+telescope to prev / stamp, and the division is exact because the true
+entries are integers (minors of the input), so the integers are those of
+eager scaling.  Kernels and solutions then come from one
 back-substitution, bottom-up over the pivot rows, carrying every free or
 right-hand column at once in integers scaled by the last pivot.
 
@@ -532,16 +540,28 @@ def _bareiss(a: list, nrows: int, ncols: int, lead: int | None = None):
 
     Returns (rank, pivots, a): rows a[i], i < rank, are the pivot rows, a[i]
     holding its pivot at column pivots[i] and otherwise only columns that
-    are not pivots of the rows above it; the rows from rank on hold no
-    column a pivot could have been taken from.
+    are not pivots of the rows above it; the rows from rank on are up to
+    date and hold no column a pivot could have been taken from.
     """
     full = lead is None
     if full:
         colperm = list(range(ncols))
         pos = list(range(ncols))  # pos[c]: position of original column c
-    else:
+    # where[c]: the positions >= r of the rows that hold column c
+    where = {}
+    for i, row in enumerate(a):
+        for c in row:
+            if c in where:
+                where[c].add(i)
+            else:
+                where[c] = {i}
+    if not full:
         # elimination never brings in a column that no row held to begin with
-        held = iter(sorted({c for row in a for c in row if c < lead}))
+        held = iter(sorted(c for c in where if c < lead))
+    # a[i] holds its true entries times stamp[i] / prev: a row that no step
+    # eliminates owes the scaling by piv / prev of every step since its
+    # stamp, and the factors telescope to prev / stamp
+    stamp = [1] * nrows
     pivots = []
     prev = 1
     r = 0
@@ -553,6 +573,9 @@ def _bareiss(a: list, nrows: int, ncols: int, lead: int | None = None):
                 row = a[i]
                 if not row:
                     continue
+                if stamp[i] != prev:
+                    a[i] = row = _rescaled(row, prev, stamp[i])
+                    stamp[i] = prev
                 for c, v in row.items():
                     av = -v if v < 0 else v
                     if best is None or av < best:
@@ -569,35 +592,59 @@ def _bareiss(a: list, nrows: int, ncols: int, lead: int | None = None):
                 pos[bc], pos[moved] = r, bp
         else:
             for bc in held:
-                held_by = [(abs(v), i) for i in range(r, nrows) if (v := a[i].get(bc))]
-                if held_by:
-                    bi = min(held_by)[1]
+                if where[bc]:
+                    bi = min((abs(a[i][bc] * prev // stamp[i]), i) for i in where[bc])[1]
                     break
             else:
                 break
+        prow = a[bi]
+        if stamp[bi] != prev:
+            prow = _rescaled(prow, prev, stamp[bi])
+        # the pivot row leaves the index; then the row it displaces moves
+        for c in prow:
+            where[c].discard(bi)
         if bi != r:
-            a[r], a[bi] = a[bi], a[r]
-        prow = a[r]
+            for c in a[r]:
+                s = where[c]
+                s.discard(r)
+                s.add(bi)
+            a[bi], stamp[bi] = a[r], stamp[r]
+        a[r] = prow
         piv = prow[bc]
-        for i in range(r + 1, nrows):
-            row = a[i]
-            if not row:
-                continue
-            head = row.pop(bc, 0)
-            if head:
-                new = {}
-                for c in row.keys() | prow.keys():
-                    if c != bc:
-                        x = (piv * row.get(c, 0) - head * prow.get(c, 0)) // prev
-                        if x:
-                            new[c] = x
-                a[i] = new
-            elif piv != prev:
-                a[i] = {c: piv * v // prev for c, v in row.items()}
+        for i in where.pop(bc):
+            # the row brought up to date (times prev / its stamp) and times piv
+            row, st = a[i], stamp[i]
+            head = row.pop(bc) * prev // st
+            f = piv * prev
+            row = {c: v * f // st for c, v in row.items()}
+            for c, p in prow.items():
+                if c == bc:
+                    continue
+                if c in row:
+                    x = row[c] - head * p
+                    if x:
+                        row[c] = x
+                    else:
+                        del row[c]
+                        where[c].discard(i)
+                else:
+                    row[c] = -head * p
+                    where[c].add(i)
+            a[i] = {c: x // prev for c, x in row.items()} if prev != 1 else row
+            stamp[i] = piv
         prev = piv
         pivots.append(bc)
         r += 1
+    for i in range(r, nrows):
+        if a[i] and stamp[i] != prev:
+            a[i] = _rescaled(a[i], prev, stamp[i])
     return r, pivots, a
+
+
+def _rescaled(row: dict, prev: int, stamp: int) -> dict:
+    """A row stamped at stamp brought up to date at prev.  Exact: the true
+    entries are integers (minors of the input) and equal v * prev / stamp."""
+    return {c: v * prev // stamp for c, v in row.items()}
 
 
 def _back_substitute(a: list, pivots: list, seeds: dict):

@@ -196,12 +196,17 @@ def limit_page(k: DoubleComplex) -> SpectralPage:
 
 
 def stabilization_index(k: DoubleComplex) -> int:
-    """Smallest r whose page already has the limit dimensions."""
+    """Smallest r whose page already has the limit dimensions.
+
+    limit_page certifies the limit; then the pages are walked upward from
+    r = 1.  E_inf is a subquotient of every E_r, so no page dimension grows
+    with r: once a page has the limit dimensions every later one has them
+    too, and the pages between the first such page and the bound are never
+    built.
+    """
     limit = limit_page(k).dims()
-    r = stabilization_bound(k)
-    while r > 1 and page(k, r - 1).dims() == limit:
-        r -= 1
-    return r
+    bound = stabilization_bound(k)
+    return next((r for r in range(1, bound) if page(k, r).dims() == limit), bound)
 
 
 def degenerates_at(k: DoubleComplex, r: int) -> bool:

@@ -40,7 +40,6 @@ from .bicomplex import (
     total_map,
 )
 from .cochain import (
-    ChainMap,
     CochainComplex,
     cohomology,
     cohomology_dim,

@@ -59,6 +59,16 @@ def test_spectral_frozen_page(capsys, torus1_file):
     assert data["limit"] == {"0,0": 1, "0,1": 1, "1,0": 1, "1,1": 1}
 
 
+@pytest.mark.parametrize("pages", ["0", "-3"])
+def test_spectral_page_count_refused_before_any_page(capsys, monkeypatch, torus1_file, pages):
+    calls = []
+    monkeypatch.setattr("spectra_dr.cli.stabilization_index", lambda k: calls.append(k))
+    code, out, err = run(capsys, "spectral", torus1_file, "--pages", pages)
+    assert code == 2 and out == ""
+    assert err == f"error: page count must be >= 1, got {pages}\n"
+    assert calls == []
+
+
 def test_spectral_rejects_cochain(capsys, tmp_path):
     path = tmp_path / "k.json"
     path.write_text(json.dumps({"dims": {"0": 1}, "d": {}}))

@@ -15,6 +15,8 @@ from spectra_dr.errors import (
 )
 from spectra_dr.linalg import (
     RatMatrix,
+    _bareiss,
+    _integer_rows,
     clear_caches,
     image_basis,
     in_span,
@@ -682,6 +684,8 @@ def _dense_representatives(cycles, boundaries):
 def _entries(rng, kind):
     if kind == "rational":
         return Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 5)))
+    if kind == "magnitude":
+        return rng.choice((-1, 1)) * rng.randint(2, 9) if rng.random() < 0.9 else rng.randint(-1, 1)
     return rng.randint(-3, 3)
 
 
@@ -696,6 +700,25 @@ def _gen(rng, kind):
         rows = [[0] * c for _ in range(r)]
         for _ in range(max(1, r * c // 16)):
             rows[rng.randrange(r)][rng.randrange(c)] = rng.choice((1, -1, 1, -1, 2, -3))
+        return RatMatrix(r, c, rows)
+    if kind == "magnitude":
+        # pivots are rarely 1, and rows that a step leaves alone are read
+        # again while they still owe that step's scaling
+        r, c = rng.randint(2, 8), rng.randint(2, 8)
+        return RatMatrix(r, c, [[_entries(rng, kind) if rng.random() < 0.5 else 0
+                                 for _ in range(c)] for _ in range(r)])
+    if kind == "shared-swap":
+        # the smallest entry of the first held column sits below a row of
+        # large entries that shares columns with it, so the pivot row is
+        # swapped with a row it overlaps, under both pivot rules
+        r, c = rng.randint(3, 8), rng.randint(3, 8)
+        rows = [[rng.choice((-1, 1)) * rng.randint(2, 5) if rng.random() < 0.7 else 0
+                 for _ in range(c)] for _ in range(r)]
+        rows[0][0] = rng.choice((-7, 7))
+        rows[0][1] = rows[0][1] or 6
+        low = rng.randrange(1, r)
+        rows[low][0] = rng.choice((-1, 1))
+        rows[low][1] = rows[low][1] or -4
         return RatMatrix(r, c, rows)
     if kind == "block":
         blocks = [rand_matrix(rng, rng.randint(0, 3), rng.randint(0, 3), -2, 2)
@@ -720,7 +743,7 @@ def _like(rng, m, kind):
 KINDS = ["dense", "sparse", "block", "rational", "zero-shape"]
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", KINDS + ["magnitude", "shared-swap"])
 def test_elimination_matches_dense_engine(kind):
     rng = random.Random(f"elim-{kind}")
     for _ in range(200):
@@ -735,6 +758,80 @@ def test_elimination_matches_dense_engine(kind):
         sq = subquotient(m, boundaries)
         assert sq.representative_basis == _dense_representatives(m, boundaries)
     clear_caches()
+
+
+def _eager_bareiss(a, nrows, ncols, lead=None):
+    """The column-indexed elimination's predecessor, kept as an oracle: it
+    finds every candidate by scanning all remaining rows and scales each row
+    a step leaves alone by piv / prev at once."""
+    full = lead is None
+    if full:
+        colperm = list(range(ncols))
+        pos = list(range(ncols))
+    else:
+        held = iter(sorted({c for row in a for c in row if c < lead}))
+    pivots = []
+    prev = 1
+    r = 0
+    while r < nrows:
+        if full:
+            best = None
+            bi = bc = bp = -1
+            for i in range(r, nrows):
+                for c, v in a[i].items():
+                    av = abs(v)
+                    if best is None or av < best:
+                        best, bi, bc, bp = av, i, c, pos[c]
+                    elif av == best and i == bi and pos[c] < bp:
+                        bc, bp = c, pos[c]
+                if best == 1:
+                    break
+            if best is None:
+                break
+            if bp != r:
+                moved = colperm[r]
+                colperm[r], colperm[bp] = bc, moved
+                pos[bc], pos[moved] = r, bp
+        else:
+            for bc in held:
+                held_by = [(abs(v), i) for i in range(r, nrows) if (v := a[i].get(bc))]
+                if held_by:
+                    bi = min(held_by)[1]
+                    break
+            else:
+                break
+        a[r], a[bi] = a[bi], a[r]
+        prow = a[r]
+        piv = prow[bc]
+        for i in range(r + 1, nrows):
+            row = a[i]
+            head = row.pop(bc, 0)
+            new = {}
+            for c in row.keys() | prow.keys():
+                if c != bc:
+                    x = (piv * row.get(c, 0) - head * prow.get(c, 0)) // prev
+                    if x:
+                        new[c] = x
+            a[i] = new
+        prev = piv
+        pivots.append(bc)
+        r += 1
+    return r, pivots, a
+
+
+@pytest.mark.parametrize("kind", KINDS + ["magnitude", "shared-swap"])
+def test_elimination_gives_the_integers_of_eager_scaling(kind):
+    # every pivot, every pivot row and every remaining row, under both pivot
+    # rules: the lazy scaling changes no integer and no pivot choice
+    rng = random.Random(f"eager-{kind}")
+    for _ in range(200):
+        m = _gen(rng, kind)
+        rhs = _like(rng, RatMatrix.zeros(m.rows, rng.randint(0, 3)), kind)
+        width = m.cols + rhs.cols
+        for lead in (None, m.cols, width):
+            rows = _integer_rows(m, rhs)
+            want = _eager_bareiss([dict(r) for r in rows], m.rows, width, lead)
+            assert _bareiss(rows, m.rows, width, lead) == want
 
 
 def _from_dense(rows, cols):

@@ -370,6 +370,16 @@ def test_t2_iwasawa_spectral_sequence_stabilizes_at_page_2(iw):
     assert betti == _convolve(betti_numbers(total(t2.complex)), betti_numbers(total(iw.complex)))
 
 
+def test_iwasawa_squared_spectral_sequence_stabilizes_at_page_2(iw):
+    prod = product_model(iw, iw)
+    assert stabilization_index(prod.complex) == 2
+    antidiagonals = {}
+    for (p, q), n in limit_page(prod.complex).dims().items():
+        antidiagonals[p + q] = antidiagonals.get(p + q, 0) + n
+    betti_iw = dict(enumerate((1, 4, 8, 10, 8, 4, 1)))
+    assert antidiagonals == betti_numbers(total(prod.complex)) == _convolve(betti_iw, betti_iw)
+
+
 def test_product_validation_builds_no_zero_matrix(monkeypatch, iw):
     t1 = torus_model(1)
     validating = []

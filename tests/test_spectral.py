@@ -6,6 +6,7 @@ from spectra_dr.bicomplex import DoubleComplex, identity_bicomplex_map, total
 from spectra_dr.cochain import CochainComplex, betti_numbers, cohomology, cohomology_dim
 from spectra_dr.errors import WitnessFailure
 from spectra_dr.linalg import RatMatrix, induced_map, rank
+from spectra_dr.models import iwasawa_spec, lie_model, product_model, torus_model
 from spectra_dr.randgen import (
     _hseg,
     _staircase,
@@ -14,6 +15,7 @@ from spectra_dr.randgen import (
 )
 from spectra_dr.spectral import (
     _suffix_columns,
+    clear_page_cache,
     convergence_check,
     degenerates_at,
     degenerates_at_first_page,
@@ -189,6 +191,45 @@ def test_stabilization_bound_is_tight_on_staircases(r):
     k = _staircase(0, 0, r)
     p_span = k.p_hi - k.p_lo
     assert stabilization_index(k) == stabilization_bound(k) == r + 1 == p_span + 1
+
+
+def _downward_stabilization_index(k):
+    """The original stabilization_index, kept as an oracle: certify the
+    limit, then walk down from the bound while the page below still has the
+    limit dimensions."""
+    limit = limit_page(k).dims()
+    r = stabilization_bound(k)
+    while r > 1 and page(k, r - 1).dims() == limit:
+        r -= 1
+    return r
+
+
+def test_stabilization_index_matches_the_downward_walk():
+    rng = random.Random(37)
+    indices = set()
+    for _ in range(200):
+        k = random_double_complex(rng, rng.randint(1, 5), rng.randint(1, 5))
+        index = stabilization_index(k)
+        assert index == _downward_stabilization_index(k)
+        indices.add(index)
+    assert indices >= {1, 2, 3}
+    for r in range(2, 6):
+        k = _staircase(0, 0, r)
+        assert stabilization_index(k) == _downward_stabilization_index(k) == r + 1
+    iw = lie_model(iwasawa_spec())
+    for k in (iw.complex, product_model(torus_model(1), iw).complex):
+        assert stabilization_index(k) == _downward_stabilization_index(k) == 2
+
+
+def test_stabilization_index_builds_only_the_pages_it_needs():
+    # T1 x IW: the bound is page 5; limit_page builds pages 5 and 6, then
+    # the upward walk builds pages 1 and 2 and stops
+    k = product_model(torus_model(1), lie_model(iwasawa_spec())).complex
+    assert stabilization_bound(k) == 5
+    clear_page_cache()
+    assert stabilization_index(k) == 2
+    assert page.cache_info().misses == 4
+    clear_page_cache()
 
 
 def test_stabilization_bound_is_sound_random():
