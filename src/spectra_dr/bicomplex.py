@@ -113,14 +113,12 @@ ZERO_DOUBLE = DoubleComplex({})
 def row_complex(k: DoubleComplex, p: int) -> CochainComplex:
     """The column p viewed as a complex in q with differential d2 (one
     Dolbeault column of a model)."""
-    dims = {q: k.dim(p, q) for q in k.q_range()}
-    return CochainComplex(dims, {q: m for (pp, q), m in k._d2.items() if pp == p})
+    return k._part(CochainComplex, lambda key: key[0] == p, lambda key: key[1], (1,))
 
 
 def column_complex(k: DoubleComplex, q: int) -> CochainComplex:
     """The row q viewed as a complex in p with differential d1."""
-    dims = {p: k.dim(p, q) for p in k.p_range()}
-    return CochainComplex(dims, {p: m for (p, qq), m in k._d1.items() if qq == q})
+    return k._part(CochainComplex, lambda key: key[1] == q, lambda key: key[0], (0,))
 
 
 # -- totalization ---------------------------------------------------------
@@ -186,35 +184,21 @@ def total(k: DoubleComplex) -> CochainComplex:
 def shift2(k: DoubleComplex, m: int, n: int) -> DoubleComplex:
     """Bigraded shift: result dim(p, q) = k.dim(p+m, q+n); differentials are
     reused with no sign."""
-    dims = {(p - m, q - n): d for (p, q), d in k.dims().items()}
-    d1 = {(p - m, q - n): mat for (p, q), mat in k._d1.items()}
-    d2 = {(p - m, q - n): mat for (p, q), mat in k._d2.items()}
-    return DoubleComplex(dims, d1, d2)
+    return k._part(DoubleComplex, lambda key: True,
+                   lambda key: (key[0] - m, key[1] - n), (0, 1))
 
 
 def dual2(k: DoubleComplex) -> DoubleComplex:
     """Bigraded dual: dim'(p, q) = dim(-p, -q) with
     d1'^{p,q} = (-1)^{p+q+1} d1^{-p-1,-q}^T and
     d2'^{p,q} = (-1)^{p+q+1} d2^{-p,-q-1}^T."""
-    dims = {(-p, -q): n for (p, q), n in k.dims().items()}
-    d1 = {}
-    for (a, b), m in k._d1.items():
-        t = m.transpose()
-        d1[(-a - 1, -b)] = t if (a + b) % 2 == 0 else -t
-    d2 = {}
-    for (a, b), m in k._d2.items():
-        t = m.transpose()
-        d2[(-a, -b - 1)] = t if (a + b) % 2 == 0 else -t
-    return DoubleComplex(dims, d1, d2)
+    return k._dual()
 
 
 def transpose2(k: DoubleComplex) -> DoubleComplex:
     """Swap the two gradings (and the two differentials).  Lets callers run
     the row filtration through the same column-filtration machinery."""
-    dims = {(q, p): n for (p, q), n in k.dims().items()}
-    d1 = {(q, p): m for (p, q), m in k._d2.items()}
-    d2 = {(q, p): m for (p, q), m in k._d1.items()}
-    return DoubleComplex(dims, d1, d2)
+    return k._part(DoubleComplex, lambda key: True, lambda key: (key[1], key[0]), (1, 0))
 
 
 def direct_sum2(parts: Sequence[DoubleComplex]) -> DoubleComplex:

@@ -11,6 +11,10 @@ anticommutes, multiplying only stored blocks.  GradedMap is the one map
 behind ChainMap and BicomplexMap; its squares are checked only where a
 stored block can make them nonzero.
 
+Every restriction and regrading (truncations, slices, shifts, transposition)
+is one call to GradedComplex._part and both duals are one call to
+GradedComplex._dual; the block rule and the dual sign rule are stated there.
+
 Conventions pinned here and relied on everywhere else:
 - diff(k) maps degree k to degree k+1,
 - shift(K, m)^k = K^{k+m} with the SAME differentials (no sign),
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from operator import index
+from operator import index, neg
 from typing import Mapping, Sequence
 
 from .errors import NotChainCompatible, ParseError, ValidationError
@@ -31,20 +35,10 @@ from .linalg import (
     check_piece_dims,
     induced_map,
     kernel_basis,
+    products_vanish,
     rank,
     subquotient,
 )
-
-
-def products_vanish(*pairs) -> bool:
-    """True when the sum of f @ g over the pairs (f, g) is zero.  A pair with
-    an absent (None) factor is skipped; the rest form one product
-    [f1 | f2 ...] @ [g1; g2 ...], which adds only nonzero terms."""
-    pairs = [(f, g) for f, g in pairs if f is not None and g is not None]
-    if len(pairs) < 2:
-        return not pairs or (pairs[0][0] @ pairs[0][1]).is_zero()
-    return (RatMatrix.hstack([f for f, _ in pairs])
-            @ RatMatrix.vstack([g for _, g in pairs])).is_zero()
 
 
 class GradedComplex:
@@ -54,12 +48,15 @@ class GradedComplex:
     (`_STEPS`: for differential i, the function key -> the key it maps to)
     and how messages name the differentials (`_NAMES`), a key (`_AT`, a
     format of the key) and a piece (`_PIECE`).  `_diffs` holds one dict
-    key -> block per step.
+    key -> block per step.  `_neg` and `_total` negate a key and take its
+    total degree.
     """
 
     __slots__ = ("_dims", "_diffs", "_hash")
     _AT = "{0}"
     _PIECE = "piece"
+    _neg = staticmethod(lambda key: tuple(-x for x in key))
+    _total = staticmethod(sum)
 
     def __init__(self, dims: Mapping, diffs: Sequence):
         grade = self._grade
@@ -165,6 +162,25 @@ class GradedComplex:
             diffs.append(d)
         return dims, diffs
 
+    def _part(self, cls, keep, key, order: Sequence[int]) -> "GradedComplex":
+        """The complex of type cls on the pieces whose key satisfies keep,
+        each regraded by key, whose differential i comes from differential
+        order[i] of self.  A block is kept exactly when its source and its
+        target are both kept (a stored block joins two nonzero pieces)."""
+        new = {k: key(k) for k in self._dims if keep(k)}
+        diffs = ({new[k]: m for k, m in self._diffs[i].items()
+                  if k in new and self._STEPS[i](k) in new} for i in order)
+        return cls({new[k]: self._dims[k] for k in new}, *diffs)
+
+    def _dual(self) -> "GradedComplex":
+        """The linear dual: piece k moves to -k, and the block m of
+        differential i at k becomes m^T at -step_i(k), negated when the
+        total degree of k is odd."""
+        neg, total = self._neg, self._total
+        diffs = ({neg(step(k)): -m.transpose() if total(k) % 2 else m.transpose()
+                  for k, m in d.items()} for step, d in zip(self._STEPS, self._diffs))
+        return type(self)({neg(k): n for k, n in self._dims.items()}, *diffs)
+
     def _block(self, i: int, key) -> RatMatrix:
         """Differential i at key: the stored block, or a zero matrix."""
         m = self._diffs[i].get(key)
@@ -212,6 +228,8 @@ class CochainComplex(GradedComplex):
     _PIECE = "degree"
     _key_str = staticmethod(str)
     _parse_key = staticmethod(int)
+    _neg = staticmethod(neg)
+    _total = staticmethod(int)
 
     def __init__(self, dims: Mapping[int, int], diffs: Mapping[int, RatMatrix] | None = None):
         super().__init__(dims, (diffs,))
@@ -304,20 +322,12 @@ def euler_characteristic(k_complex: CochainComplex) -> int:
 def shift(k_complex: CochainComplex, m: int) -> CochainComplex:
     """Degree shift: shift(K, m)^k = K^{k+m}.  Differentials are reused
     without any sign."""
-    dims = {k - m: n for k, n in k_complex.dims().items()}
-    diffs = {k - m: d for k, d in k_complex._diffs[0].items()}
-    return CochainComplex(dims, diffs)
+    return k_complex._part(CochainComplex, lambda k: True, lambda k: k - m, (0,))
 
 
 def dual(k_complex: CochainComplex) -> CochainComplex:
     """Linear dual: dual(K)^k = (K^{-k})* with d^k = (-1)^{k+1} d_K^{-k-1}^T."""
-    dims = {-k: n for k, n in k_complex.dims().items()}
-    diffs = {}
-    for j, d in k_complex._diffs[0].items():
-        # lands at degree -j-1; sign (-1)^{(-j-1)+1} = (-1)^j
-        m = d.transpose()
-        diffs[-j - 1] = m if j % 2 == 0 else -m
-    return CochainComplex(dims, diffs)
+    return k_complex._dual()
 
 
 def direct_sum(parts: Sequence[CochainComplex]) -> CochainComplex:

@@ -17,7 +17,8 @@ Elimination.  There is one: fraction-free (Bareiss) elimination on
 integer-cleared {column: int} rows keyed by original column, which keeps
 intermediate entries polynomial in the input instead of exploding the way
 Fraction pivoting does.  It has two pivot rules.  Full pivoting, behind
-rank, pivot_columns and kernel_basis, takes the nonzero of least
+rank, pivot_columns, kernel_basis and the boundary basis of a subquotient,
+takes the nonzero of least
 ``(|v|, row position, column position)``, a position permutation standing
 in for column swaps: what a dense row-major scan for the smallest magnitude
 picks (including its stop at the first 1), so pivot columns and kernel
@@ -244,14 +245,6 @@ class RatMatrix:
     def column(values: Sequence) -> "RatMatrix":
         vals = list(values)
         return RatMatrix(len(vals), 1, [[v] for v in vals])
-
-    @staticmethod
-    def diag(values: Sequence) -> "RatMatrix":
-        vals = [rat_from(v) for v in values]
-        n = len(vals)
-        return RatMatrix(
-            n, n, [[vals[i] if i == j else F0 for j in range(n)] for i in range(n)]
-        )
 
     # -- access -----------------------------------------------------------
 
@@ -512,6 +505,22 @@ class RatMatrix:
         return RatMatrix(rows, cols, entries)
 
 
+def products_vanish(*pairs) -> bool:
+    """True when the sum of f @ g over the pairs (f, g) of conforming shapes
+    is zero; a pair with an absent (None) factor is skipped.  Each row of the
+    sum is accumulated in one dict, so no matrix is built."""
+    pairs = [(f._rows, g._rows) for f, g in pairs if f is not None and g is not None]
+    for i in range(len(pairs[0][0]) if pairs else 0):
+        acc = {}
+        for frows, grows in pairs:
+            for k, a in _pairs(frows[i]):
+                for j, b in _pairs(grows[k]):
+                    acc[j] = acc[j] + a * b if j in acc else a * b
+        if any(acc.values()):
+            return False
+    return True
+
+
 # -- fraction-free elimination -------------------------------------------
 
 
@@ -723,8 +732,9 @@ def pivot_columns(m: RatMatrix) -> tuple:
 
 def image_basis(m: RatMatrix) -> RatMatrix:
     """The pivot columns of m itself (original entries), a basis of the
-    column span."""
-    return m.select_columns(pivot_columns(m))
+    column span; m itself when its columns are independent."""
+    cols = pivot_columns(m)
+    return m if len(cols) == m.cols else m.select_columns(cols)
 
 
 def solve_matrix(a: RatMatrix, b: RatMatrix) -> RatMatrix | None:
@@ -803,20 +813,30 @@ class Subquotient:
         )
 
 
-def subquotient(cycles: RatMatrix, boundaries: RatMatrix) -> Subquotient:
+def subquotient(cycles: RatMatrix, boundaries) -> Subquotient:
     """Build Z/B from a spanning set of cycles and of boundaries.
 
+    boundaries is a RatMatrix or a sequence of parts that together span them;
+    B is the image_basis of [b0 | b1 | ...], taken from the parts unglued.
     Raises ContainmentViolation unless span(boundaries) <= span(cycles).
     The representatives are the columns of the cycle basis that are leftmost
     pivots of [B | Z]: each is independent of B and of the cycles before it.
     """
-    if cycles.rows != boundaries.rows:
-        raise ValidationError(
-            f"ambient mismatch: cycles in dim {cycles.rows}, boundaries in {boundaries.rows}"
-        )
+    parts = (boundaries,) if isinstance(boundaries, RatMatrix) else tuple(boundaries)
+    if not parts:
+        raise ValidationError("subquotient of no boundary parts")
+    for m in parts:
+        if m.rows != cycles.rows:
+            raise ValidationError(
+                f"ambient mismatch: cycles in dim {cycles.rows}, boundaries in {m.rows}"
+            )
     ambient = cycles.rows
     z = image_basis(cycles)
-    b = image_basis(boundaries)
+    width = sum(m.cols for m in parts)
+    pivots = sorted(_bareiss(_integer_rows(*parts), ambient, width)[1])
+    offs = accumulate((m.cols for m in parts), initial=0)
+    b = RatMatrix.hstack([m.select_columns([c - o for c in pivots if o <= c < o + m.cols])
+                          for o, m in zip(offs, parts)])
     nb = b.cols
     width = nb + z.cols  # may exceed the size cap: [B | Z] is never a RatMatrix
     r, pivots, _ = _bareiss(_integer_rows(b, z), ambient, width, lead=width)

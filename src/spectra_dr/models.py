@@ -570,7 +570,8 @@ def bott_chern_dim(k: DoubleComplex, p: int, q: int) -> int:
     """dim (ker d1 cap ker d2) / im d1 d2 at (p, q)."""
     if k.dim(p, q) == 0:
         return 0
-    cycles = kernel_basis(RatMatrix.vstack([k.d1(p, q), k.d2(p, q)]))
+    z1 = kernel_basis(k.d1(p, q))  # ker d2 on ker d1: no stacked [d1; d2]
+    cycles = z1 @ kernel_basis(k.d2(p, q) @ z1)
     boundaries = k.d1(p - 1, q) @ k.d2(p - 1, q - 1)
     return subquotient(cycles, boundaries).dim
 

@@ -141,7 +141,7 @@ def page(k: DoubleComplex, r: int) -> SpectralPage:
             zr = z(p, q, r)
             b1 = z(p + 1, q - 1, r - 1)
             b2 = t.diff(p + q - 1) @ z(p - r + 1, q + r - 2, r - 1)
-            terms[(p, q)] = subquotient(zr, RatMatrix.hstack([b1, b2]))
+            terms[(p, q)] = subquotient(zr, (b1, b2))
     for (p, q), term in terms.items():
         if term.dim == 0:
             continue

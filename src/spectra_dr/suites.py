@@ -68,7 +68,6 @@ from .truncation import (
     hodge_filtration_dims,
     hyper_dims,
     les_check,
-    truncate,
     truncated_total,
 )
 

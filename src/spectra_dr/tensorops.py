@@ -175,20 +175,8 @@ def quad_tensor(k: DoubleComplex, l: DoubleComplex) -> QuadComplex:
 def quad_slice(a: QuadComplex, p: int, q: int) -> DoubleComplex:
     """Fix the first two gradings: the double complex (r, s) -> A^{p,q,r,s}
     with differentials d3, d4."""
-    dims = {}
-    d1 = {}
-    d2 = {}
-    for key, n in a.dims().items():
-        if key[0] == p and key[1] == q:
-            r, s = key[2], key[3]
-            dims[(r, s)] = n
-            m3 = a._diffs[2].get(key)
-            if m3 is not None:
-                d1[(r, s)] = m3
-            m4 = a._diffs[3].get(key)
-            if m4 is not None:
-                d2[(r, s)] = m4
-    return DoubleComplex(dims, d1, d2)
+    return a._part(DoubleComplex, lambda key: key[0] == p and key[1] == q,
+                   lambda key: (key[2], key[3]), (2, 3))
 
 
 def collapse_summands(a: QuadComplex, k: int, l: int) -> list:

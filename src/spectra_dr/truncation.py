@@ -1,7 +1,7 @@
 """Column-window truncations of a double complex and their exact sequences.
 
-truncate(S, (s, t)) keeps the columns s <= p <= t, the horizontal arrows
-strictly inside the window (s <= p < t) and all vertical arrows in the window.
+truncate(S, (s, t)) keeps the columns s <= p <= t and, by the graded core's
+block rule, the vertical arrows there and the horizontal ones strictly inside.
 An empty window (s > t) is the zero complex; windows are clamped to the
 support automatically because absent bidegrees simply contribute nothing.
 
@@ -54,13 +54,7 @@ from .spectral import filtration_dims
 def truncate(s_cx: DoubleComplex, window: tuple) -> DoubleComplex:
     """Columns s..t of the double complex, with d1 only strictly inside."""
     s, t = window
-    if s > t:
-        return DoubleComplex({})
-    d1, d2 = s_cx._diffs
-    dims = {(p, q): n for (p, q), n in s_cx.dims().items() if s <= p <= t}
-    d1 = {(p, q): m for (p, q), m in d1.items() if s <= p < t}
-    d2 = {(p, q): m for (p, q), m in d2.items() if s <= p <= t}
-    return DoubleComplex(dims, d1, d2)
+    return s_cx._part(DoubleComplex, lambda key: s <= key[0] <= t, lambda key: key, (0, 1))
 
 
 def window_map(s_cx: DoubleComplex, win_from: tuple, win_to: tuple) -> BicomplexMap:

@@ -395,3 +395,22 @@ def test_randgen_determinism():
     assert a == b
     c = random_double_complex(random.Random(43))
     assert a != c or a.is_zero()
+
+
+def test_validation_takes_pieces_under_the_cap_whose_pairs_are_wider(monkeypatch):
+    # d2 d1 + d1 d2 at (0,0) pairs two products whose inner widths (3 + 3)
+    # add up past the cap; each piece fits, so the complex is accepted
+    monkeypatch.setenv("SPECTRA_DR_MAX_DIM", "4")
+    e = M([[1], [0], [0]])
+    dims = {(0, 0): 1, (1, 0): 3, (0, 1): 3, (1, 1): 1}
+    k = DoubleComplex(dims, {(0, 0): e, (0, 1): M([[-1, 0, 0]])},
+                      {(0, 0): e, (1, 0): M([[1, 0, 0]])})
+    assert k.total_dim() == 8
+    with pytest.raises(ValidationError,
+                       match=re.escape("d1 and d2 do not anticommute from (0,0)")):
+        DoubleComplex(dims, {(0, 0): e, (0, 1): M([[1, 0, 0]])},
+                      {(0, 0): e, (1, 0): M([[1, 0, 0]])})
+    monkeypatch.setenv("SPECTRA_DR_MAX_DIM", "2")
+    with pytest.raises(ValidationError,
+                       match=re.escape("piece (0,1) has dim 3 > SPECTRA_DR_MAX_DIM=2")):
+        DoubleComplex(dims)

@@ -308,3 +308,38 @@ def test_point_descriptor(capsys):
                        "--format", "json")
     assert code == 0
     assert json.loads(out)["value"] == 8
+
+
+def test_model_info_under_a_cap_the_pieces_fit(capsys, monkeypatch):
+    # validation pairs two 27x27 pieces; the cap only has to hold each
+    monkeypatch.setenv("SPECTRA_DR_MAX_DIM", "40")
+    code, out, err = run(capsys, "model", "lie", "--builtin", "iwasawa",
+                         "--twist-rank", "3", "--info", "--format", "json")
+    assert (code, err) == (0, "")
+    assert max(json.loads(out)["dims"].values()) == 27
+    monkeypatch.setenv("SPECTRA_DR_MAX_DIM", "26")
+    code, out, err = run(capsys, "model", "lie", "--builtin", "iwasawa",
+                         "--twist-rank", "3", "--info")
+    assert code == 2 and out == ""
+    assert err == ("error: lie n=3 twist_rank=3: piece (1,1) has dim 27"
+                   " > SPECTRA_DR_MAX_DIM=26\n")
+
+
+def test_spectral_under_a_cap_the_pieces_fit(capsys, monkeypatch, tmp_path):
+    # the boundaries of E_r^{1,-1} come in two parts, 4 + 2 columns together
+    path = tmp_path / "dots.json"
+    path.write_text(json.dumps({"dims": {"0,0": 2, "0,1": 2, "1,0": 2, "1,-1": 2}}))
+    code, want, _ = run(capsys, "spectral", str(path), "--format", "json")
+    assert code == 0
+    monkeypatch.setenv("SPECTRA_DR_MAX_DIM", "4")
+    from spectra_dr.spectral import clear_page_cache
+
+    clear_page_cache()
+    code, out, err = run(capsys, "spectral", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == want
+    assert json.loads(out)["limit"] == {"0,0": 2, "0,1": 2, "1,-1": 2, "1,0": 2}
+    monkeypatch.setenv("SPECTRA_DR_MAX_DIM", "1")
+    code, out, err = run(capsys, "spectral", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: piece (0,0) has dim 2 > SPECTRA_DR_MAX_DIM=1\n"

@@ -23,6 +23,7 @@ from spectra_dr.linalg import (
     induced_map,
     kernel_basis,
     pivot_columns,
+    products_vanish,
     rank,
     rat_from,
     rat_str,
@@ -907,3 +908,71 @@ def test_sparse_rank_against_sympy():
                                                  for i in range(m.rows) for x in m.row(i)]).rank()
             assert rank(m) == want
     clear_caches()
+
+
+def test_image_basis_returns_independent_columns_unchanged():
+    m = M([[1, 2], [0, 1], [3, 0]])
+    assert image_basis(m) is m
+    k = kernel_basis(M([[1, 1, 1, 1]]))
+    assert image_basis(k) is k
+    # a dependent set is still cut down to its pivot columns
+    assert image_basis(M([[1, 2], [2, 4]])) == M([[1], [2]])
+
+
+def test_subquotient_of_boundary_parts_matches_the_glued_boundaries(monkeypatch):
+    # B is the image_basis of the glued boundaries, found from the parts
+    # alone: under a cap of the largest part the glued matrix is often wider
+    rng = random.Random(31)
+    wider = 0
+    for _ in range(150):
+        monkeypatch.delenv("SPECTRA_DR_MAX_DIM", raising=False)
+        n = rng.randint(0, 6)
+        cycles = _rand_fraction_matrix(rng, n, rng.randint(0, 6))
+        parts = [cycles @ _rand_fraction_matrix(rng, cycles.cols, rng.randint(0, 3))
+                 for _ in range(rng.randint(1, 3))]
+        glued = RatMatrix.hstack(parts)
+        want_b = image_basis(glued)
+        want = subquotient(cycles, glued)
+        cap = max([n, cycles.cols] + [m.cols for m in parts])
+        wider += glued.cols > cap
+        monkeypatch.setenv("SPECTRA_DR_MAX_DIM", str(cap))
+        got = subquotient(cycles, parts)
+        assert got.cycle_basis == want.cycle_basis
+        assert got.boundary_basis == want.boundary_basis == want_b
+        assert got.representative_basis == want.representative_basis
+    assert wider >= 20
+    with pytest.raises(ValidationError, match="ambient mismatch"):
+        subquotient(RatMatrix.identity(2), (RatMatrix.zeros(2, 1), RatMatrix.zeros(3, 1)))
+    with pytest.raises(ValidationError, match="no boundary parts"):
+        subquotient(RatMatrix.identity(2), ())
+
+
+def test_subquotient_takes_boundary_parts_wider_together_than_the_cap(monkeypatch):
+    monkeypatch.setenv("SPECTRA_DR_MAX_DIM", "3")
+    clear_caches()
+    z = RatMatrix.identity(3)
+    b1, b2 = M([[1, 0], [0, 1], [0, 0]]), M([[1, 1], [1, 1], [0, 0]])
+    sq = subquotient(z, (b1, b2))
+    assert sq.dim == 1
+    assert sq.boundary_basis == b1
+    assert sq.representative_basis == M([[0], [0], [1]])
+    clear_caches()
+
+
+def test_products_vanish_matches_the_summed_products():
+    rng = random.Random(5)
+    vanished = 0
+    for _ in range(200):
+        n, m = rng.randint(0, 4), rng.randint(0, 4)
+        pairs = []
+        for _ in range(rng.randint(0, 3)):
+            k = rng.randint(0, 4)
+            pairs.append((_rand_fraction_matrix(rng, n, k), _rand_fraction_matrix(rng, k, m)))
+        if rng.random() < 0.5:
+            pairs += [(f, -g) for f, g in pairs]
+        products = [f @ g for f, g in pairs]
+        want = sum(products[1:], products[0]).is_zero() if products else True
+        vanished += want
+        assert products_vanish(*pairs) == want
+        assert products_vanish(*pairs, (None, RatMatrix.identity(m)), (None, None)) == want
+    assert 50 <= vanished <= 150

@@ -614,3 +614,16 @@ def test_hodge_filtration_projective(iw):
     assert hodge_filtration_projective_predict(iw, 2, 1) == \
         hodge_filtration_dims(iw.complex, 2, 3)
     assert hodge_filtration_projective_predict(iw, 2, 2) == [9, 7, 2, 0, 0, 0]
+
+
+def test_bott_chern_under_a_cap_below_the_stacked_differentials(monkeypatch):
+    # d1 and d2 at (0,0) have 2 rows each; stacked they would have 4 > 3
+    monkeypatch.setenv("SPECTRA_DR_MAX_DIM", "3")
+    k = DoubleComplex({(0, 0): 3, (1, 0): 2, (0, 1): 2},
+                      {(0, 0): RatMatrix.from_rows([[1, 0, 0], [0, 0, 0]])},
+                      {(0, 0): RatMatrix.from_rows([[0, 1, 0], [0, 0, 0]])})
+    assert bott_chern_dim(k, 0, 0) == 1
+    assert bott_chern_dim(k, 1, 0) == 2
+    monkeypatch.setenv("SPECTRA_DR_MAX_DIM", "1")
+    with pytest.raises(ValidationError, match=re.escape("piece (0,0) has dim 3")):
+        DoubleComplex({(0, 0): 3, (1, 0): 2, (0, 1): 2})
