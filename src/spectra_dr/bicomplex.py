@@ -4,8 +4,10 @@ d1 raises the first (column) index, d2 the second (row) index.  The graded
 core in cochain validates d1^2 = 0, d2^2 = 0 and d1 d2 + d2 d1 = 0, so the
 total differential D = d1 + d2 squares to zero with no extra signs.
 
-Totalization fixes the summand order inside total degree k once and for all:
-blocks (p, k-p) with p ascending.  The filtration and spectral-sequence code
+Totalization is one collapse on the graded core (GradedComplex._collapse,
+grouping (p, q) by p+q), and so is the induced map of totals.  The summand
+order inside total degree k, blocks (p, k-p) with p ascending, is stated
+once in GradedComplex._layout.  The filtration and spectral-sequence code
 depends on that order (column filtration = suffix of blocks), as does the
 block-permutation witness comparing dual-of-total with total-of-dual.
 """
@@ -17,7 +19,7 @@ from typing import Mapping, Sequence
 
 from .cochain import ChainMap, CochainComplex, GradedComplex, GradedMap
 from .errors import NotChainCompatible, ParseError, WitnessFailure
-from .linalg import RatMatrix, check_piece_dims, rank
+from .linalg import RatMatrix, rank
 
 
 def _pq_key(s: str) -> tuple:
@@ -38,6 +40,8 @@ class DoubleComplex(GradedComplex):
     _NAMES = ("d1", "d2")
     _AT = "({0[0]},{0[1]})"
     _parse_key = staticmethod(_pq_key)
+    _group = staticmethod(sum)
+    _order = staticmethod(lambda k: k[0])
 
     def __init__(self, dims: Mapping, d1: Mapping | None = None, d2: Mapping | None = None):
         super().__init__(dims, (d1, d2))
@@ -125,25 +129,25 @@ def column_complex(k: DoubleComplex, q: int) -> CochainComplex:
 
 
 def total_blocks(k: DoubleComplex, deg: int) -> list:
-    """Nonzero bidegrees (p, deg-p) in total degree deg, p ascending.  This
-    order is the contract: the column filtration F^p is the suffix of blocks
-    with first index >= p."""
-    out = []
-    for p in k.p_range():
-        if k.dim(p, deg - p):
-            out.append((p, deg - p))
-    return out
+    """Nonzero bidegrees (p, deg-p) in total degree deg, p ascending (the
+    summand order of GradedComplex._layout)."""
+    return [key for key, _off, _n in k._layout().get(deg, ())]
 
 
 def block_offsets(k: DoubleComplex, deg: int) -> list:
     """(p, q, offset, size) for each block of the total space in degree deg."""
-    out = []
-    off = 0
-    for (p, q) in total_blocks(k, deg):
-        n = k.dim(p, q)
-        out.append((p, q, off, n))
-        off += n
-    return out
+    return [(*key, off, n) for key, off, n in k._layout().get(deg, ())]
+
+
+def filtration_cut(k: DoubleComplex, p: int, deg: int) -> int:
+    """Where column p starts in T^deg: the coordinates from here on span
+    F^p T^deg, the blocks with first index >= p."""
+    end = 0
+    for (bp, _bq), off, n in k._layout().get(deg, ()):
+        if bp >= p:
+            return off
+        end = off + n
+    return end
 
 
 @lru_cache(maxsize=None)
@@ -151,31 +155,7 @@ def total(k: DoubleComplex) -> CochainComplex:
     """Total complex with differential D = d1 + d2.  Raises ValidationError
     naming the least total degree larger than SPECTRA_DR_MAX_DIM before any
     matrix is assembled."""
-    if k.is_zero():
-        return CochainComplex({})
-    lo = k.p_lo + k.q_lo
-    hi = k.p_hi + k.q_hi
-    dims = {}
-    for deg in range(lo, hi + 1):
-        n = sum(k.dim(p, deg - p) for p in k.p_range())
-        if n:
-            dims[deg] = n
-    check_piece_dims(dims, noun="total degree")
-    d1, d2 = k._diffs
-    diffs = {}
-    for deg in range(lo, hi):
-        if deg not in dims or deg + 1 not in dims:
-            continue
-        tpos = {(p, q): off for (p, q, off, _n) in block_offsets(k, deg + 1)}
-        blocks = []
-        for (p, q, coff, _n) in block_offsets(k, deg):
-            # a stored differential has a nonzero target block
-            if (p, q) in d1:
-                blocks.append((tpos[(p + 1, q)], coff, d1[(p, q)]))
-            if (p, q) in d2:
-                blocks.append((tpos[(p, q + 1)], coff, d2[(p, q)]))
-        diffs[deg] = RatMatrix.from_blocks(dims[deg + 1], dims[deg], blocks)
-    return CochainComplex(dims, diffs)
+    return k._collapse(CochainComplex, ((0, 1),), "total degree")
 
 
 # -- structural operations ------------------------------------------------
@@ -236,24 +216,7 @@ def compose2(g: BicomplexMap, f: BicomplexMap) -> BicomplexMap:
 def total_map(f: BicomplexMap) -> ChainMap:
     """The induced map of total complexes (block assembly in the standard
     block order)."""
-    src_t = total(f.source)
-    tgt_t = total(f.target)
-    lo = min(src_t.lo, tgt_t.lo)
-    hi = max(src_t.hi, tgt_t.hi)
-    mats = {}
-    for deg in range(lo, hi + 1):
-        rows = tgt_t.dim(deg)
-        cols = src_t.dim(deg)
-        if rows == 0 or cols == 0:
-            continue
-        tpos = {(p, q): off for (p, q, off, _n) in block_offsets(f.target, deg)}
-        blocks = [
-            (tpos[(p, q)], coff, f._mats[(p, q)])
-            for (p, q, coff, _n) in block_offsets(f.source, deg)
-            if (p, q) in f._mats
-        ]
-        mats[deg] = RatMatrix.from_blocks(rows, cols, blocks)
-    return ChainMap(src_t, tgt_t, mats)
+    return f._collapse(ChainMap, total(f.source), total(f.target))
 
 
 # -- dual-of-total vs total-of-dual ---------------------------------------

@@ -12,8 +12,11 @@ behind ChainMap and BicomplexMap; its squares are checked only where a
 stored block can make them nonzero.
 
 Every restriction and regrading (truncations, slices, shifts, transposition)
-is one call to GradedComplex._part and both duals are one call to
-GradedComplex._dual; the block rule and the dual sign rule are stated there.
+is one call to GradedComplex._part, both duals are one call to
+GradedComplex._dual, and every collapse of gradings (totals, the quad
+collapse and the maps between them) is one call to GradedComplex._collapse
+or GradedMap._collapse on the summand layout of GradedComplex._layout; the
+block rule, the dual sign rule and the summand order are stated there.
 
 Conventions pinned here and relied on everywhere else:
 - diff(k) maps degree k to degree k+1,
@@ -49,10 +52,12 @@ class GradedComplex:
     and how messages name the differentials (`_NAMES`), a key (`_AT`, a
     format of the key) and a piece (`_PIECE`).  `_diffs` holds one dict
     key -> block per step.  `_neg` and `_total` negate a key and take its
-    total degree.
+    total degree.  A subclass that collapses states it with `_group` (key ->
+    the collapsed key it is summed into) and `_order` (the sort key of the
+    summands inside one collapsed key).
     """
 
-    __slots__ = ("_dims", "_diffs", "_hash")
+    __slots__ = ("_dims", "_diffs", "_hash", "_cells")
     _AT = "{0}"
     _PIECE = "piece"
     _neg = staticmethod(lambda key: tuple(-x for x in key))
@@ -86,6 +91,7 @@ class GradedComplex:
         object.__setattr__(self, "_dims", clean)
         object.__setattr__(self, "_diffs", tuple(stored))
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_cells", None)
         self._validate()
 
     def _grade(self, key) -> tuple:
@@ -180,6 +186,50 @@ class GradedComplex:
         diffs = ({neg(step(k)): -m.transpose() if total(k) % 2 else m.transpose()
                   for k, m in d.items()} for step, d in zip(self._STEPS, self._diffs))
         return type(self)({neg(k): n for k, n in self._dims.items()}, *diffs)
+
+    def _layout(self) -> dict:
+        """Collapsed key -> [(key, offset, size)]: the summands of each
+        collapsed piece, collapsed keys ascending.  Summands ascend in
+        `_order` and sit back to back from offset 0.  This order is the
+        contract every total and collapse is built on: in a total the
+        column filtration F^p is the suffix of blocks with first index >= p,
+        and at (k, l) of the quad collapse the cells (p, q, r, s) ascend in
+        (p, r).  Computed once per complex."""
+        cells = self._cells
+        if cells is None:
+            cells = {}
+            for key in sorted(self._dims, key=self._order):
+                summands = cells.setdefault(self._group(key), [])
+                off = summands[-1][1] + summands[-1][2] if summands else 0
+                summands.append((key, off, self._dims[key]))
+            cells = dict(sorted(cells.items()))
+            object.__setattr__(self, "_cells", cells)
+        return cells
+
+    def _collapse(self, cls, sums: Sequence, noun: str) -> "GradedComplex":
+        """The complex of type cls on the collapsed keys of `_layout`, whose
+        differential j is the sum of the differentials sums[j] of self.  Each
+        stored block is placed at the offsets of its source and its target.
+        A collapsed piece larger than SPECTRA_DR_MAX_DIM is refused, named
+        by noun, before any block is placed."""
+        lay = self._layout()
+        dims = {g: sum(n for _key, _off, n in cells) for g, cells in lay.items()}
+        check_piece_dims(dims, noun=noun)
+        at = {key: off for cells in lay.values() for key, off, _n in cells}
+        group, steps, ds = self._group, self._STEPS, self._diffs
+        diffs = []
+        for summed in sums:
+            out = {}
+            for g, cells in lay.items():
+                # a stored block has a nonzero target, so its target has an offset
+                blocks = [(at[steps[i](key)], off, ds[i][key])
+                          for key, off, _n in cells for i in summed if key in ds[i]]
+                if blocks:
+                    # every step of one sum moves g to the same collapsed key
+                    up = group(steps[summed[0]](cells[0][0]))
+                    out[g] = RatMatrix.from_blocks(dims[up], dims[g], blocks)
+            diffs.append(out)
+        return cls(dims, *diffs)
 
     def _block(self, i: int, key) -> RatMatrix:
         """Differential i at key: the stored block, or a zero matrix."""
@@ -390,6 +440,20 @@ class GradedMap:
                 if not ok:
                     raise NotChainCompatible(self._SQUARE.format(
                         name=src._NAMES[i], at=src._AT.format(key)))
+
+    def _collapse(self, cls, source: GradedComplex, target: GradedComplex) -> "GradedMap":
+        """The map of type cls from source to target, the collapses of
+        self.source and self.target: each stored block is placed at its
+        key's offsets in the two summand layouts."""
+        mats = self._mats
+        at = {key: off for cells in self.target._layout().values()
+              for key, off, _n in cells}
+        out = {}
+        for g, cells in self.source._layout().items():
+            blocks = [(at[key], off, mats[key]) for key, off, _n in cells if key in mats]
+            if blocks:
+                out[g] = RatMatrix.from_blocks(target._dims[g], source._dims[g], blocks)
+        return cls(source, target, out)
 
     @classmethod
     def _composite(cls, g: "GradedMap", f: "GradedMap") -> "GradedMap":

@@ -50,7 +50,7 @@ from .linalg import (
     rat_str,
     subquotient,
 )
-from .tensorops import collapse_summands, quad_tensor, ss_collapse
+from .tensorops import quad_tensor, ss_collapse
 from .truncation import (
     column_cohomology_dim,
     frolicher_is_equality,
@@ -429,9 +429,9 @@ def product_model(x: ModelDoubleComplex, y: ModelDoubleComplex) -> ModelDoubleCo
     quad = quad_tensor(x.complex, y.complex)
     cx = ss_collapse(quad)
     labels = {}
-    for (k, l) in cx.dims():
+    for (k, l), cells in quad._layout().items():
         labs = [None] * cx.dim(k, l)
-        for (p, q, r, s, off, _size) in collapse_summands(quad, k, l):
+        for (p, q, r, s), off, _size in cells:
             ylabs = y.labels[(q, s)]
             ny = len(ylabs)
             for ix, (cx_copy, sx, i1, j1) in enumerate(x.labels[(p, r)]):

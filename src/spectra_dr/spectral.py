@@ -28,7 +28,7 @@ from functools import lru_cache
 from .bicomplex import (
     BicomplexMap,
     DoubleComplex,
-    block_offsets,
+    filtration_cut,
     row_complex,
     total,
     total_map,
@@ -45,41 +45,22 @@ from .linalg import (
 from .report import Report
 
 
-def _suffix_columns(k: DoubleComplex, p: int, deg: int) -> list:
-    """Coordinate indices in T^deg of the blocks with column index >= p."""
-    idx = []
-    for (bp, _bq, off, n) in block_offsets(k, deg):
-        if bp >= p:
-            idx.extend(range(off, off + n))
-    return idx
-
-
-def _prefix_rows(k: DoubleComplex, p: int, deg: int) -> list:
-    """Coordinate indices in T^deg of the blocks with column index < p."""
-    idx = []
-    for (bp, _bq, off, n) in block_offsets(k, deg):
-        if bp < p:
-            idx.extend(range(off, off + n))
-    return idx
-
-
 def _z_basis(k: DoubleComplex, t: CochainComplex, p: int, q: int, r: int) -> RatMatrix:
     """Basis of Z_r^{p,q} as columns in the ambient total space T^{p+q}."""
     deg = p + q
     ambient = t.dim(deg)
-    cols = _suffix_columns(k, p, deg)
-    if not cols:
+    cut = filtration_cut(k, p, deg)
+    if cut == ambient:
         return RatMatrix.zeros(ambient, 0)
-    kill = _prefix_rows(k, p + r, deg + 1)
+    kill = filtration_cut(k, p + r, deg + 1)
     if kill:
-        d_sub = t.diff(deg).submatrix(kill, cols)
+        d_sub = t.diff(deg).submatrix(range(kill), range(cut, ambient))
         ker = kernel_basis(d_sub)
     else:
-        ker = RatMatrix.identity(len(cols))
+        ker = RatMatrix.identity(ambient - cut)
     if ker.cols == 0:
         return RatMatrix.zeros(ambient, 0)
-    # the blocks with column index >= p are a suffix of T^deg
-    return RatMatrix.from_blocks(ambient, ker.cols, [(ambient - len(cols), 0, ker)])
+    return RatMatrix.from_blocks(ambient, ker.cols, [(cut, 0, ker)])
 
 
 class SpectralPage:

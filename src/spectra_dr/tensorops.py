@@ -12,8 +12,10 @@ Sign conventions, fixed once:
   anticommute, so the (p+q, r+s) collapse with D1 = d1 + d2, D2 = d3 + d4 is a
   valid double complex.
 
-Collapse summand order at (k, l): (p, r) lexicographic ascending, q = k - p,
-s = l - r.  The comparison witnesses below depend on that order.
+The collapse is one call into the graded core (GradedComplex._collapse,
+grouping (p, q, r, s) by (p+q, r+s)); the summand order at (k, l), (p, r)
+lexicographic ascending, is stated once in GradedComplex._layout.  The
+comparison witnesses below depend on that order.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .bicomplex import (
 )
 from .cochain import ChainMap, CochainComplex, GradedComplex, cohomology_dim
 from .errors import NotChainCompatible, ParseError, ValidationError, WitnessFailure
-from .linalg import RatMatrix, rank
+from .linalg import RatMatrix, check_piece_dims, rank
 from .report import Report
 
 
@@ -61,6 +63,7 @@ def tensor(k: CochainComplex, l: CochainComplex, parity: int = 0) -> DoubleCompl
             n = k.dim(p) * l.dim(q)
             if n:
                 dims[(p, q)] = n
+    check_piece_dims(dims)
     return DoubleComplex(dims, _left_legs(k._diffs[0], l._dims),
                          _right_legs(k._dims, l._diffs[0], lambda p: p + parity))
 
@@ -118,6 +121,8 @@ class QuadComplex(GradedComplex):
         lambda k: (k[0], k[1], k[2], k[3] + 1),
     )
     _NAMES = ("d1", "d2", "d3", "d4")
+    _group = staticmethod(lambda k: (k[0] + k[1], k[2] + k[3]))
+    _order = staticmethod(lambda k: (k[0], k[2]))
 
     def __init__(self, dims: Mapping, d1=None, d2=None, d3=None, d4=None):
         super().__init__(dims, (d1, d2, d3, d4))
@@ -165,6 +170,7 @@ def quad_tensor(k: DoubleComplex, l: DoubleComplex) -> QuadComplex:
     for (p, r), nk in k.dims().items():
         for (q, s), nl in l.dims().items():
             dims[(p, q, r, s)] = nk * nl
+    check_piece_dims(dims)
     (kd1, kd2), (ld1, ld2) = k._diffs, l._diffs
     legs = (_left_legs(kd1, l._dims), _right_legs(k._dims, ld1, sum),
             _left_legs(kd2, l._dims), _right_legs(k._dims, ld2, sum))
@@ -182,54 +188,12 @@ def quad_slice(a: QuadComplex, p: int, q: int) -> DoubleComplex:
 def collapse_summands(a: QuadComplex, k: int, l: int) -> list:
     """Nonzero cells (p, q, r, s) with p+q = k, r+s = l in (p, r) lex order,
     with their offsets: (p, q, r, s, offset, size)."""
-    cells = sorted(
-        (key for key in a.keys() if key[0] + key[1] == k and key[2] + key[3] == l),
-        key=lambda key: (key[0], key[2]),
-    )
-    out = []
-    off = 0
-    for key in cells:
-        n = a.dim(key)
-        out.append((*key, off, n))
-        off += n
-    return out
+    return [(*key, off, n) for key, off, n in a._layout().get((k, l), ())]
 
 
 def ss_collapse(a: QuadComplex) -> DoubleComplex:
     """Collapse to bidegree (p+q, r+s) with D1 = d1 + d2, D2 = d3 + d4."""
-    if a.is_zero():
-        return DoubleComplex({})
-    ks = sorted({key[0] + key[1] for key in a.keys()})
-    ls = sorted({key[2] + key[3] for key in a.keys()})
-    dims = {}
-    layout = {}
-    for k in ks:
-        for l in ls:
-            cells = collapse_summands(a, k, l)
-            n = sum(c[5] for c in cells)
-            if n:
-                dims[(k, l)] = n
-                layout[(k, l)] = cells
-    d1_out = {}
-    d2_out = {}
-    for (k, l), cells in layout.items():
-        for tdeg, directions, out in (
-            ((k + 1, l), (0, 1), d1_out),
-            ((k, l + 1), (2, 3), d2_out),
-        ):
-            tgt = layout.get(tdeg)
-            if tgt is None:
-                continue
-            tpos = {cell[:4]: cell[4] for cell in tgt}
-            blocks = [
-                (tpos[a._STEPS[i](cell[:4])], cell[4], a._diffs[i][cell[:4]])
-                for cell in cells
-                for i in directions
-                if cell[:4] in a._diffs[i]
-            ]
-            if blocks:
-                out[(k, l)] = RatMatrix.from_blocks(dims[tdeg], dims[(k, l)], blocks)
-    return DoubleComplex(dims, d1_out, d2_out)
+    return a._collapse(DoubleComplex, ((0, 1), (2, 3)), "piece")
 
 
 # -- comparison witnesses -------------------------------------------------
@@ -289,10 +253,8 @@ def collapse_total_check(k: DoubleComplex, l: DoubleComplex) -> ChainMap:
         if ns == 0:
             continue
         # source index of cell (p,q,r,s): by block k=p+q asc, then (p,r) lex
-        src_pos = {}
-        for (kk, ll, off, _sz) in block_offsets(ss, n):
-            for (p, q, r, s, coff, size) in collapse_summands(a, kk, ll):
-                src_pos[(p, q, r, s)] = (off + coff, size)
+        src_pos = {cell: (off + coff, size) for kl, off, _sz in ss._layout().get(n, ())
+                   for cell, coff, size in a._layout()[kl]}
         # target index: by a = p+r asc; within, (total K)^a (x) (total L)^b is
         # K-major, and each total splits into its own p-asc / q-asc blocks
         blocks = []

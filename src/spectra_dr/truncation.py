@@ -34,7 +34,7 @@ from functools import lru_cache
 from .bicomplex import (
     BicomplexMap,
     DoubleComplex,
-    block_offsets,
+    filtration_cut,
     row_complex,
     total,
     total_map,
@@ -139,19 +139,6 @@ def four_term_check(s_cx: DoubleComplex, s: int, s_prime: int, t: int,
 # -- long exact sequence --------------------------------------------------
 
 
-def _section_matrix(sub: DoubleComplex, amb: DoubleComplex, deg: int) -> RatMatrix:
-    """Coordinate section T^deg(sub) -> T^deg(amb) placing each sub block at
-    its ambient offset (sub's blocks are a subset of amb's)."""
-    amb_blocks = block_offsets(amb, deg)
-    sub_blocks = block_offsets(sub, deg)
-    apos = {(p, q): off for (p, q, off, _n) in amb_blocks}
-    return RatMatrix.from_blocks(
-        sum(n for (_p, _q, _o, n) in amb_blocks),
-        sum(n for (_p, _q, _o, n) in sub_blocks),
-        [(apos[(p, q)], soff, RatMatrix.identity(n)) for (p, q, soff, n) in sub_blocks],
-    )
-
-
 def connecting_matrix(s_cx: DoubleComplex, r: int, s: int, t: int, k: int) -> RatMatrix:
     """Matrix of the connecting map H^k(S(r,s-1)) -> H^{k+1}(S(s,t)) of the
     short exact sequence 0 -> S(s,t) -> S(r,t) -> S(r,s-1) -> 0.
@@ -173,15 +160,13 @@ def connecting_matrix(s_cx: DoubleComplex, r: int, s: int, t: int, k: int) -> Ra
     h_a = cohomology(ta, k + 1)
     if h_c.dim == 0 or ta.dim(k + 1) == 0:
         return RatMatrix.zeros(h_a.dim, h_c.dim)
-    sec = _section_matrix(c, b, k)
-    lifted = tb.diff(k) @ (sec @ h_c.representative_basis)
+    # the coordinate section: T^k(C) is the prefix of T^k(B) below column s
+    lifted = tb.diff(k).select_columns(range(tc.dim(k))) @ h_c.representative_basis
     # certify: the image must vanish on the quotient columns (p < s)
-    quotient, keep = [], []
-    for (p, _q, off, n) in block_offsets(b, k + 1):
-        (quotient if p < s else keep).extend(range(off, off + n))
-    if not lifted.submatrix(quotient, range(lifted.cols)).is_zero():
+    cut = filtration_cut(b, s, k + 1)
+    if not lifted.submatrix(range(cut), range(lifted.cols)).is_zero():
         raise WitnessFailure("connecting map left a component in the quotient window")
-    restricted = lifted.submatrix(keep, range(lifted.cols))
+    restricted = lifted.submatrix(range(cut, lifted.rows), range(lifted.cols))
     # rows kept in ambient order coincide with A's own block layout
     return h_a.reduce(restricted)
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from spectra_dr.bicomplex import DoubleComplex, identity_bicomplex_map, total
+from spectra_dr.bicomplex import DoubleComplex, block_offsets, identity_bicomplex_map, total
 from spectra_dr.cochain import CochainComplex, betti_numbers, cohomology, cohomology_dim
 from spectra_dr.errors import WitnessFailure
 from spectra_dr.linalg import RatMatrix, induced_map, rank
@@ -14,7 +14,6 @@ from spectra_dr.randgen import (
     random_double_complex,
 )
 from spectra_dr.spectral import (
-    _suffix_columns,
     clear_page_cache,
     convergence_check,
     degenerates_at,
@@ -132,6 +131,12 @@ def test_filtration_graded_matches_limit():
             fd = filtration_dims(k, deg)
             for i, p in enumerate(k.p_range()):
                 assert fd[i] - fd[i + 1] == limit.dim(p, deg - p)
+
+
+def _suffix_columns(k, p, deg):
+    """Coordinate indices in T^deg of the blocks with column index >= p."""
+    return [i for (bp, _bq, off, n) in block_offsets(k, deg) if bp >= p
+            for i in range(off, off + n)]
 
 
 def _filtration_dims_through_subcomplex(k, deg):

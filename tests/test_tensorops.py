@@ -229,6 +229,29 @@ def test_parity_total_cohomology_agrees():
             assert cohomology_dim(t0, deg) == cohomology_dim(t1, deg)
 
 
+def test_tensor_refuses_an_oversized_piece_by_name(monkeypatch):
+    # the legs would be 9x9 Kronecker products: the piece is named first
+    k = CochainComplex({0: 3, 1: 3}, {0: RatMatrix.identity(3)})
+    d = DoubleComplex({(0, 0): 3, (1, 0): 3}, {(0, 0): RatMatrix.identity(3)})
+    monkeypatch.setenv("SPECTRA_DR_MAX_DIM", "6")
+    with pytest.raises(ValidationError,
+                       match=re.escape("piece (0,0) has dim 9 > SPECTRA_DR_MAX_DIM=6")):
+        tensor(k, k)
+    with pytest.raises(ValidationError,
+                       match=re.escape("piece (0,0,0,0) has dim 9 > SPECTRA_DR_MAX_DIM=6")):
+        quad_tensor(d, d)
+
+
+def test_ss_collapse_refuses_an_oversized_piece_by_name(monkeypatch):
+    # every cell of the quad fits; the collapsed piece (1,0) sums two of them
+    d = DoubleComplex({(0, 0): 1, (1, 0): 1}, {(0, 0): M([[1]])})
+    a = quad_tensor(d, d)
+    monkeypatch.setenv("SPECTRA_DR_MAX_DIM", "1")
+    with pytest.raises(ValidationError,
+                       match=re.escape("piece (1,0) has dim 2 > SPECTRA_DR_MAX_DIM=1")):
+        ss_collapse(a)
+
+
 def test_quad_json_round_trip():
     seg = segment()
     a = quad_tensor(tensor(seg, seg, 0), tensor(seg, seg, 0))
