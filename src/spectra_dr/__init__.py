@@ -1,7 +1,9 @@
 """Exact rational cohomology engine.
 
-Everything is computed over the rationals with fractions.Fraction — no
-floating point, no tolerance knobs.  The layers, bottom up:
+Everything is computed exactly over the rationals — no floating point, no
+tolerance knobs.  A matrix stores an integral entry as an int and any other
+entry as a fractions.Fraction, and hands entries out as Fractions.  The
+layers, bottom up:
 
 - linalg: matrices, fraction-free elimination, subquotients, induced maps
 - cochain: bounded cochain complexes, shifts, duals, chain maps, cohomology

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from . import __version__
 from .bicomplex import DoubleComplex, total
@@ -373,9 +374,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process: building it costs more than most
+    commands, and its prog is fixed, so every main call can share it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     missing = []
     if getattr(args, "predictor", None) in ("kunneth", "blowup") and not args.y:
         missing.append("--y")

@@ -107,7 +107,8 @@ class GradedComplex:
 
     def _validate(self):
         """Each differential squares to zero and each pair anticommutes.
-        Only stored blocks are multiplied; keys ascend, and at each key the
+        Only stored blocks are multiplied, and a check none of whose terms
+        has both factors stored is not run; keys ascend, and at each key the
         squares are checked before the pairs (i, j), i < j."""
         ds, steps = self._diffs, self._STEPS
         pairs = list(combinations(range(len(ds)), 2))
@@ -115,11 +116,14 @@ class GradedComplex:
             ups = [step(key) for step in steps]
             here = [d.get(key) for d in ds]
             for i, d in enumerate(ds):
-                if not products_vanish((d.get(ups[i]), here[i])):
+                f = d.get(ups[i]) if here[i] is not None else None
+                if f is not None and not products_vanish((f, here[i])):
                     raise ValidationError(self._violation(i, i, key))
             for i, j in pairs:
-                if not products_vanish((ds[j].get(ups[i]), here[i]),
-                                       (ds[i].get(ups[j]), here[j])):
+                terms = [(f, g) for f, g in ((ds[j].get(ups[i]), here[i]),
+                                             (ds[i].get(ups[j]), here[j]))
+                         if f is not None and g is not None]
+                if terms and not products_vanish(*terms):
                     raise ValidationError(self._violation(i, j, key))
 
     def _name(self, i: int, key) -> str:

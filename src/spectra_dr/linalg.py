@@ -1,17 +1,23 @@
 """Exact rational matrices and the elimination routines everything else rides on.
 
-Scalars are fractions.Fraction throughout; no floats anywhere.
+Scalars are rationals, exact throughout; no floats anywhere.
 
 Storage.  A RatMatrix keeps, for each row, one flat tuple
 ``(c0, v0, c1, v1, ...)`` of its nonzero entries with the columns ascending;
-a zero row is ``()``.  The form is canonical, so equality is tuple equality,
-and every operation (products, sums, stacking, block placement, Kronecker
-products, transposes, zero tests, hashing) walks the nonzeros only.
-``row``, ``col``, ``m[i, j]``, ``repr`` and ``to_json`` still hand out dense
-values.  Matrices built by RatMatrix's own operations and by the eliminations
-already hold sparse rows of nonzero Fractions, so they are constructed with
-the private keyword ``_trusted=True``, which skips the per-entry coercion but
-not the size cap.
+a zero row is ``()``.  A stored value is an ``int`` when it is integral and a
+``fractions.Fraction`` (denominator > 1) only when it is not, so products,
+sums and Kronecker products of integral matrices run in int arithmetic.  The
+form is canonical, so equality is tuple equality and the hash is the hash of
+the rows, and every operation (products, sums, stacking, block placement,
+Kronecker products, transposes, zero tests, hashing) walks the nonzeros
+only.  Every producer keeps the form: a value that may be an integral
+Fraction is stored as ``_canon`` gives it.
+The public boundary is Fraction: ``row``, ``col``, ``m[i, j]`` and
+``rat_from`` hand out Fractions, and ``repr`` and ``to_json`` the same
+strings as for Fractions.  Matrices built by RatMatrix's own operations and
+by the eliminations already hold canonical sparse rows, so they are
+constructed with the private keyword ``_trusted=True``, which skips the
+per-entry coercion but not the size cap.
 
 Elimination.  There is one: fraction-free (Bareiss) elimination on
 integer-cleared {column: int} rows keyed by original column, which keeps
@@ -55,12 +61,12 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd
+from operator import neg
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ContainmentViolation, NotChainCompatible, ParseError, ValidationError
 
 F0 = Fraction(0)
-F1 = Fraction(1)
 
 _DEFAULT_MAX_DIM = 4096
 
@@ -115,8 +121,19 @@ def rat_str(value: Fraction) -> str:
 
 # -- sparse rows ------------------------------------------------------------
 # A sparse row is a flat tuple (c0, v0, c1, v1, ...), columns ascending,
-# values nonzero.  zip(it, it) over one iterator walks its (column, value)
-# pairs without slicing.
+# values nonzero and canonical (int when integral, else Fraction).
+# zip(it, it) over one iterator walks its (column, value) pairs without
+# slicing.
+
+
+def _canon(v):
+    """The stored form of a rational: an int when it is integral."""
+    return v if type(v) is int or v.denominator != 1 else v.numerator
+
+
+def _public(v) -> Fraction:
+    """A stored value as handed out: always a Fraction."""
+    return Fraction(v) if type(v) is int else v
 
 
 def _pairs(row):
@@ -125,12 +142,13 @@ def _pairs(row):
 
 
 def _pack(d: dict) -> tuple:
-    """The sparse row of a {column: value} dict, dropping zero values."""
+    """The sparse row of a {column: value} dict, dropping zero values and
+    storing integral values as ints."""
     out = []
     for c in sorted(d):
         v = d[c]
         if v:
-            out += (c, v)
+            out += (c, v if type(v) is int or v.denominator != 1 else v.numerator)
     return tuple(out)
 
 
@@ -150,17 +168,22 @@ def _map_values(row: tuple, f) -> tuple:
 
 
 def _literal_row(entries) -> tuple:
-    """The sparse row of an untrusted dense literal.  The zero literals "0"
-    and 0 are skipped without building a Fraction (False is not an int
-    here, so it still reaches rat_from and raises)."""
+    """The sparse row of an untrusted dense literal.  Ints are stored as
+    they are and the zero literal "0" is skipped, neither building a
+    Fraction (False is not an int here, so it still reaches rat_from and
+    raises)."""
     out = []
     for c, x in enumerate(entries):
         t = type(x)
-        if (t is str and x == "0") or (t is int and x == 0):
+        if t is int:
+            if x:
+                out += (c, x)
+            continue
+        if t is str and x == "0":
             continue
         v = rat_from(x)
         if v:
-            out += (c, v)
+            out += (c, _canon(v))
     return tuple(out)
 
 
@@ -169,7 +192,7 @@ def _merge(ra: tuple, rb: tuple, sign: int) -> tuple:
     if not rb:
         return ra
     if not ra:
-        return rb if sign > 0 else _map_values(rb, Fraction.__neg__)
+        return rb if sign > 0 else _map_values(rb, neg)
     d = dict(_pairs(ra))
     for c, v in _pairs(rb):
         if sign < 0:
@@ -230,7 +253,7 @@ class RatMatrix:
 
     @staticmethod
     def identity(n: int) -> "RatMatrix":
-        return RatMatrix(n, n, [(i, F1) for i in range(n)], _trusted=True)
+        return RatMatrix(n, n, [(i, 1) for i in range(n)], _trusted=True)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence], cols: int | None = None) -> "RatMatrix":
@@ -250,24 +273,34 @@ class RatMatrix:
 
     def __getitem__(self, key) -> Fraction:
         i, j = key
-        row = self._rows[i]
+        return _public(self._entry(self._rows[i], j))
+
+    def _entry(self, row: tuple, j: int):
+        """The stored value at column j of a sparse row, or 0."""
         j = range(self.cols)[j]  # tuple-style bounds check and negative index
         for c, v in _pairs(row):
             if c >= j:
-                return v if c == j else F0
-        return F0
+                return v if c == j else 0
+        return 0
+
+    def _dense(self, i: int) -> list:
+        """Row i with stored values, 0 where nothing is stored."""
+        out = [0] * self.cols
+        for c, v in _pairs(self._rows[i]):
+            out[c] = v
+        return out
 
     def row(self, i: int) -> tuple:
         out = [F0] * self.cols
         for c, v in _pairs(self._rows[i]):
-            out[c] = v
+            out[c] = _public(v)
         return tuple(out)
 
     def col(self, j: int) -> tuple:
         return tuple(self[i, j] for i in range(self.rows))
 
     def col_matrix(self, j: int) -> "RatMatrix":
-        col = self.col(j)
+        col = [self._entry(r, j) for r in self._rows]
         return RatMatrix(self.rows, 1, [(0, x) if x else () for x in col], _trusted=True)
 
     def columns(self) -> list:
@@ -301,18 +334,19 @@ class RatMatrix:
     def __neg__(self) -> "RatMatrix":
         return RatMatrix(
             self.rows, self.cols,
-            [_map_values(r, Fraction.__neg__) for r in self._rows],
+            [_map_values(r, neg) for r in self._rows],
             _trusted=True,
         )
 
     def scale(self, c) -> "RatMatrix":
-        c = rat_from(c)
+        c = _canon(rat_from(c))
         if c == 1:
             return self
         if not c:  # stored values must stay nonzero
             return RatMatrix(self.rows, self.cols)
         return RatMatrix(
-            self.rows, self.cols, [_map_values(r, c.__mul__) for r in self._rows],
+            self.rows, self.cols,
+            [_map_values(r, lambda v: _canon(v * c)) for r in self._rows],
             _trusted=True,
         )
 
@@ -341,6 +375,35 @@ class RatMatrix:
     def submatrix(self, row_idx: Iterable[int], col_idx: Iterable[int]) -> "RatMatrix":
         ri = list(row_idx)
         ci = list(col_idx)
+        if (set(map(type, ci)) <= {int} and ci == sorted(set(ci))
+                and (not ci or (ci[0] >= 0 and ci[-1] < self.cols))):
+            return self._ascending(ri, ci)
+        return self._any_columns(ri, ci)
+
+    def _ascending(self, ri: list, ci: list) -> "RatMatrix":
+        """submatrix for in-range column indices that ascend without
+        repeats: each row's picks keep their order, so nothing is sorted, and
+        a contiguous run of columns is one slice of each row."""
+        rows = self._rows
+        if not ci or ci[-1] - ci[0] == len(ci) - 1:
+            lo, hi = (ci[0], ci[-1] + 1) if ci else (0, 0)
+            if lo == 0 and hi == self.cols:
+                data = [rows[i] for i in ri]
+            else:
+                data = []
+                for i in ri:
+                    row = rows[i]
+                    held = row[0::2]
+                    data.append(_shift(row[2 * bisect_left(held, lo):
+                                           2 * bisect_left(held, hi)], -lo))
+        else:
+            new = {c: k for k, c in enumerate(ci)}
+            data = [tuple(x for c, v in _pairs(rows[i]) if c in new for x in (new[c], v))
+                    for i in ri]
+        return RatMatrix(len(ri), len(ci), data, _trusted=True)
+
+    def _any_columns(self, ri: list, ci: list) -> "RatMatrix":
+        """submatrix for any column indices: repeats, any order, negative."""
         where = {}  # original column -> its positions in ci (repeats allowed)
         for new, c in enumerate(ci):
             where.setdefault(range(self.cols)[c], []).append(new)
@@ -436,7 +499,9 @@ class RatMatrix:
                 row = []
                 for base, x in apairs:
                     for l, y in bp:
-                        row += (base + l, x * y)
+                        v = x * y
+                        row += (base + l, v if type(v) is int or v.denominator != 1
+                                else v.numerator)
                 out.append(tuple(row))
         return RatMatrix(a.rows * b.rows, a.cols * bcols, out, _trusted=True)
 
@@ -458,16 +523,11 @@ class RatMatrix:
         )
 
     def __hash__(self) -> int:
-        # Fractions are normalized, so equal matrices have equal nonzero
-        # (position, numerator, denominator) lists; hashing those avoids
-        # Fraction.__hash__ and its modular inverse on every entry
+        # the rows are canonical, so equal matrices have equal rows; only
+        # the few non-integral entries pay for Fraction.__hash__
         h = self._hash
         if h is None:
-            h = hash((self.rows, self.cols, tuple(
-                (i, j, x.numerator, x.denominator)
-                for i, r in enumerate(self._rows)
-                for j, x in _pairs(r)
-            )))
+            h = hash((self.rows, self.cols, self._rows))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -475,17 +535,18 @@ class RatMatrix:
         if self.rows * self.cols == 0:
             return f"RatMatrix({self.rows}x{self.cols})"
         body = "; ".join(
-            " ".join(rat_str(x) for x in self.row(i)) for i in range(self.rows)
+            " ".join(map(str, self._dense(i))) for i in range(self.rows)
         )
         return f"RatMatrix({self.rows}x{self.cols}: {body})"
 
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> dict:
+        # str of a stored int is rat_str of the same Fraction
         return {
             "rows": self.rows,
             "cols": self.cols,
-            "entries": [[rat_str(x) for x in self.row(i)] for i in range(self.rows)],
+            "entries": [list(map(str, self._dense(i))) for i in range(self.rows)],
         }
 
     @staticmethod
@@ -508,7 +569,8 @@ class RatMatrix:
 def products_vanish(*pairs) -> bool:
     """True when the sum of f @ g over the pairs (f, g) of conforming shapes
     is zero; a pair with an absent (None) factor is skipped.  Each row of the
-    sum is accumulated in one dict, so no matrix is built."""
+    sum is accumulated in one dict, so no matrix is built, in int arithmetic
+    where both factors' entries are integral."""
     pairs = [(f._rows, g._rows) for f, g in pairs if f is not None and g is not None]
     for i in range(len(pairs[0][0]) if pairs else 0):
         acc = {}
@@ -527,18 +589,21 @@ def products_vanish(*pairs) -> bool:
 def _integer_rows(*mats: RatMatrix) -> list:
     """The rows of [m0 | m1 | ...], each cleared of denominators (row
     scaling preserves rank, kernel, solutions and pivot-column structure).
-    One {column: int} dict per row."""
+    One {column: int} dict per row; a row of ints is copied as it is."""
     offs = list(accumulate((m.cols for m in mats[:-1]), initial=0))
     out = []
     for parts in zip(*(m._rows for m in mats)):
         lcm = 1
         for r in parts:
             for x in r[1::2]:
-                d = x.denominator
-                if d != 1:
+                if type(x) is not int:
+                    d = x.denominator
                     lcm = lcm * d // gcd(lcm, d)
-        out.append({c + off: x.numerator * (lcm // x.denominator)
-                    for off, r in zip(offs, parts) for c, x in _pairs(r)})
+        if lcm == 1:
+            out.append({c + off: x for off, r in zip(offs, parts) for c, x in _pairs(r)})
+        else:
+            out.append({c + off: x.numerator * (lcm // x.denominator)
+                        for off, r in zip(offs, parts) for c, x in _pairs(r)})
     return out
 
 
@@ -719,7 +784,7 @@ def kernel_basis(m: RatMatrix) -> RatMatrix:
         for t, v in vals.items():
             g[t] = gcd(g.get(t, 0), v)
     sign = 1 if d > 0 else -1
-    return _from_values(x, n, len(free), lambda t, v: Fraction(sign * v // g[t]))
+    return _from_values(x, n, len(free), lambda t, v: sign * v // g[t])
 
 
 @lru_cache(maxsize=None)
@@ -753,7 +818,7 @@ def solve_matrix(a: RatMatrix, b: RatMatrix) -> RatMatrix | None:
     if any(rows[r:]):
         return None
     d, x = _back_substitute(rows, pivots, {n + j: {j: -1} for j in range(k)})
-    return _from_values(x, n, k, lambda _t, v: Fraction(v, d))
+    return _from_values(x, n, k, lambda _t, v: v // d if v % d == 0 else Fraction(v, d))
 
 
 def in_span(basis: RatMatrix, vectors: RatMatrix) -> bool:

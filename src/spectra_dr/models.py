@@ -227,18 +227,24 @@ class ModelDoubleComplex:
     used to rebuild the model at a different twist rank.
     """
 
-    __slots__ = ("n", "twist_rank", "complex", "labels", "base", "_lookup")
+    __slots__ = ("n", "twist_rank", "complex", "labels", "_base", "_lookup")
 
     def __init__(self, n, twist_rank, cx, labels, base=None):
         self.n = n
         self.twist_rank = twist_rank
         self.complex = cx
         self.labels = labels
-        self.base = base if base is not None else self
+        # None stands for self, so a rank-1 model holds no reference cycle
+        # and is freed by reference counting alone
+        self._base = base
         self._lookup = {}
         for (p, q), labs in labels.items():
             if len(labs) != cx.dim(p, q):
                 raise ValidationError(f"label count mismatch at ({p},{q})")
+
+    @property
+    def base(self) -> "ModelDoubleComplex":
+        return self if self._base is None else self._base
 
     def dim(self, p: int, q: int) -> int:
         return self.complex.dim(p, q)
