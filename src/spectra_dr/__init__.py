@@ -64,7 +64,6 @@ from .bicomplex import (
 )
 from .tensorops import (
     QuadComplex,
-    collapse_summands,
     kunneth_check,
     parity_iso,
     quad_tensor,

@@ -128,12 +128,6 @@ def column_complex(k: DoubleComplex, q: int) -> CochainComplex:
 # -- totalization ---------------------------------------------------------
 
 
-def total_blocks(k: DoubleComplex, deg: int) -> list:
-    """Nonzero bidegrees (p, deg-p) in total degree deg, p ascending (the
-    summand order of GradedComplex._layout)."""
-    return [key for key, _off, _n in k._layout().get(deg, ())]
-
-
 def block_offsets(k: DoubleComplex, deg: int) -> list:
     """(p, q, offset, size) for each block of the total space in degree deg."""
     return [(*key, off, n) for key, off, n in k._layout().get(deg, ())]

@@ -45,6 +45,13 @@ eager scaling.  Kernels and solutions then come from one
 back-substitution, bottom-up over the pivot rows, carrying every free or
 right-hand column at once in integers scaled by the last pivot.
 
+Filtered reduction.  column_lows, behind spectral.barcode, is the
+persistence reduction: it chooses no pivot, takes the columns in a fixed
+order, from the highest index down, and adds to a column only reduced
+columns of higher index, so the reduced matrix is M V with V unit upper
+triangular in that order.  It reads the blocks of M in place, unglued, and
+keeps integer columns.
+
 A Subquotient packages (cycles mod boundaries) inside a fixed ambient space;
 every cohomology group, spectral-sequence term and Bott-Chern group in the
 package is one of these.  Its representatives are the leftmost pivot
@@ -581,6 +588,71 @@ def products_vanish(*pairs) -> bool:
         if any(acc.values()):
             return False
     return True
+
+
+def column_lows(blocks, cleared=()) -> dict:
+    """The persistence reduction of the matrix that from_blocks would glue
+    from blocks, (row offset, column offset, RatMatrix) triples that do not
+    overlap; the matrix itself is never built.
+
+    A column's low is its least row index.  The columns are reduced from the
+    highest index down, each by adding multiples of reduced columns of
+    higher index, until no two nonzero columns share a low.  Returns
+    {column: low} for the columns that stay nonzero.  A column in cleared
+    is taken as zero unread: the caller knows it reduces to zero (it is the
+    low of a reduced column of the previous differential).  Exact: each
+    column is cleared of denominators, a step scales it by the integer that
+    cancels its low and then divides it by the gcd of its entries, so the
+    values stay small integers.
+    """
+    cols = {}
+    for r0, c0, m in blocks:
+        for i, row in enumerate(m._rows, r0):
+            for c, v in _pairs(row):
+                c += c0
+                if c in cols:
+                    cols[c][i] = v
+                elif c not in cleared:
+                    cols[c] = {i: v}
+    reduced = {}  # low -> the reduced column that holds it
+    out = {}
+    for j in sorted(cols, reverse=True):
+        col = cols[j]
+        lcm = 1
+        for v in col.values():
+            if type(v) is not int:
+                lcm = lcm * v.denominator // gcd(lcm, v.denominator)
+        if lcm != 1:
+            col = {i: int(v * lcm) for i, v in col.items()}
+        low = min(col)
+        while low in reduced:
+            other = reduced[low]
+            a, b = col[low], other[low]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if b < 0:
+                a, b = -a, -b
+            if b != 1:
+                col = {i: v * b for i, v in col.items()}
+            for i, v in other.items():
+                x = col.get(i, 0) - a * v
+                if x:
+                    col[i] = x
+                else:
+                    del col[i]
+            if not col:
+                break
+            if b != 1:
+                g = 0
+                for v in col.values():
+                    g = gcd(g, v)
+                if g != 1:
+                    col = {i: v // g for i, v in col.items()}
+            low = min(col)
+        else:
+            reduced[low] = col
+            out[j] = low
+    return out
 
 
 # -- fraction-free elimination -------------------------------------------

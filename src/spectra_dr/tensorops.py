@@ -185,12 +185,6 @@ def quad_slice(a: QuadComplex, p: int, q: int) -> DoubleComplex:
                    lambda key: (key[2], key[3]), (2, 3))
 
 
-def collapse_summands(a: QuadComplex, k: int, l: int) -> list:
-    """Nonzero cells (p, q, r, s) with p+q = k, r+s = l in (p, r) lex order,
-    with their offsets: (p, q, r, s, offset, size)."""
-    return [(*key, off, n) for key, off, n in a._layout().get((k, l), ())]
-
-
 def ss_collapse(a: QuadComplex) -> DoubleComplex:
     """Collapse to bidegree (p+q, r+s) with D1 = d1 + d2, D2 = d3 + d4."""
     return a._collapse(DoubleComplex, ((0, 1), (2, 3)), "piece")

@@ -6,9 +6,13 @@ An empty window (s > t) is the zero complex; windows are clamped to the
 support automatically because absent bidegrees simply contribute nothing.
 
 The degreewise dimension of the cohomology of the truncated total complex is
-what the geometric layer calls hypercohomology of the window.  It is computed
-by pure rank arithmetic over cached truncated totals — no basis extraction —
-because the predictor formulas evaluate it thousands of times.
+what the geometric layer calls hypercohomology of the window.  It is the
+number of unpaired elements in the barcode of the window's own truncation
+(spectral.barcode): one filtered reduction serves every degree, and it is
+memoised per (complex, s, t) because the predictor formulas evaluate it
+thousands of times.  clear_truncation_cache empties that memo.  The
+assembled truncated total (truncated_total) stays for what needs real
+matrices, and as the rank oracle in the suites and tests.
 
 Nested windows are compared by identity-on-overlap maps.  Two shapes are
 chain maps and are used everywhere:
@@ -48,7 +52,7 @@ from .cochain import (
 from .errors import PreconditionViolation, WitnessFailure
 from .linalg import RatMatrix, rank
 from .report import Report
-from .spectral import filtration_dims
+from .spectral import Barcode, barcode, filtration_dims
 
 
 def truncate(s_cx: DoubleComplex, window: tuple) -> DoubleComplex:
@@ -80,20 +84,22 @@ def truncated_total(s_cx: DoubleComplex, s: int, t: int) -> CochainComplex:
     return total(truncate(s_cx, (s, t)))
 
 
+@lru_cache(maxsize=None)
+def _window_barcode(s_cx: DoubleComplex, s: int, t: int) -> Barcode:
+    """The barcode of the window's own truncation, memoised per window."""
+    return barcode(truncate(s_cx, (s, t)))
+
+
 def hypercohomology(s_cx: DoubleComplex, window: tuple, k: int) -> int:
     """dim H^k of the total complex of the window."""
-    return cohomology_dim(truncated_total(s_cx, window[0], window[1]), k)
+    return _window_barcode(s_cx, window[0], window[1]).betti.get(k, 0)
 
 
 def hyper_dims(s_cx: DoubleComplex, window: tuple) -> dict:
-    """All nonzero hypercohomology dimensions of the window."""
-    t = truncated_total(s_cx, window[0], window[1])
-    out = {}
-    for k in t.degrees():
-        n = cohomology_dim(t, k)
-        if n:
-            out[k] = n
-    return out
+    """All nonzero hypercohomology dimensions of the window, degrees
+    ascending."""
+    betti = _window_barcode(s_cx, window[0], window[1]).betti
+    return {k: n for k, n in betti.items() if n}
 
 
 # -- four-term sequence ---------------------------------------------------
@@ -225,9 +231,9 @@ def _frolicher_terms(s_cx: DoubleComplex, window: tuple):
     """Yield (k, window hypercohomology in degree k, sum of the column
     cohomologies on the antidiagonal slice k), degree by degree."""
     s, t = window
-    tt = truncated_total(s_cx, s, t)
-    for k in range(tt.lo, tt.hi + 1):
-        lhs = cohomology_dim(tt, k)
+    betti = _window_barcode(s_cx, s, t).betti
+    for k in range(min(betti, default=0), max(betti, default=-1) + 1):
+        lhs = betti.get(k, 0)
         rhs = sum(
             column_cohomology_dim(s_cx, p, k - p)
             for p in range(max(s, s_cx.p_lo), min(t, s_cx.p_hi) + 1)
@@ -273,3 +279,4 @@ def hodge_filtration_dims(s_cx: DoubleComplex, k: int, n: int | None = None) -> 
 
 def clear_truncation_cache():
     truncated_total.cache_clear()
+    _window_barcode.cache_clear()

@@ -1,0 +1,243 @@
+"""The filtered reduction of the total differential (spectral.barcode)
+against the rank and subquotient machinery it replaces as a read path.
+
+Window hypercohomology is checked against Bareiss ranks of the assembled
+truncated total, filtration_dims against its former body (cohomology
+classes of the Z_r cycles reduced through a subquotient), and the page read
+of the pairing against the subquotient pages, on seeded complexes and on
+the model ladder."""
+
+import json
+import random
+import re
+from fractions import Fraction
+
+import pytest
+
+from spectra_dr import bicomplex, cli, cochain, linalg, spectral, truncation
+from spectra_dr.bicomplex import DoubleComplex, total
+from spectra_dr.cochain import cohomology, cohomology_dim
+from spectra_dr.errors import ValidationError
+from spectra_dr.linalg import rank
+from spectra_dr.models import iwasawa_spec, lie_model, product_model, torus_model
+from spectra_dr.randgen import random_double_complex
+from spectra_dr.spectral import _z_basis, barcode, filtration_dims, page, stabilization_bound
+from spectra_dr.truncation import hyper_dims, hypercohomology, truncated_total
+
+T2IW_CAP_MESSAGE = "total degree 4 has dim 150 > SPECTRA_DR_MAX_DIM=120"
+
+
+def rank_hyper_dims(k, s, t):
+    """Window hypercohomology by Bareiss ranks of the truncated total."""
+    tt = truncated_total(k, s, t)
+    dims = {j: cohomology_dim(tt, j) for j in tt.degrees()}
+    return {j: n for j, n in dims.items() if n}
+
+
+def old_filtration_dims(k, deg):
+    """The former body of filtration_dims: the cycles of T^deg inside F^p,
+    reduced to cohomology classes, and the rank of their span."""
+    t = total(k)
+    h = cohomology(t, deg)
+    return [rank(h.reduce(_z_basis(k, t, p, deg - p, k.p_hi + 1 - p)))
+            for p in range(k.p_lo, k.p_hi + 2)]
+
+
+def page_reads(bars, r):
+    """(dims, d_r ranks) of page r read off a barcode: an unpaired element
+    lives on every page; a pair of length L lives at both ends on pages
+    1 .. L and is one rank of d_L at its source."""
+    dims, ranks = {}, {}
+    for key, n in bars.unpaired.items():
+        dims[key] = dims.get(key, 0) + n
+    for (src, tgt), n in bars.pairs.items():
+        length = tgt[0] - src[0]
+        if length >= r:
+            dims[src] = dims.get(src, 0) + n
+            dims[tgt] = dims.get(tgt, 0) + n
+        if length == r:
+            ranks[src] = ranks.get(src, 0) + n
+    return dims, ranks
+
+
+def seeded_complexes(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield random_double_complex(rng, p_span=rng.randint(1, 5), q_span=rng.randint(1, 5))
+
+
+def every_window(k):
+    ends = range(k.p_lo - 1, k.p_hi + 2)
+    return [(s, t) for s in ends for t in ends]
+
+
+def ladder():
+    t1, t2, iw = torus_model(1), torus_model(2), lie_model(iwasawa_spec())
+    return {
+        "T1": t1, "T2": t2, "IW": iw,
+        "T1xIW": product_model(t1, iw),
+        "T2xIW": product_model(t2, iw),
+        "IWxIW": product_model(iw, iw),
+    }
+
+
+# -- window hypercohomology -------------------------------------------------
+
+
+def test_window_dims_match_the_ranks_on_seeded_complexes():
+    windows = empty = 0
+    for k in seeded_complexes(2101, 1000):
+        for s, t in every_window(k):
+            want = rank_hyper_dims(k, s, t)
+            assert hyper_dims(k, (s, t)) == want
+            for j in range(k.p_lo + k.q_lo - 1, k.p_hi + k.q_hi + 2):
+                assert hypercohomology(k, (s, t), j) == want.get(j, 0)
+            windows += 1
+            empty += s > t
+    truncation.clear_truncation_cache()
+    assert windows > 10_000 and empty > 3_000
+
+
+def test_window_dims_match_the_ranks_with_fractional_entries():
+    # d1 / 2 and d2 * 2/3 is again a double complex, with non-integral entries
+    half, two_thirds = Fraction(1, 2), Fraction(2, 3)
+    for k in seeded_complexes(2105, 150):
+        k = DoubleComplex(k.dims(), {key: m.scale(half) for key, m in k._d1.items()},
+                          {key: m.scale(two_thirds) for key, m in k._d2.items()})
+        for s, t in every_window(k):
+            assert hyper_dims(k, (s, t)) == rank_hyper_dims(k, s, t)
+    truncation.clear_truncation_cache()
+
+
+@pytest.mark.parametrize("name", ["T1", "T2", "IW", "T1xIW", "T2xIW", "IWxIW"])
+def test_window_dims_match_the_ranks_on_the_ladder(name):
+    k = ladder()[name].complex
+    for s, t in every_window(k):
+        assert hyper_dims(k, (s, t)) == rank_hyper_dims(k, s, t)
+    truncation.clear_truncation_cache()
+
+
+# -- filtration dims ----------------------------------------------------------
+
+
+def test_filtration_dims_match_the_former_body():
+    checked = nontrivial = 0
+    for k in seeded_complexes(2102, 300):
+        for deg in range(k.p_lo + k.q_lo - 1, k.p_hi + k.q_hi + 2):
+            got = filtration_dims(k, deg)
+            assert got == old_filtration_dims(k, deg)
+            checked += 1
+            nontrivial += any(0 < n < got[0] for n in got)
+    assert checked > 1_500 and nontrivial >= 20
+
+
+@pytest.mark.parametrize("name", ["IW", "T1xIW"])
+def test_filtration_dims_match_the_former_body_on_the_ladder(name):
+    k = ladder()[name].complex
+    for deg in range(0, 2 * (k.p_hi + 1) + 1):
+        assert filtration_dims(k, deg) == old_filtration_dims(k, deg)
+
+
+# -- the pairing ----------------------------------------------------------------
+
+
+def _pairing_invariants(k):
+    bars = barcode(k)
+    t = total(k)
+    for (src, tgt), n in bars.pairs.items():
+        assert n > 0
+        assert sum(tgt) == sum(src) + 1
+        assert tgt[0] >= src[0]
+    for deg in range(t.lo - 1, t.hi + 2):
+        paired = sum(n for (src, _tgt), n in bars.pairs.items() if sum(src) == deg)
+        unpaired = sum(n for key, n in bars.unpaired.items() if sum(key) == deg)
+        assert paired == rank(t.diff(deg))
+        assert unpaired == cohomology_dim(t, deg) == bars.betti.get(deg, 0)
+    assert sorted(bars.betti) == sorted(t.dims())
+
+
+def test_pairing_invariants_on_seeded_complexes():
+    for k in seeded_complexes(2103, 300):
+        _pairing_invariants(k)
+
+
+@pytest.mark.parametrize("name", ["IW", "T1xIW", "T2xIW", "IWxIW"])
+def test_pairing_invariants_on_the_ladder(name):
+    _pairing_invariants(ladder()[name].complex)
+
+
+def test_zero_complex_has_an_empty_barcode():
+    bars = barcode(DoubleComplex({}))
+    assert (bars.pairs, bars.unpaired, bars.betti) == ({}, {}, {})
+    assert filtration_dims(DoubleComplex({}), 0) == [0]
+
+
+# -- pages --------------------------------------------------------------------
+
+
+def _pages_match(k):
+    bars = barcode(k)
+    for r in range(1, stabilization_bound(k) + 2):
+        pg = page(k, r)
+        assert page_reads(bars, r) == (pg.dims(), pg.diff_ranks())
+
+
+def test_page_reads_match_the_subquotient_pages_on_seeded_complexes():
+    longest = 0
+    for k in seeded_complexes(2104, 200):
+        _pages_match(k)
+        lengths = [tgt[0] - src[0] for src, tgt in barcode(k).pairs]
+        longest = max([longest, *lengths])
+    spectral.clear_page_cache()
+    assert longest >= 3
+
+
+@pytest.mark.parametrize("name", ["IW", "T1xIW"])
+def test_page_reads_match_the_subquotient_pages_on_the_ladder(name):
+    _pages_match(ladder()[name].complex)
+    spectral.clear_page_cache()
+
+
+# -- the size cap -----------------------------------------------------------------
+
+
+def test_the_cap_reduces_the_window_not_the_model(monkeypatch, tmp_path, capsys):
+    # the memo is keyed by value: drop windows an earlier test computed
+    # under the default cap
+    truncation.clear_truncation_cache()
+    monkeypatch.setenv("SPECTRA_DR_MAX_DIM", "120")
+    k = product_model(torus_model(2), lie_model(iwasawa_spec())).complex
+    assert hyper_dims(k, (0, 0)) == {0: 1, 1: 4, 2: 7, 3: 7, 4: 4, 5: 1}
+    with pytest.raises(ValidationError, match=re.escape(T2IW_CAP_MESSAGE)):
+        hyper_dims(k, (1, 2))
+    with pytest.raises(ValidationError,
+                       match=re.escape("total degree 4 has dim 210 > SPECTRA_DR_MAX_DIM=120")):
+        filtration_dims(k, 3)
+    path = tmp_path / "t2xiw.json"
+    path.write_text(json.dumps(k.to_json()))
+    assert cli.main(["truncate", str(path), "--window", "0,0", "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out)["hyper"] == {"0": 1, "1": 4, "2": 7, "3": 7, "4": 4, "5": 1}
+    assert cli.main(["truncate", str(path), "--window", "1,2"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {T2IW_CAP_MESSAGE}\n")
+    truncation.clear_truncation_cache()
+
+
+# -- the memo -----------------------------------------------------------------------
+
+
+def test_the_clear_functions_empty_the_window_memo():
+    k = ladder()["IW"].complex
+    hyper_dims(k, (0, 1))
+    assert truncation._window_barcode.cache_info().currsize > 0
+    linalg.clear_caches()
+    cochain.clear_cohomology_cache()
+    bicomplex.clear_total_cache()
+    spectral.clear_page_cache()
+    truncation.clear_truncation_cache()
+    assert truncation._window_barcode.cache_info().currsize == 0
+    # no memo rides on the complex itself, so no job can see another's
+    assert DoubleComplex.__slots__ == ("p_lo", "p_hi", "q_lo", "q_hi")
+    assert cochain.GradedComplex.__slots__ == ("_dims", "_diffs", "_hash", "_cells")

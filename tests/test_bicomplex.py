@@ -16,7 +16,6 @@ from spectra_dr.bicomplex import (
     row_complex,
     shift2,
     total,
-    total_blocks,
     total_map,
     transpose2,
     verify_total_dual_iso,
@@ -266,7 +265,7 @@ def test_total_of_unit_square_is_exact():
     t = total(unit_square())
     assert t.dims() == {0: 1, 1: 2, 2: 1}
     # block order at degree 1: (0,1) before (1,0)
-    assert total_blocks(unit_square(), 1) == [(0, 1), (1, 0)]
+    assert [(p, q) for p, q, _off, _n in block_offsets(unit_square(), 1)] == [(0, 1), (1, 0)]
     assert t.diff(0) == M([[1], [1]])
     assert t.diff(1) == M([[1, -1]])
     assert betti_numbers(t) == {0: 0, 1: 0, 2: 0}

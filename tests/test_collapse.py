@@ -1,7 +1,8 @@
 """Every total, induced map of totals and quad collapse against the
 hand-written bodies it replaced: total, total_map and ss_collapse are single
-calls into GradedComplex._collapse / GradedMap._collapse, block_offsets,
-total_blocks and collapse_summands read GradedComplex._layout, and the
+calls into GradedComplex._collapse / GradedMap._collapse, block_offsets
+reads GradedComplex._layout, as do total_blocks and collapse_summands (kept
+here: the engine no longer calls them), and the
 spectral and truncation filtration cuts read one offset.  Each must give
 results equal, of the same type and in the same key order, to the ones the
 per-operation loops built."""
@@ -17,7 +18,6 @@ from spectra_dr.bicomplex import (
     filtration_cut,
     identity_bicomplex_map,
     total,
-    total_blocks,
     total_map,
 )
 from spectra_dr.cochain import ChainMap, CochainComplex, cohomology
@@ -25,8 +25,22 @@ from spectra_dr.errors import WitnessFailure
 from spectra_dr.linalg import RatMatrix
 from spectra_dr.models import iwasawa_spec, lie_model, product_model, torus_model
 from spectra_dr.randgen import random_complex, random_double_complex
-from spectra_dr.tensorops import collapse_summands, parity_iso, quad_tensor, ss_collapse
+from spectra_dr.tensorops import parity_iso, quad_tensor, ss_collapse
 from spectra_dr.truncation import connecting_matrix, truncate, window_map
+
+# -- two reads of GradedComplex._layout, checked against the old bodies ----
+
+
+def total_blocks(k, deg):
+    """Nonzero bidegrees (p, deg-p) in total degree deg, p ascending."""
+    return [key for key, _off, _n in k._layout().get(deg, ())]
+
+
+def collapse_summands(a, k, l):
+    """Nonzero cells (p, q, r, s) with p+q = k, r+s = l in (p, r) lex order,
+    with their offsets: (p, q, r, s, offset, size)."""
+    return [(*key, off, n) for key, off, n in a._layout().get((k, l), ())]
+
 
 # -- the hand-written bodies, kept as oracles -------------------------------
 
