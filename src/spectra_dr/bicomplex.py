@@ -43,8 +43,8 @@ class DoubleComplex(GradedComplex):
     _group = staticmethod(sum)
     _order = staticmethod(lambda k: k[0])
 
-    def __init__(self, dims: Mapping, d1: Mapping | None = None, d2: Mapping | None = None):
-        super().__init__(dims, (d1, d2))
+    def __init__(self, dims: Mapping, d1=None, d2=None, *, _trusted: bool = False):
+        super().__init__(dims, (d1, d2), _trusted=_trusted)
         ps = [p for p, _ in self._dims]
         qs = [q for _, q in self._dims]
         object.__setattr__(self, "p_lo", min(ps, default=0))
@@ -158,6 +158,7 @@ def total(k: DoubleComplex) -> CochainComplex:
 def shift2(k: DoubleComplex, m: int, n: int) -> DoubleComplex:
     """Bigraded shift: result dim(p, q) = k.dim(p+m, q+n); differentials are
     reused with no sign."""
+    m, n = k._grade((m, n))
     return k._part(DoubleComplex, lambda key: True,
                    lambda key: (key[0] - m, key[1] - n), (0, 1))
 
@@ -177,8 +178,7 @@ def transpose2(k: DoubleComplex) -> DoubleComplex:
 
 def direct_sum2(parts: Sequence[DoubleComplex]) -> DoubleComplex:
     """Bidegreewise direct sum, summands in input order."""
-    dims, (d1, d2) = DoubleComplex._summed(parts)
-    return DoubleComplex(dims, d1, d2)
+    return DoubleComplex._summed(parts)
 
 
 # -- maps of double complexes --------------------------------------------

@@ -7,9 +7,10 @@ and nonzero blocks; an absent block reads as a zero matrix, so arithmetic
 never special-cases the boundary.  Construction normalises the keys, checks
 every block's shape, refuses a piece larger than SPECTRA_DR_MAX_DIM by name,
 and checks that each differential squares to zero and each pair
-anticommutes, multiplying only stored blocks.  GradedMap is the one map
-behind ChainMap and BicomplexMap; its squares are checked only where a
-stored block can make them nonzero.
+anticommutes, multiplying only stored blocks; what is placed from a valid
+complex's own blocks gets the cap check alone (the rule is in GradedComplex).
+GradedMap is the one map behind ChainMap and BicomplexMap; its squares are
+checked only where a stored block can make them nonzero.
 
 Every restriction and regrading (truncations, slices, shifts, transposition)
 is one call to GradedComplex._part, both duals are one call to
@@ -55,6 +56,13 @@ class GradedComplex:
     total degree.  A subclass that collapses states it with `_group` (key ->
     the collapsed key it is summed into) and `_order` (the sort key of the
     summands inside one collapsed key).
+
+    A complex made only by placing a valid complex's own blocks is valid, so
+    `_part`, `_collapse` and `_summed` admit theirs with `_trusted=True`, the
+    size cap checked alone: a part keeps a box, so its squares and
+    anticommutators pass only through its own pieces and equal the parent's;
+    summed differentials square to zero and anticommute, and a collapsed
+    map commutes with each summand.
     """
 
     __slots__ = ("_dims", "_diffs", "_hash", "_cells")
@@ -63,40 +71,44 @@ class GradedComplex:
     _neg = staticmethod(lambda key: tuple(-x for x in key))
     _total = staticmethod(sum)
 
-    def __init__(self, dims: Mapping, diffs: Sequence):
-        grade = self._grade
-        clean = {}
-        for key, n in dims.items():
-            key = grade(key)
-            if not isinstance(n, int) or n < 0:
-                raise ValidationError(f"bad dimension at {self._AT.format(key)}: {n!r}")
-            if n:
-                clean[key] = n
-        check_piece_dims(clean, noun=self._PIECE)
-        stored = []
-        for i, (step, given) in enumerate(zip(self._STEPS, diffs)):
-            kept = {}
-            for key, m in (given or {}).items():
+    def __init__(self, dims: Mapping, diffs: Sequence, *, _trusted: bool = False):
+        if _trusted:  # internal: placed from a valid complex's own blocks
+            check_piece_dims(dims, noun=self._PIECE)
+            clean, stored = dims, diffs
+        else:
+            grade = self._grade
+            clean = {}
+            for key, n in dims.items():
                 key = grade(key)
-                if not isinstance(m, RatMatrix):
-                    raise ValidationError(f"{self._name(i, key)} is not a RatMatrix")
-                want = (clean.get(step(key), 0), clean.get(key, 0))
-                if m.shape != want:
-                    raise ValidationError(
-                        f"{self._name(i, key)} has shape {m.shape}, expected {want}"
-                    )
-                if not m.is_zero():
-                    kept[key] = m
-            stored.append(kept)
+                if not isinstance(n, int) or n < 0:
+                    raise ValidationError(f"bad dimension at {self._AT.format(key)}: {n!r}")
+                if n:
+                    clean[key] = n
+            check_piece_dims(clean, noun=self._PIECE)
+            stored = []
+            for i, (step, given) in enumerate(zip(self._STEPS, diffs)):
+                kept = {}
+                for key, m in (given or {}).items():
+                    key = grade(key)
+                    if not isinstance(m, RatMatrix):
+                        raise ValidationError(f"{self._name(i, key)} is not a RatMatrix")
+                    want = (clean.get(step(key), 0), clean.get(key, 0))
+                    if m.shape != want:
+                        raise ValidationError(
+                            f"{self._name(i, key)} has shape {m.shape}, expected {want}"
+                        )
+                    if not m.is_zero():
+                        kept[key] = m
+                stored.append(kept)
         object.__setattr__(self, "_dims", clean)
         object.__setattr__(self, "_diffs", tuple(stored))
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_cells", None)
-        self._validate()
+        if not _trusted:
+            self._validate()
 
     def _grade(self, key) -> tuple:
-        """key as a tuple of one integer per grading; ValidationError
-        otherwise."""
+        """key as a tuple of one integer per grading, or ValidationError."""
         try:
             graded = tuple(map(index, key))
         except TypeError:
@@ -147,14 +159,12 @@ class GradedComplex:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def _summed(cls, parts: Sequence) -> tuple:
-        """(dims, differentials) of the direct sum of parts, summands in
-        input order inside each piece.  Only stored blocks are placed."""
+    def _summed(cls, parts: Sequence) -> "GradedComplex":
+        """The direct sum of parts, admitted trusted, summands in input order
+        inside each piece.  Only stored blocks are placed."""
         parts = list(parts)
-        keys = set()
-        for part in parts:
-            keys.update(part._dims)
-        dims = {key: sum(part._dims.get(key, 0) for part in parts) for key in keys}
+        dims = {key: sum(part._dims.get(key, 0) for part in parts)
+                for key in set().union(*(part._dims for part in parts))}
         diffs = []
         for i, step in enumerate(cls._STEPS):
             d = {}
@@ -170,17 +180,19 @@ class GradedComplex:
                 if blocks:
                     d[key] = RatMatrix.from_blocks(r0, c0, blocks)
             diffs.append(d)
-        return dims, diffs
+        return cls(dims, *diffs, _trusted=True)
 
     def _part(self, cls, keep, key, order: Sequence[int]) -> "GradedComplex":
         """The complex of type cls on the pieces whose key satisfies keep,
         each regraded by key, whose differential i comes from differential
         order[i] of self.  A block is kept exactly when its source and its
-        target are both kept (a stored block joins two nonzero pieces)."""
+        target are both kept (a stored block joins two nonzero pieces).  The
+        part is admitted trusted: keep is a box (a column, a row, a column
+        window, a quad (p, q) slice, or everything) and key regrades ints."""
         new = {k: key(k) for k in self._dims if keep(k)}
         diffs = ({new[k]: m for k, m in self._diffs[i].items()
                   if k in new and self._STEPS[i](k) in new} for i in order)
-        return cls({new[k]: self._dims[k] for k in new}, *diffs)
+        return cls({new[k]: self._dims[k] for k in new}, *diffs, _trusted=True)
 
     def _dual(self) -> "GradedComplex":
         """The linear dual: piece k moves to -k, and the block m of
@@ -213,9 +225,9 @@ class GradedComplex:
     def _collapse(self, cls, sums: Sequence, noun: str) -> "GradedComplex":
         """The complex of type cls on the collapsed keys of `_layout`, whose
         differential j is the sum of the differentials sums[j] of self.  Each
-        stored block is placed at the offsets of its source and its target.
-        A collapsed piece larger than SPECTRA_DR_MAX_DIM is refused, named
-        by noun, before any block is placed."""
+        stored block is placed at the offsets of its source and its target,
+        and the result is admitted trusted; a collapsed piece over the cap is
+        refused, named by noun, before any block is placed."""
         lay = self._layout()
         dims = {g: sum(n for _key, _off, n in cells) for g, cells in lay.items()}
         check_piece_dims(dims, noun=noun)
@@ -233,7 +245,7 @@ class GradedComplex:
                     up = group(steps[summed[0]](cells[0][0]))
                     out[g] = RatMatrix.from_blocks(dims[up], dims[g], blocks)
             diffs.append(out)
-        return cls(dims, *diffs)
+        return cls(dims, *diffs, _trusted=True)
 
     def _block(self, i: int, key) -> RatMatrix:
         """Differential i at key: the stored block, or a zero matrix."""
@@ -285,8 +297,8 @@ class CochainComplex(GradedComplex):
     _neg = staticmethod(neg)
     _total = staticmethod(int)
 
-    def __init__(self, dims: Mapping[int, int], diffs: Mapping[int, RatMatrix] | None = None):
-        super().__init__(dims, (diffs,))
+    def __init__(self, dims: Mapping, diffs: Mapping | None = None, *, _trusted: bool = False):
+        super().__init__(dims, (diffs,), _trusted=_trusted)
         object.__setattr__(self, "lo", min(self._dims, default=0))
         object.__setattr__(self, "hi", max(self._dims, default=-1))
 
@@ -376,6 +388,7 @@ def euler_characteristic(k_complex: CochainComplex) -> int:
 def shift(k_complex: CochainComplex, m: int) -> CochainComplex:
     """Degree shift: shift(K, m)^k = K^{k+m}.  Differentials are reused
     without any sign."""
+    m = k_complex._grade(m)
     return k_complex._part(CochainComplex, lambda k: True, lambda k: k - m, (0,))
 
 
@@ -387,8 +400,7 @@ def dual(k_complex: CochainComplex) -> CochainComplex:
 def direct_sum(parts: Sequence[CochainComplex]) -> CochainComplex:
     """Degreewise direct sum; summands keep their input order inside each
     degree."""
-    dims, (diffs,) = CochainComplex._summed(parts)
-    return CochainComplex(dims, diffs)
+    return CochainComplex._summed(parts)
 
 
 # -- maps -----------------------------------------------------------------
@@ -406,9 +418,13 @@ class GradedMap:
 
     __slots__ = ("source", "target", "_mats")
 
-    def __init__(self, source: GradedComplex, target: GradedComplex, mats: Mapping):
+    def __init__(self, source: GradedComplex, target: GradedComplex, mats: Mapping,
+                 _trusted: bool = False):
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
+        if _trusted:  # internal: a collapse of a valid map's own blocks
+            object.__setattr__(self, "_mats", mats)
+            return
         grade, sd, td = source._grade, source._dims, target._dims
         kept = {}
         for key, m in mats.items():
@@ -448,7 +464,7 @@ class GradedMap:
     def _collapse(self, cls, source: GradedComplex, target: GradedComplex) -> "GradedMap":
         """The map of type cls from source to target, the collapses of
         self.source and self.target: each stored block is placed at its
-        key's offsets in the two summand layouts."""
+        key's offsets in the two summand layouts, and admitted trusted."""
         mats = self._mats
         at = {key: off for cells in self.target._layout().values()
               for key, off, _n in cells}
@@ -457,7 +473,7 @@ class GradedMap:
             blocks = [(at[key], off, mats[key]) for key, off, _n in cells if key in mats]
             if blocks:
                 out[g] = RatMatrix.from_blocks(target._dims[g], source._dims[g], blocks)
-        return cls(source, target, out)
+        return cls(source, target, out, True)  # _trusted
 
     @classmethod
     def _composite(cls, g: "GradedMap", f: "GradedMap") -> "GradedMap":

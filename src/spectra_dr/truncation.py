@@ -34,6 +34,7 @@ total differential, certify the result lands in the subcomplex, reduce.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import index
 
 from .bicomplex import (
     BicomplexMap,
@@ -49,7 +50,7 @@ from .cochain import (
     cohomology_dim,
     cohomology_map,
 )
-from .errors import PreconditionViolation, WitnessFailure
+from .errors import PreconditionViolation, ValidationError, WitnessFailure
 from .linalg import RatMatrix, rank
 from .report import Report
 from .spectral import Barcode, barcode, filtration_dims
@@ -57,7 +58,10 @@ from .spectral import Barcode, barcode, filtration_dims
 
 def truncate(s_cx: DoubleComplex, window: tuple) -> DoubleComplex:
     """Columns s..t of the double complex, with d1 only strictly inside."""
-    s, t = window
+    try:
+        s, t = map(index, window)
+    except TypeError:
+        raise ValidationError(f"window bounds must be integers, got {window!r}") from None
     return s_cx._part(DoubleComplex, lambda key: s <= key[0] <= t, lambda key: key, (0, 1))
 
 

@@ -380,7 +380,9 @@ def test_iwasawa_squared_spectral_sequence_stabilizes_at_page_2(iw):
     assert antidiagonals == betti_numbers(total(prod.complex)) == _convolve(betti_iw, betti_iw)
 
 
-def test_product_validation_builds_no_zero_matrix(monkeypatch, iw):
+def test_product_validates_only_the_quad_tensor_and_builds_no_zero_matrix(monkeypatch, iw):
+    # the collapse is placed from the quad tensor's own blocks and admitted
+    # without validation; re-admitting it validates it, still without zeros
     t1 = torus_model(1)
     validating = []
     validated = []
@@ -403,8 +405,10 @@ def test_product_validation_builds_no_zero_matrix(monkeypatch, iw):
                 validating.pop()
 
         monkeypatch.setattr(cls, "_validate", validate)
-    product_model(t1, iw)
-    assert {"DoubleComplex", "QuadComplex"} <= set(validated)
+    k = product_model(t1, iw).complex
+    assert set(validated) == {"QuadComplex"}
+    DoubleComplex(k.dims(), k._d1, k._d2)
+    assert set(validated) == {"DoubleComplex", "QuadComplex"}
     assert zeros == []
 
 
