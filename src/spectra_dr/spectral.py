@@ -18,7 +18,6 @@ d_r maps E_r^{p,q} to E_r^{p+r,q-r+1}, so it moves the filtration degree by
 r.  Once r exceeds the column span p_hi - p_lo, every d_r leaves the column
 support on one side or the other and is zero, so page p_hi - p_lo + 1 is
 already the limit (McCleary, A User's Guide to Spectral Sequences, 2.2).
-limit_page computes one page beyond that bound and insists nothing moved.
 
 The same numbers come from one persistence-style reduction of the total
 differential (Edelsbrunner, Letscher and Zomorodian, DCG 2002; Basu and
@@ -36,8 +35,12 @@ total degree up and p' >= p; every other element is unpaired.  The reads:
 - filtration_dims: the unpaired elements of degree deg in the columns >= p;
 - window hypercohomology (truncation.hyper_dims): the unpaired elements of
   degree k in the barcode of the window's own truncation.
-page, limit_page and stabilization_index are still built from the
-subquotients above; the tests check the page read against them.
+- stabilization_index: 1 + the longest pair (1 when no pair has positive
+  length); degenerates_at compares r with it, and limit_page builds that
+  one page.
+page still builds the subquotients above, for the pages the CLI prints and
+the bases first_page_map needs; the tests check the page read of the
+barcode against them.
 """
 
 from __future__ import annotations
@@ -54,7 +57,6 @@ from .bicomplex import (
     total_map,
 )
 from .cochain import CochainComplex, cohomology_dim
-from .errors import WitnessFailure
 from .linalg import (
     RatMatrix,
     check_piece_dims,
@@ -233,8 +235,7 @@ def stabilization_bound(k: DoubleComplex) -> int:
     d_r shifts the column index p by r, so for r > p_hi - p_lo its source or
     its target lies outside the columns p_lo..p_hi and d_r is zero; every
     page from r = p_hi - p_lo + 1 on therefore equals the limit.  The q-span
-    plays no part.  limit_page still certifies the bound by building one
-    more page.
+    plays no part.
     """
     if k.is_zero():
         return 1
@@ -242,35 +243,25 @@ def stabilization_bound(k: DoubleComplex) -> int:
 
 
 def limit_page(k: DoubleComplex) -> SpectralPage:
-    """The stable page, certified: computes one page past the support bound
-    and raises WitnessFailure if the dimensions still moved."""
-    bound = stabilization_bound(k)
-    stable = page(k, bound)
-    extra = page(k, bound + 1)
-    if stable.dims() != extra.dims():
-        raise WitnessFailure(
-            f"page {bound} and {bound + 1} differ: {stable.dims()} vs {extra.dims()}"
-        )
-    return stable
+    """The stable page: the subquotient page at stabilization_index."""
+    return page(k, stabilization_index(k))
 
 
 def stabilization_index(k: DoubleComplex) -> int:
     """Smallest r whose page already has the limit dimensions.
 
-    limit_page certifies the limit; then the pages are walked upward from
-    r = 1.  E_inf is a subquotient of every E_r, so no page dimension grows
-    with r: once a page has the limit dimensions every later one has them
-    too, and the pages between the first such page and the bound are never
-    built.
+    A pair of length L lives on the pages 1 .. L and every later page holds
+    only the unpaired elements, so this is 1 + the longest pair of the
+    barcode, and 1 when no pair has positive length.  No page is built.
     """
-    limit = limit_page(k).dims()
-    bound = stabilization_bound(k)
-    return next((r for r in range(1, bound) if page(k, r).dims() == limit), bound)
+    return 1 + max((tgt[0] - src[0] for src, tgt in barcode(k).pairs), default=0)
 
 
 def degenerates_at(k: DoubleComplex, r: int) -> bool:
     """True when page r already carries the limit dimensions."""
-    return page(k, r).dims() == limit_page(k).dims()
+    if r < 1:
+        raise ValueError(f"pages start at r = 1, got {r}")
+    return r >= stabilization_index(k)
 
 
 def degenerates_at_first_page(k: DoubleComplex) -> bool:

@@ -184,7 +184,7 @@ def _pages_match(k):
 
 def test_page_reads_match_the_subquotient_pages_on_seeded_complexes():
     longest = 0
-    for k in seeded_complexes(2104, 200):
+    for k in seeded_complexes(2104, 1000):
         _pages_match(k)
         lengths = [tgt[0] - src[0] for src, tgt in barcode(k).pairs]
         longest = max([longest, *lengths])

@@ -1,10 +1,11 @@
+import json
 import random
 
 import pytest
 
+from spectra_dr import cli, spectral
 from spectra_dr.bicomplex import DoubleComplex, block_offsets, identity_bicomplex_map, total
 from spectra_dr.cochain import CochainComplex, betti_numbers, cohomology, cohomology_dim
-from spectra_dr.errors import WitnessFailure
 from spectra_dr.linalg import RatMatrix, induced_map, rank
 from spectra_dr.models import iwasawa_spec, lie_model, product_model, torus_model
 from spectra_dr.randgen import (
@@ -200,40 +201,85 @@ def test_stabilization_bound_is_tight_on_staircases(r):
 
 def _downward_stabilization_index(k):
     """The original stabilization_index, kept as an oracle: certify the
-    limit, then walk down from the bound while the page below still has the
-    limit dimensions."""
-    limit = limit_page(k).dims()
-    r = stabilization_bound(k)
+    limit with one page past the bound, then walk down from the bound while
+    the page below still has the limit dimensions."""
+    bound = stabilization_bound(k)
+    limit = page(k, bound).dims()
+    assert page(k, bound + 1).dims() == limit
+    r = bound
     while r > 1 and page(k, r - 1).dims() == limit:
         r -= 1
     return r
 
 
-def test_stabilization_index_matches_the_downward_walk():
+def _former_degenerates_at(k, r):
+    """The original degenerates_at: page r against the limit, which the
+    original limit_page took at the bound."""
+    return page(k, r).dims() == page(k, stabilization_bound(k)).dims()
+
+
+def _oracle_complexes():
     rng = random.Random(37)
-    indices = set()
-    for _ in range(200):
-        k = random_double_complex(rng, rng.randint(1, 5), rng.randint(1, 5))
+    for _ in range(1000):
+        yield random_double_complex(rng, rng.randint(1, 5), rng.randint(1, 5))
+    for r in range(2, 6):
+        yield _staircase(0, 0, r)
+    t1, t2, iw = torus_model(1), torus_model(2), lie_model(iwasawa_spec())
+    for m in (iw, product_model(t1, iw), product_model(t2, iw)):
+        yield m.complex
+
+
+def test_stabilization_index_matches_the_downward_walk():
+    indices = []
+    for k in _oracle_complexes():
         index = stabilization_index(k)
         assert index == _downward_stabilization_index(k)
-        indices.add(index)
-    assert indices >= {1, 2, 3}
-    for r in range(2, 6):
-        k = _staircase(0, 0, r)
-        assert stabilization_index(k) == _downward_stabilization_index(k) == r + 1
+        assert limit_page(k).dims() == page(k, stabilization_bound(k) + 1).dims()
+        for r in range(1, stabilization_bound(k) + 2):
+            assert degenerates_at(k, r) == _former_degenerates_at(k, r)
+        indices.append(index)
+        clear_page_cache()
+    assert set(indices) >= {1, 2, 3, 4}
+    assert indices[-7:] == [3, 4, 5, 6, 2, 2, 2]
+
+
+def test_degenerates_at_refuses_pages_below_one():
+    k = _staircase(0, 0, 2)
+    for r in (0, -1):
+        with pytest.raises(ValueError, match=f"pages start at r = 1, got {r}"):
+            degenerates_at(k, r)
+
+
+@pytest.mark.parametrize("name", ["T1xIW", "IWxIW"])
+def test_stabilization_index_builds_no_page(name, monkeypatch):
     iw = lie_model(iwasawa_spec())
-    for k in (iw.complex, product_model(torus_model(1), iw).complex):
-        assert stabilization_index(k) == _downward_stabilization_index(k) == 2
+    k = product_model(torus_model(1) if name == "T1xIW" else iw, iw).complex
+    calls = []
+    real = spectral.subquotient
 
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
 
-def test_stabilization_index_builds_only_the_pages_it_needs():
-    # T1 x IW: the bound is page 5; limit_page builds pages 5 and 6, then
-    # the upward walk builds pages 1 and 2 and stops
-    k = product_model(torus_model(1), lie_model(iwasawa_spec())).complex
-    assert stabilization_bound(k) == 5
+    monkeypatch.setattr(spectral, "subquotient", counted)
     clear_page_cache()
     assert stabilization_index(k) == 2
-    assert page.cache_info().misses == 4
+    assert page.cache_info().misses == 0 and calls == []
+    assert limit_page(k).r == 2
+    assert page.cache_info().misses == 1 and calls  # the counter sees page builds
+    clear_page_cache()
+
+
+def test_the_spectral_command_builds_only_the_pages_it_prints(tmp_path, capsys):
+    # T1 x IW: the bound is page 5, the sequence stops at page 2
+    k = product_model(torus_model(1), lie_model(iwasawa_spec())).complex
+    path = tmp_path / "t1iw.json"
+    path.write_text(json.dumps(k.to_json()))
+    clear_page_cache()
+    assert cli.main(["spectral", str(path), "--format", "json"]) == 0
+    stable = json.loads(capsys.readouterr().out)["stable_at"]
+    assert stable == 2 < stabilization_bound(k)
+    assert page.cache_info().misses == stable
     clear_page_cache()
 
 
