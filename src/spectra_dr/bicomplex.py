@@ -14,12 +14,12 @@ block-permutation witness comparing dual-of-total with total-of-dual.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from operator import index
 from typing import Mapping, Sequence
 
 from .cochain import ChainMap, CochainComplex, GradedComplex, GradedMap
-from .errors import NotChainCompatible, ParseError, WitnessFailure
-from .linalg import RatMatrix, rank
+from .errors import NotChainCompatible, ParseError, ValidationError, WitnessFailure
+from .linalg import RatMatrix, clear_caches, memo, rank
 
 
 def _pq_key(s: str) -> tuple:
@@ -111,7 +111,7 @@ class DoubleComplex(GradedComplex):
 ZERO_DOUBLE = DoubleComplex({})
 
 
-# -- rows and columns -----------------------------------------------------
+# -- windows, rows and columns -------------------------------------------
 
 
 def row_complex(k: DoubleComplex, p: int) -> CochainComplex:
@@ -123,6 +123,15 @@ def row_complex(k: DoubleComplex, p: int) -> CochainComplex:
 def column_complex(k: DoubleComplex, q: int) -> CochainComplex:
     """The row q viewed as a complex in p with differential d1."""
     return k._part(CochainComplex, lambda key: key[1] == q, lambda key: key[0], (0,))
+
+
+def truncate(s_cx: DoubleComplex, window: tuple) -> DoubleComplex:
+    """Columns s..t of the double complex, with d1 only strictly inside."""
+    try:
+        s, t = map(index, window)
+    except TypeError:
+        raise ValidationError(f"window bounds must be integers, got {window!r}") from None
+    return s_cx._part(DoubleComplex, lambda key: s <= key[0] <= t, lambda key: key, (0, 1))
 
 
 # -- totalization ---------------------------------------------------------
@@ -144,7 +153,7 @@ def filtration_cut(k: DoubleComplex, p: int, deg: int) -> int:
     return end
 
 
-@lru_cache(maxsize=None)
+@memo
 def total(k: DoubleComplex) -> CochainComplex:
     """Total complex with differential D = d1 + d2.  Raises ValidationError
     naming the least total degree larger than SPECTRA_DR_MAX_DIM before any
@@ -253,5 +262,4 @@ def verify_total_dual_iso(k: DoubleComplex) -> ChainMap:
     return witness
 
 
-def clear_total_cache():
-    total.cache_clear()
+clear_total_cache = clear_caches

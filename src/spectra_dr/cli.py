@@ -212,17 +212,20 @@ def _cmd_truncate(args) -> int:
 
 
 def _cmd_hodge(args) -> int:
+    if args.top is not None and args.top < 0:
+        raise PreconditionViolation(f"--top must be >= 0, got {args.top}")
     cx = _need_double(args.input)
-    n = args.top if args.top is not None else cx.p_hi
     payload = {
         "degree": args.degree,
-        "filtration": hodge_filtration_dims(cx, args.degree, n),
+        "filtration": hodge_filtration_dims(cx, args.degree, args.top),
     }
     _emit(payload, args.format)
     return 0
 
 
 def _cmd_verify(args) -> int:
+    if args.runs < 1:
+        raise PreconditionViolation(f"--runs must be >= 1, got {args.runs}")
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     reports = [run_suite(n, args.seed, args.runs) for n in names]
     if args.format == "json":
@@ -358,7 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     kinds = sp.add_subparsers(dest="kind", required=True)
     for kind in ("torus", "lie", "product"):
         sk = kinds.add_parser(kind)
-        sk.add_argument("--twist-rank", type=int, default=1)
+        if kind != "product":  # a product's twist is in its descriptors
+            sk.add_argument("--twist-rank", type=int, default=1)
         sk.add_argument("--info", action="store_true",
                         help="print a summary instead of the complex JSON")
         fmt(sk)

@@ -27,7 +27,6 @@ Conventions pinned here and relied on everywhere else:
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations
 from operator import index, neg
 from typing import Mapping, Sequence
@@ -37,8 +36,10 @@ from .linalg import (
     RatMatrix,
     Subquotient,
     check_piece_dims,
+    clear_caches,
     induced_map,
     kernel_basis,
+    memo,
     products_vanish,
     rank,
     subquotient,
@@ -358,7 +359,7 @@ def single_space(k: int, n: int) -> CochainComplex:
 # -- cohomology -----------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@memo
 def cohomology(k_complex: CochainComplex, k: int) -> Subquotient:
     """H^k as a subquotient of the degree-k space."""
     cycles = kernel_basis(k_complex.diff(k))
@@ -570,5 +571,4 @@ def is_cohomology_iso(f: ChainMap, degrees: Sequence[int] | None = None) -> bool
     return True
 
 
-def clear_cohomology_cache():
-    cohomology.cache_clear()
+clear_cohomology_cache = clear_caches

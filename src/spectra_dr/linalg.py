@@ -45,12 +45,15 @@ eager scaling.  Kernels and solutions then come from one
 back-substitution, bottom-up over the pivot rows, carrying every free or
 right-hand column at once in integers scaled by the last pivot.
 
-Filtered reduction.  column_lows, behind spectral.barcode, is the
+Filtered reduction.  column_lows, behind spectral.window_barcode, is the
 persistence reduction: it chooses no pivot, takes the columns in a fixed
 order, from the highest index down, and adds to a column only reduced
 columns of higher index, so the reduced matrix is M V with V unit upper
 triangular in that order.  It reads the blocks of M in place, unglued, and
 keeps integer columns.
+
+Memos.  Every memo of the package is declared with memo (an unbounded
+lru_cache); clear_caches, which every clear_* name is, empties them all.
 
 A Subquotient packages (cycles mod boundaries) inside a fixed ambient space;
 every cohomology group, spectral-sequence term and Bott-Chern group in the
@@ -99,6 +102,21 @@ def check_piece_dims(dims: Mapping, context: str = "", noun: str = "piece") -> N
         name = f"({','.join(map(str, key))})" if isinstance(key, tuple) else key
         raise ValidationError(f"{context}{noun} {name} has dim"
                               f" {dims[key]} > SPECTRA_DR_MAX_DIM={cap}")
+
+
+_MEMOS: list = []
+
+
+def memo(fn):
+    """lru_cache(maxsize=None), recorded so that clear_caches empties it."""
+    _MEMOS.append(lru_cache(maxsize=None)(fn))
+    return _MEMOS[-1]
+
+
+def clear_caches():
+    """Empty every memo of the package."""
+    for cached in _MEMOS:
+        cached.cache_clear()
 
 
 def rat_from(value) -> Fraction:
@@ -826,14 +844,14 @@ def _from_values(x: dict, rows: int, cols: int, value) -> RatMatrix:
     return RatMatrix(rows, cols, out, _trusted=True)
 
 
-@lru_cache(maxsize=None)
+@memo
 def rank(m: RatMatrix) -> int:
     if m.rows == 0 or m.cols == 0:
         return 0
     return _bareiss(_integer_rows(m), m.rows, m.cols)[0]
 
 
-@lru_cache(maxsize=None)
+@memo
 def kernel_basis(m: RatMatrix) -> RatMatrix:
     """Basis of {x : m @ x = 0} as columns, shape (cols x nullity).
 
@@ -859,7 +877,7 @@ def kernel_basis(m: RatMatrix) -> RatMatrix:
     return _from_values(x, n, len(free), lambda t, v: sign * v // g[t])
 
 
-@lru_cache(maxsize=None)
+@memo
 def pivot_columns(m: RatMatrix) -> tuple:
     """Original indices of a maximal independent set of columns, ascending."""
     if m.rows == 0 or m.cols == 0:
@@ -1008,9 +1026,3 @@ def induced_map(mat: RatMatrix, source: Subquotient, target: Subquotient) -> Rat
         raise NotChainCompatible("map does not send boundaries to boundaries")
     return x.submatrix(range(nb, x.rows), range(ns, x.cols))
 
-
-def clear_caches():
-    """Drop elimination memos (mostly for tests that fiddle with the env cap)."""
-    rank.cache_clear()
-    kernel_basis.cache_clear()
-    pivot_columns.cache_clear()

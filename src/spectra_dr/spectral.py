@@ -22,7 +22,7 @@ already the limit (McCleary, A User's Guide to Spectral Sequences, 2.2).
 The same numbers come from one persistence-style reduction of the total
 differential (Edelsbrunner, Letscher and Zomorodian, DCG 2002; Basu and
 Parida, arXiv:1308.0801).  Order the basis of T by filtration, F^{p_hi}
-first: in the block order that is the highest index first.  barcode
+first: in the block order that is the highest index first.  window_barcode
 reduces the columns of each D^deg in that order, adding to a column only
 reduced columns of higher index, until no two nonzero columns share a low,
 their least row index (so their leftmost block).  A column at (p, q) whose
@@ -34,7 +34,7 @@ total degree up and p' >= p; every other element is unpaired.  The reads:
   number of T;
 - filtration_dims: the unpaired elements of degree deg in the columns >= p;
 - window hypercohomology (truncation.hyper_dims): the unpaired elements of
-  degree k in the barcode of the window's own truncation.
+  degree k in window_barcode, one memo per (complex, window).
 - stabilization_index: 1 + the longest pair (1 when no pair has positive
   length); degenerates_at compares r with it, and limit_page builds that
   one page.
@@ -46,7 +46,6 @@ barcode against them.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
 
 from .bicomplex import (
     BicomplexMap,
@@ -55,14 +54,17 @@ from .bicomplex import (
     row_complex,
     total,
     total_map,
+    truncate,
 )
 from .cochain import CochainComplex, cohomology_dim
 from .linalg import (
     RatMatrix,
     check_piece_dims,
+    clear_caches,
     column_lows,
     induced_map,
     kernel_basis,
+    memo,
     rank,
     subquotient,
 )
@@ -110,16 +112,18 @@ class Barcode:
         return [sum(n for c, n in here if c >= p) for p in ps]
 
 
-def barcode(k: DoubleComplex) -> Barcode:
-    """The pairs and unpaired elements of the total differential of k.
+@memo
+def window_barcode(k: DoubleComplex, s: int, t: int) -> Barcode:
+    """The pairing of one filtered reduction of the window truncate(k, (s, t)).
 
     Each D^deg is reduced column by column (linalg.column_lows) straight
     from the stored d1 and d2 blocks at their layout offsets; T^deg is never
     assembled.  The degrees go up, so a position the degree below paired as
     a target is cleared: its column reduces to zero.  Raises
-    ValidationError naming the least total degree larger than
-    SPECTRA_DR_MAX_DIM, as total does, before any column is read.
+    ValidationError as truncate does, and naming the least total degree
+    larger than SPECTRA_DR_MAX_DIM, as total does, before any column is read.
     """
+    k = truncate(k, (s, t))
     lay = k._layout()
     check_piece_dims({deg: sum(n for _key, _off, n in cells) for deg, cells in lay.items()},
                      noun="total degree")
@@ -141,6 +145,11 @@ def barcode(k: DoubleComplex) -> Barcode:
         betti[deg] = len(here) - len(lows) - len(targets)
         targets = set(lows.values())
     return Barcode(pairs, unpaired, betti)
+
+
+def barcode(k: DoubleComplex) -> Barcode:
+    """The barcode of k: its window over the whole support."""
+    return window_barcode(k, k.p_lo, k.p_hi)
 
 
 class SpectralPage:
@@ -178,7 +187,7 @@ class SpectralPage:
         return f"SpectralPage(r={self.r}, dims={self.dims()})"
 
 
-@lru_cache(maxsize=None)
+@memo
 def page(k: DoubleComplex, r: int) -> SpectralPage:
     """The r-th page (r >= 1) of the column-filtration spectral sequence."""
     if r < 1:
@@ -189,13 +198,13 @@ def page(k: DoubleComplex, r: int) -> SpectralPage:
     if k.is_zero():
         return SpectralPage(r, k, terms, diffs)
 
-    memo: dict = {}
+    cycles: dict = {}
 
     def z(p: int, q: int, rr: int) -> RatMatrix:
         key = (p, q, rr)
-        if key not in memo:
-            memo[key] = _z_basis(k, t, p, q, rr)
-        return memo[key]
+        if key not in cycles:
+            cycles[key] = _z_basis(k, t, p, q, rr)
+        return cycles[key]
 
     for p in k.p_range():
         for q in k.q_range():
@@ -300,9 +309,8 @@ def convergence_check(k: DoubleComplex) -> Report:
             for q in k.q_range()
         )
         rep.add("page_dims_monotone", r, ok, True)
-    bars = barcode(k)
     for deg in range(t.lo, t.hi + 1):
-        fd = bars.filtration(deg, range(k.p_lo, k.p_hi + 2))
+        fd = filtration_dims(k, deg)
         for i, p in enumerate(range(k.p_lo, k.p_hi + 1)):
             graded = fd[i] - fd[i + 1]
             rep.add("filtration_graded_is_limit", (p, deg - p), graded,
@@ -359,5 +367,4 @@ def e1_iso_implies_total_iso_check(f: BicomplexMap) -> Report:
     return rep
 
 
-def clear_page_cache():
-    page.cache_clear()
+clear_page_cache = clear_caches

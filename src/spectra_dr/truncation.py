@@ -7,12 +7,11 @@ support automatically because absent bidegrees simply contribute nothing.
 
 The degreewise dimension of the cohomology of the truncated total complex is
 what the geometric layer calls hypercohomology of the window.  It is the
-number of unpaired elements in the barcode of the window's own truncation
-(spectral.barcode): one filtered reduction serves every degree, and it is
-memoised per (complex, s, t) because the predictor formulas evaluate it
-thousands of times.  clear_truncation_cache empties that memo.  The
-assembled truncated total (truncated_total) stays for what needs real
-matrices, and as the rank oracle in the suites and tests.
+number of unpaired elements in the window's barcode (spectral.window_barcode,
+memoised per (complex, s, t) and called directly by the hot reads, because
+the predictor formulas evaluate it thousands of times).  The assembled
+truncated total (truncated_total) stays for what needs real matrices, and as
+the rank oracle in the suites and tests.
 
 Nested windows are compared by identity-on-overlap maps.  Two shapes are
 chain maps and are used everywhere:
@@ -33,9 +32,6 @@ total differential, certify the result lands in the subcomplex, reduce.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from operator import index
-
 from .bicomplex import (
     BicomplexMap,
     DoubleComplex,
@@ -43,6 +39,7 @@ from .bicomplex import (
     row_complex,
     total,
     total_map,
+    truncate,
 )
 from .cochain import (
     CochainComplex,
@@ -50,19 +47,10 @@ from .cochain import (
     cohomology_dim,
     cohomology_map,
 )
-from .errors import PreconditionViolation, ValidationError, WitnessFailure
-from .linalg import RatMatrix, rank
+from .errors import PreconditionViolation, WitnessFailure
+from .linalg import RatMatrix, clear_caches, memo, rank
 from .report import Report
-from .spectral import Barcode, barcode, filtration_dims
-
-
-def truncate(s_cx: DoubleComplex, window: tuple) -> DoubleComplex:
-    """Columns s..t of the double complex, with d1 only strictly inside."""
-    try:
-        s, t = map(index, window)
-    except TypeError:
-        raise ValidationError(f"window bounds must be integers, got {window!r}") from None
-    return s_cx._part(DoubleComplex, lambda key: s <= key[0] <= t, lambda key: key, (0, 1))
+from .spectral import window_barcode
 
 
 def window_map(s_cx: DoubleComplex, win_from: tuple, win_to: tuple) -> BicomplexMap:
@@ -83,26 +71,20 @@ def window_map(s_cx: DoubleComplex, win_from: tuple, win_to: tuple) -> Bicomplex
     return BicomplexMap(src, tgt, mats)
 
 
-@lru_cache(maxsize=None)
+@memo
 def truncated_total(s_cx: DoubleComplex, s: int, t: int) -> CochainComplex:
     return total(truncate(s_cx, (s, t)))
 
 
-@lru_cache(maxsize=None)
-def _window_barcode(s_cx: DoubleComplex, s: int, t: int) -> Barcode:
-    """The barcode of the window's own truncation, memoised per window."""
-    return barcode(truncate(s_cx, (s, t)))
-
-
 def hypercohomology(s_cx: DoubleComplex, window: tuple, k: int) -> int:
     """dim H^k of the total complex of the window."""
-    return _window_barcode(s_cx, window[0], window[1]).betti.get(k, 0)
+    return window_barcode(s_cx, window[0], window[1]).betti.get(k, 0)
 
 
 def hyper_dims(s_cx: DoubleComplex, window: tuple) -> dict:
     """All nonzero hypercohomology dimensions of the window, degrees
     ascending."""
-    betti = _window_barcode(s_cx, window[0], window[1]).betti
+    betti = window_barcode(s_cx, window[0], window[1]).betti
     return {k: n for k, n in betti.items() if n}
 
 
@@ -235,7 +217,7 @@ def _frolicher_terms(s_cx: DoubleComplex, window: tuple):
     """Yield (k, window hypercohomology in degree k, sum of the column
     cohomologies on the antidiagonal slice k), degree by degree."""
     s, t = window
-    betti = _window_barcode(s_cx, s, t).betti
+    betti = window_barcode(s_cx, s, t).betti
     for k in range(min(betti, default=0), max(betti, default=-1) + 1):
         lhs = betti.get(k, 0)
         rhs = sum(
@@ -263,24 +245,10 @@ def frolicher_is_equality(s_cx: DoubleComplex, window: tuple) -> bool:
 
 def hodge_filtration_dims(s_cx: DoubleComplex, k: int, n: int | None = None) -> list:
     """[dim im(H^k(total of columns >= p) -> H^k(total)) for p = 0..n+1]
-    computed inside the window (0, n)."""
+    computed inside the window (0, n), from that window's barcode."""
     if n is None:
         n = s_cx.p_hi
-    base = truncate(s_cx, (0, n))
-    if base.is_zero():
-        return [0] * (n + 2)
-    inner = filtration_dims(base, k)
-    out = []
-    for p in range(0, n + 2):
-        if p < base.p_lo:
-            out.append(inner[0])
-        elif p > base.p_hi + 1:
-            out.append(0)
-        else:
-            out.append(inner[p - base.p_lo])
-    return out
+    return window_barcode(s_cx, 0, n).filtration(k, range(n + 2))
 
 
-def clear_truncation_cache():
-    truncated_total.cache_clear()
-    _window_barcode.cache_clear()
+clear_truncation_cache = clear_caches

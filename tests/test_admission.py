@@ -232,7 +232,7 @@ def test_window_bounds_must_be_integers(models):
                  lambda: window_map(k, bad, (1, 2)), lambda: window_map(k, (1, 2), bad)):
         with pytest.raises(ValidationError, match=message):
             call()
-    assert truncation._window_barcode.cache_info().currsize == 0
+    assert truncation.window_barcode.cache_info().currsize == 0
     assert hyper_dims(k, (2, 2)) == {2: 3, 3: 6, 4: 6, 5: 3}
     assert hyper_dims(k, (True, 2)) == hyper_dims(k, (1, 2))
     clear_truncation_cache()

@@ -10,6 +10,7 @@ the model ladder."""
 import json
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,8 +22,22 @@ from spectra_dr.errors import ValidationError
 from spectra_dr.linalg import rank
 from spectra_dr.models import iwasawa_spec, lie_model, product_model, torus_model
 from spectra_dr.randgen import random_double_complex
-from spectra_dr.spectral import _z_basis, barcode, filtration_dims, page, stabilization_bound
-from spectra_dr.truncation import hyper_dims, hypercohomology, truncated_total
+from spectra_dr.spectral import (
+    _z_basis,
+    barcode,
+    convergence_check,
+    filtration_dims,
+    page,
+    stabilization_bound,
+    window_barcode,
+)
+from spectra_dr.truncation import (
+    hodge_filtration_dims,
+    hyper_dims,
+    hypercohomology,
+    truncate,
+    truncated_total,
+)
 
 T2IW_CAP_MESSAGE = "total degree 4 has dim 150 > SPECTRA_DR_MAX_DIM=120"
 
@@ -41,6 +56,43 @@ def old_filtration_dims(k, deg):
     h = cohomology(t, deg)
     return [rank(h.reduce(_z_basis(k, t, p, deg - p, k.p_hi + 1 - p)))
             for p in range(k.p_lo, k.p_hi + 2)]
+
+
+def old_hodge_filtration_dims(s_cx, k, n=None):
+    """The former body of hodge_filtration_dims: the filtration of the
+    window (0, n), clamped to p = 0 .. n+1."""
+    if n is None:
+        n = s_cx.p_hi
+    base = truncate(s_cx, (0, n))
+    if base.is_zero():
+        return [0] * (n + 2)
+    inner = filtration_dims(base, k)
+    out = []
+    for p in range(0, n + 2):
+        if p < base.p_lo:
+            out.append(inner[0])
+        elif p > base.p_hi + 1:
+            out.append(0)
+        else:
+            out.append(inner[p - base.p_lo])
+    return out
+
+
+def interval_dims(bars, s, t):
+    """Window hypercohomology read off the barcode of the whole complex: the
+    window (s, t) is F^s T / F^{t+1} T, so in degree d it keeps the unpaired
+    elements at columns in [s, t], the sources there whose target lies past
+    t, and the targets there whose source lies before s."""
+    dims = Counter()
+    for key, n in bars.unpaired.items():
+        if s <= key[0] <= t:
+            dims[sum(key)] += n
+    for (src, tgt), n in bars.pairs.items():
+        if s <= src[0] <= t < tgt[0]:
+            dims[sum(src)] += n
+        if src[0] < s <= tgt[0] <= t:
+            dims[sum(tgt)] += n
+    return {d: n for d, n in sorted(dims.items()) if n}
 
 
 def page_reads(bars, r):
@@ -117,6 +169,28 @@ def test_window_dims_match_the_ranks_on_the_ladder(name):
     truncation.clear_truncation_cache()
 
 
+def test_windows_are_interval_arithmetic_on_the_whole_barcode():
+    windows = crossing = 0
+    for k in seeded_complexes(2106, 1000):
+        bars = barcode(k)
+        for s, t in every_window(k):
+            assert hyper_dims(k, (s, t)) == interval_dims(bars, s, t)
+            windows += 1
+            crossing += any(s <= src[0] <= t < tgt[0] or src[0] < s <= tgt[0] <= t
+                            for src, tgt in bars.pairs)
+    truncation.clear_truncation_cache()
+    assert windows > 10_000 and crossing > 1_000
+
+
+@pytest.mark.parametrize("name", ["T2", "IW", "T1xIW", "T2xIW", "IWxIW"])
+def test_windows_are_interval_arithmetic_on_the_ladder(name):
+    k = ladder()[name].complex
+    bars = barcode(k)
+    for s, t in every_window(k):
+        assert hyper_dims(k, (s, t)) == interval_dims(bars, s, t)
+    truncation.clear_truncation_cache()
+
+
 # -- filtration dims ----------------------------------------------------------
 
 
@@ -170,6 +244,23 @@ def test_zero_complex_has_an_empty_barcode():
     bars = barcode(DoubleComplex({}))
     assert (bars.pairs, bars.unpaired, bars.betti) == ({}, {}, {})
     assert filtration_dims(DoubleComplex({}), 0) == [0]
+
+
+def test_hodge_filtration_dims_match_the_former_body():
+    ladder_models = ladder()
+    named = [ladder_models[name].complex for name in ("T2", "IW", "T2xIW")]
+    checked = nontrivial = 0
+    for k in [*seeded_complexes(2107, 300), *named]:
+        for n in range(-2, k.p_hi + 3):
+            for deg in range(k.p_lo + k.q_lo - 1, k.p_hi + k.q_hi + 2):
+                got = hodge_filtration_dims(k, deg, n)
+                assert got == old_hodge_filtration_dims(k, deg, n)
+                checked += 1
+                nontrivial += any(0 < m < got[0] for m in got)
+        for deg in range(k.p_lo + k.q_lo - 1, k.p_hi + k.q_hi + 2):
+            assert hodge_filtration_dims(k, deg) == old_hodge_filtration_dims(k, deg)
+    truncation.clear_truncation_cache()
+    assert checked > 10_000 and nontrivial >= 20
 
 
 # -- pages --------------------------------------------------------------------
@@ -231,13 +322,69 @@ def test_the_cap_reduces_the_window_not_the_model(monkeypatch, tmp_path, capsys)
 def test_the_clear_functions_empty_the_window_memo():
     k = ladder()["IW"].complex
     hyper_dims(k, (0, 1))
-    assert truncation._window_barcode.cache_info().currsize > 0
+    assert truncation.window_barcode.cache_info().currsize > 0
     linalg.clear_caches()
     cochain.clear_cohomology_cache()
     bicomplex.clear_total_cache()
     spectral.clear_page_cache()
     truncation.clear_truncation_cache()
-    assert truncation._window_barcode.cache_info().currsize == 0
+    assert truncation.window_barcode.cache_info().currsize == 0
     # no memo rides on the complex itself, so no job can see another's
     assert DoubleComplex.__slots__ == ("p_lo", "p_hi", "q_lo", "q_hi")
     assert cochain.GradedComplex.__slots__ == ("_dims", "_diffs", "_hash", "_cells")
+
+
+CLEAR_NAMES = [
+    (linalg, "clear_caches"),
+    (cochain, "clear_cohomology_cache"),
+    (bicomplex, "clear_total_cache"),
+    (spectral, "clear_page_cache"),
+    (truncation, "clear_truncation_cache"),
+]
+
+
+def test_the_registry_holds_the_eight_memos():
+    memos = [linalg.rank, linalg.kernel_basis, linalg.pivot_columns, cochain.cohomology,
+             bicomplex.total, spectral.page, spectral.window_barcode,
+             truncation.truncated_total]
+    assert len(linalg._MEMOS) == 8
+    assert {id(f) for f in linalg._MEMOS} == {id(f) for f in memos}
+    assert all(f is not cli._parser for f in linalg._MEMOS)
+    for module, name in CLEAR_NAMES:
+        assert getattr(module, name) is linalg.clear_caches
+
+
+@pytest.mark.parametrize("module, name", CLEAR_NAMES,
+                         ids=[name for _module, name in CLEAR_NAMES])
+def test_each_clear_name_empties_every_memo(module, name):
+    k = ladder()["IW"].complex
+    convergence_check(k)
+    hyper_dims(k, (1, 2))
+    cochain.cohomology(truncated_total(k, 0, 1), 1)
+    linalg.pivot_columns(total(k).diff(2))
+    assert all(f.cache_info().currsize > 0 for f in linalg._MEMOS)
+    getattr(module, name)()
+    assert [f.cache_info().currsize for f in linalg._MEMOS] == [0] * 8
+
+
+@pytest.mark.parametrize("name", ["T1xIW", "IWxIW"])
+def test_the_spectral_command_reduces_each_complex_once(name, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(ladder()[name].complex.to_json()))
+    linalg.clear_caches()
+    assert cli.main(["spectral", str(path), "--format", "json"]) == 0
+    capsys.readouterr()
+    info = window_barcode.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    assert info.hits >= 1  # stable_at and the limit page read the same reduction
+    linalg.clear_caches()
+
+
+def test_convergence_and_filtration_reads_share_one_reduction():
+    for k in [*seeded_complexes(2108, 20), ladder()["IW"].complex, ladder()["T1xIW"].complex]:
+        linalg.clear_caches()
+        assert convergence_check(k).ok
+        for deg in range(k.p_lo + k.q_lo - 1, k.p_hi + k.q_hi + 2):
+            filtration_dims(k, deg)
+        assert window_barcode.cache_info().misses == 1
+    linalg.clear_caches()

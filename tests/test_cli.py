@@ -100,10 +100,34 @@ def test_hodge_text(capsys, torus1_file):
     assert "filtration: 2 1 0" in out
 
 
+@pytest.mark.parametrize("top", ["-1", "-3"])
+def test_hodge_negative_top_refused(capsys, torus1_file, top):
+    # a window (0, top) with top < 0 would print an empty filtration
+    code, out, err = run(capsys, "hodge", torus1_file, "--degree", "1", "--top", top)
+    assert (code, out) == (2, "")
+    assert err == f"error: --top must be >= 0, got {top}\n"
+    code, out, _ = run(capsys, "hodge", torus1_file, "--degree", "1", "--top", "0",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["filtration"] == [1, 0]
+
+
 def test_verify_single_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "cochain", "--runs", "5")
     assert code == 0
     assert "cochain:" in out and "[ok]" in out
+
+
+@pytest.mark.parametrize("runs", ["0", "-4"])
+def test_verify_run_count_refused_before_any_suite(capsys, monkeypatch, runs):
+    # zero runs would print "ok": true over no checks at all
+    calls = []
+    monkeypatch.setattr("spectra_dr.cli.run_suite", lambda *a, **kw: calls.append(a))
+    code, out, err = run(capsys, "verify", "--suite", "spectral", "--runs", runs,
+                         "--format", "json")
+    assert (code, out) == (2, "")
+    assert err == f"error: --runs must be >= 1, got {runs}\n"
+    assert calls == []
 
 
 def test_verify_exit_code_on_failure(capsys, monkeypatch):
@@ -291,6 +315,21 @@ def test_model_product_matches_torus(capsys):
         f"{p},{q}": torus_model(2).dim(p, q)
         for p in range(3) for q in range(3)
     }
+
+
+def test_model_product_takes_its_twist_from_the_descriptors(capsys):
+    # --twist-rank was accepted and ignored on product; argparse now refuses it
+    with pytest.raises(SystemExit) as exc:
+        main(["model", "product", "--left", "torus:1", "--right", "torus:1",
+              "--twist-rank", "3", "--info"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments: --twist-rank 3" in err
+    code, out, _ = run(capsys, "model", "product", "--left", "torus:1",
+                       "--right", "torus:1:3", "--info", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["twist_rank"] == 3
 
 
 def test_twisted_descriptor(capsys):
