@@ -34,7 +34,6 @@ from .linalg import (
     Subquotient,
     image_basis,
     induced_map,
-    in_span,
     kernel_basis,
     rank,
     rat_from,
@@ -51,7 +50,6 @@ from .cochain import (
     dual,
     euler_characteristic,
     shift,
-    single_space,
 )
 from .bicomplex import (
     BicomplexMap,

@@ -17,7 +17,8 @@ is one call to GradedComplex._part, both duals are one call to
 GradedComplex._dual, and every collapse of gradings (totals, the quad
 collapse and the maps between them) is one call to GradedComplex._collapse
 or GradedMap._collapse on the summand layout of GradedComplex._layout; the
-block rule, the dual sign rule and the summand order are stated there.
+block rule, the dual sign rule and the summand order are stated there.  The
+JSON codec of every kind of complex is GradedComplex.to_json/from_json.
 
 Conventions pinned here and relied on everywhere else:
 - diff(k) maps degree k to degree k+1,
@@ -53,7 +54,9 @@ class GradedComplex:
     (`_STEPS`: for differential i, the function key -> the key it maps to)
     and how messages name the differentials (`_NAMES`), a key (`_AT`, a
     format of the key) and a piece (`_PIECE`).  `_diffs` holds one dict
-    key -> block per step.  `_neg` and `_total` negate a key and take its
+    key -> block per step.  Its JSON names the kind in parse errors
+    (`_NOUN`), stores differential i under `_FIELDS[i]` and leads with the
+    fields of `_head`.  `_neg` and `_total` negate a key and take its
     total degree.  A subclass that collapses states it with `_group` (key ->
     the collapsed key it is summed into) and `_order` (the sort key of the
     summands inside one collapsed key).
@@ -81,7 +84,7 @@ class GradedComplex:
             clean = {}
             for key, n in dims.items():
                 key = grade(key)
-                if not isinstance(n, int) or n < 0:
+                if type(n) is not int or n < 0:  # a bool is no dimension
                     raise ValidationError(f"bad dimension at {self._AT.format(key)}: {n!r}")
                 if n:
                     clean[key] = n
@@ -152,9 +155,50 @@ class GradedComplex:
     def _key_str(key) -> str:
         return ",".join(map(str, key))
 
+    @classmethod
+    def _parse_key(cls, s):
+        """The inverse of _key_str: one integer per grading, or ParseError.
+        A complex with one grading keys by the bare integer."""
+        try:
+            key = tuple(map(int, s.split(",")))
+        except (AttributeError, ValueError) as exc:
+            raise ParseError(f"bad {cls._NOUN} key {s!r}: {exc}") from None
+        if len(key) != len(cls._STEPS):
+            raise ParseError(f"{cls._NOUN} key {s!r} has {len(key)} components,"
+                             f" expected {len(cls._STEPS)}")
+        return key if len(key) > 1 else key[0]
+
     def _blocks_json(self, blocks: Mapping) -> dict:
         """key string -> matrix JSON, keys ascending."""
         return {self._key_str(k): m.to_json() for k, m in sorted(blocks.items())}
+
+    def _head(self) -> dict:
+        """The fields the JSON of this kind puts before its pieces."""
+        return {}
+
+    def to_json(self) -> dict:
+        """The `_head` fields, then "dims" and one field per differential,
+        keys ascending."""
+        out = self._head()
+        out["dims"] = {self._key_str(k): n for k, n in sorted(self._dims.items())}
+        for field, d in zip(self._FIELDS, self._diffs):
+            out[field] = self._blocks_json(d)
+        return out
+
+    @classmethod
+    def from_json(cls, obj) -> "GradedComplex":
+        """The inverse of to_json: ParseError on malformed JSON, and the
+        constructor's ValidationError on a well-formed invalid complex."""
+        if not isinstance(obj, dict) or "dims" not in obj:
+            raise ParseError(f"{cls._NOUN} JSON must be an object with a 'dims' key")
+        parse = cls._parse_key
+        try:
+            dims = {parse(k): n for k, n in obj["dims"].items()}
+            diffs = [{parse(k): RatMatrix.from_json(m) for k, m in obj.get(field, {}).items()}
+                     for field in cls._FIELDS]
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ParseError(f"bad {cls._NOUN} JSON: {exc}") from None
+        return cls(dims, *diffs)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -293,8 +337,9 @@ class CochainComplex(GradedComplex):
     _NAMES = ("d",)
     _AT = "degree {0}"
     _PIECE = "degree"
+    _NOUN = "cochain"
+    _FIELDS = ("diffs",)
     _key_str = staticmethod(str)
-    _parse_key = staticmethod(int)
     _neg = staticmethod(neg)
     _total = staticmethod(int)
 
@@ -325,35 +370,11 @@ class CochainComplex(GradedComplex):
         body = ", ".join(f"{k}:{n}" for k, n in sorted(self._dims.items()))
         return f"CochainComplex({body})"
 
-    def to_json(self) -> dict:
-        return {
-            "lo": self.lo,
-            "hi": self.hi,
-            "dims": {str(k): n for k, n in sorted(self._dims.items())},
-            "diffs": self._blocks_json(self._diffs[0]),
-        }
-
-    @staticmethod
-    def from_json(obj) -> "CochainComplex":
-        if not isinstance(obj, dict) or "dims" not in obj:
-            raise ParseError("cochain JSON must be an object with a 'dims' key")
-        try:
-            dims = {int(k): v for k, v in obj["dims"].items()}
-            diffs = {
-                int(k): RatMatrix.from_json(v)
-                for k, v in obj.get("diffs", {}).items()
-            }
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad cochain JSON: {exc}") from None
-        return CochainComplex(dims, diffs)
+    def _head(self) -> dict:
+        return {"lo": self.lo, "hi": self.hi}
 
 
 ZERO_COMPLEX = CochainComplex({})
-
-
-def single_space(k: int, n: int) -> CochainComplex:
-    """The complex with one graded piece of dimension n in degree k."""
-    return CochainComplex({k: n})
 
 
 # -- cohomology -----------------------------------------------------------

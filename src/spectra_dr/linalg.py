@@ -52,8 +52,8 @@ columns of higher index, so the reduced matrix is M V with V unit upper
 triangular in that order.  It reads the blocks of M in place, unglued, and
 keeps integer columns.
 
-Memos.  Every memo of the package is declared with memo (an unbounded
-lru_cache); clear_caches, which every clear_* name is, empties them all.
+Memos.  Every memo of the package is declared with memo (an unbounded,
+typed lru_cache); clear_caches, which every clear_* name is, empties them all.
 
 A Subquotient packages (cycles mod boundaries) inside a fixed ambient space;
 every cohomology group, spectral-sequence term and Bott-Chern group in the
@@ -108,8 +108,10 @@ _MEMOS: list = []
 
 
 def memo(fn):
-    """lru_cache(maxsize=None), recorded so that clear_caches empties it."""
-    _MEMOS.append(lru_cache(maxsize=None)(fn))
+    """lru_cache(maxsize=None, typed=True), recorded so that clear_caches
+    empties it.  Typed keys keep 1.0 from hitting the entry of 1, so a
+    malformed argument reaches the checks of the cold path."""
+    _MEMOS.append(lru_cache(maxsize=None, typed=True)(fn))
     return _MEMOS[-1]
 
 
@@ -327,9 +329,6 @@ class RatMatrix:
     def col_matrix(self, j: int) -> "RatMatrix":
         col = [self._entry(r, j) for r in self._rows]
         return RatMatrix(self.rows, 1, [(0, x) if x else () for x in col], _trusted=True)
-
-    def columns(self) -> list:
-        return [self.col(j) for j in range(self.cols)]
 
     @property
     def shape(self) -> tuple:
@@ -584,7 +583,7 @@ class RatMatrix:
             entries = obj["entries"]
         except KeyError as exc:
             raise ParseError(f"matrix JSON missing key {exc}") from None
-        if not isinstance(rows, int) or not isinstance(cols, int):
+        if type(rows) is not int or type(cols) is not int:  # a bool is no size
             raise ParseError("matrix rows/cols must be integers")
         if not isinstance(entries, list) or len(entries) != rows:
             raise ParseError("matrix entries must be a list of rows")
@@ -909,11 +908,6 @@ def solve_matrix(a: RatMatrix, b: RatMatrix) -> RatMatrix | None:
         return None
     d, x = _back_substitute(rows, pivots, {n + j: {j: -1} for j in range(k)})
     return _from_values(x, n, k, lambda _t, v: v // d if v % d == 0 else Fraction(v, d))
-
-
-def in_span(basis: RatMatrix, vectors: RatMatrix) -> bool:
-    """True when every column of vectors lies in the column span of basis."""
-    return solve_matrix(basis, vectors) is not None
 
 
 # -- subquotients ---------------------------------------------------------

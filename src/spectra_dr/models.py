@@ -6,7 +6,7 @@ constants: d(w^i) is a rational combination of two-generator wedges with no
 wb-wb component, d(wb^i) is its conjugate, and d^2 = 0 on generators (the
 Jacobi identity) makes the bidegree pieces of d a valid double complex with
 d1 raising the holomorphic degree and d2 the antiholomorphic one.  A twist of
-rank m replaces every space by m parallel copies with the same differential.
+rank m is the direct sum of m copies of the model.
 
 Concrete builders: torus_model (all structure constants zero), lie_model
 (from a LieModelSpec, e.g. the built-in Iwasawa one with d w^3 = -w^1 w^2),
@@ -15,15 +15,19 @@ collapsing the fourfold tensor grading and keeping track of how the sorted
 product monomials differ by sign from the tensor basis.
 
 Each basis vector carries a label (copy, sign, I, J): the vector equals
-sign * (copy, w^I wb^J).  Labels drive the multiplicative structure — wedge,
-integration against the top monomial, cup maps by a closed form, and the
-duality pairing into the shifted bigraded dual of the complementary window.
+sign * (copy, w^I wb^J).  Labels drive the multiplicative structure — the
+matrix of a right wedge (behind both wedge and the cup maps), integration
+against the top monomial, and the duality pairing into the shifted bigraded
+dual of the complementary window.
 The duality map is handed to the double-complex machinery unmodified; that
 its squares anticommute correctly is re-verified on every construction.
 
 The predictors at the bottom turn window hypercohomology of small models
-into the dimension formulas for fibrations, projective bundles and blowups;
-they are pure arithmetic and are tested against actual product models.
+into the dimension formulas for fibrations, projective bundles and blowups.
+The bundle formulas are Leray-Hirsch sums: a projective bundle is the sum
+over the powers of the hyperplane class, and a blowup is the ambient model
+plus that sum over the center.  They are pure arithmetic and are tested
+against actual product models.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import warnings
 from itertools import combinations
 from math import comb
 
-from .bicomplex import BicomplexMap, DoubleComplex, dual2, shift2
+from .bicomplex import BicomplexMap, DoubleComplex, direct_sum2, dual2, shift2
 from .errors import (
     IntegralNotClosed,
     JacobiViolation,
@@ -50,12 +54,12 @@ from .linalg import (
     rat_str,
     subquotient,
 )
+from .spectral import window_barcode
 from .tensorops import quad_tensor, ss_collapse
 from .truncation import (
     column_cohomology_dim,
     frolicher_is_equality,
     hodge_filtration_dims,
-    hypercohomology,
     truncate,
 )
 
@@ -78,34 +82,12 @@ def _sort_sign(seq):
     return sign, tuple(seq)
 
 
-def _merge_sign(a, b):
-    """Sign of merging two ascending tuples, 0 on a common element."""
-    sign = 1
-    out = []
-    i, j = 0, 0
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            return 0, ()
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            # b[j] jumps over the remaining len(a)-i elements of a
-            if (len(a) - i) % 2:
-                sign = -sign
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return sign, tuple(out)
-
-
 def wedge_monomials(i1, j1, i2, j2):
     """(sign, I, J) of (w^I1 wb^J1) ^ (w^I2 wb^J2); sign 0 if it vanishes."""
-    s1, ii = _merge_sign(tuple(i1), tuple(i2))
+    s1, ii = _sort_sign((*i1, *i2))
     if not s1:
         return 0, (), ()
-    s2, jj = _merge_sign(tuple(j1), tuple(j2))
+    s2, jj = _sort_sign((*j1, *j2))
     if not s2:
         return 0, (), ()
     sign = s1 * s2
@@ -180,11 +162,10 @@ class LieModelSpec:
     def from_json(obj) -> "LieModelSpec":
         if not isinstance(obj, dict) or "n" not in obj:
             raise ParseError("model spec must be an object with an 'n' field")
-        try:
-            n = int(obj["n"])
-            twist = int(obj.get("twist_rank", 1))
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"bad model spec sizes: {exc}") from None
+        n, twist = obj["n"], obj.get("twist_rank", 1)
+        for field, value in (("n", n), ("twist_rank", twist)):
+            if type(value) is not int:  # not a float, not a bool
+                raise ParseError(f"model spec field {field!r} must be an integer, got {value!r}")
         d = {}
         for g, terms in (obj.get("d") or {}).items():
             try:
@@ -198,11 +179,10 @@ class LieModelSpec:
                 wedge_toks = term["wedge"]
                 if not isinstance(wedge_toks, (list, tuple)) or len(wedge_toks) != 2:
                     raise ParseError(f"wedge of d({g}) must list two generators")
-                try:
-                    ta, tb = (int(tok) for tok in wedge_toks)
-                except (TypeError, ValueError):
-                    raise ParseError(f"bad generator tokens {wedge_toks!r}") from None
-                parsed.append((ta, tb, term.get("coeff", 1)))
+                if any(type(tok) is not int for tok in wedge_toks):
+                    raise ParseError(
+                        f"wedge of d({g}) must list integer generators, got {wedge_toks!r}")
+                parsed.append((*wedge_toks, term.get("coeff", 1)))
             d[gi] = parsed
         return LieModelSpec(n, d, twist)
 
@@ -301,18 +281,13 @@ def _twist(base: ModelDoubleComplex, m: int) -> ModelDoubleComplex:
     if m == 1:
         return base
     _check_model_size(f"twist n={base.n}", base.n, m)
-    ident = RatMatrix.identity(m)
-    dims = {key: m * d for key, d in base.complex.dims().items()}
-    d1 = {key: RatMatrix.kron(ident, mat) for key, mat in base.complex._d1.items()}
-    d2 = {key: RatMatrix.kron(ident, mat) for key, mat in base.complex._d2.items()}
     labels = {
         key: tuple(
             (c, s, i, j) for c in range(m) for (_c, s, i, j) in labs
         )
         for key, labs in base.labels.items()
     }
-    cx = DoubleComplex(dims, d1, d2)
-    return ModelDoubleComplex(base.n, m, cx, labels, base)
+    return ModelDoubleComplex(base.n, m, direct_sum2([base.complex] * m), labels, base)
 
 
 # -- builders -------------------------------------------------------------
@@ -459,32 +434,32 @@ def product_model(x: ModelDoubleComplex, y: ModelDoubleComplex) -> ModelDoubleCo
 # -- calculus on labels ---------------------------------------------------
 
 
+def _right_wedge(model: ModelDoubleComplex, bideg, alpha_bideg,
+                 alpha: RatMatrix) -> RatMatrix:
+    """The matrix of x |-> x ^ alpha from bidegree bideg to bideg +
+    alpha_bideg, copy by copy of the twist, for an untwisted alpha."""
+    (a, b), (u, v) = bideg, alpha_bideg
+    terms = [(alpha[pos, 0], s2, i2, j2)
+             for pos, (_c, s2, i2, j2) in enumerate(model.base.labels.get((u, v), ()))
+             if alpha[pos, 0]]
+    labs = model.labels.get((a, b), ())
+    look = model.lookup(a + u, b + v)
+    out = [[F0] * len(labs) for _ in range(model.dim(a + u, b + v))]
+    for col, (c1, s1, i1, j1) in enumerate(labs):
+        for coeff, s2, i2, j2 in terms:
+            ws, ii, jj = wedge_monomials(i1, j1, i2, j2)
+            if ws:
+                pos, ts = look[(c1, ii, jj)]
+                out[pos][col] += coeff * (s1 * s2 * ws * ts)
+    return RatMatrix(len(out), len(labs), out)
+
+
 def wedge(model: ModelDoubleComplex, bideg1, v1: RatMatrix, bideg2,
           v2: RatMatrix) -> RatMatrix:
     """Coordinate vector of the wedge of two untwisted elements."""
     if model.twist_rank != 1:
         raise PreconditionViolation("wedge of two twisted elements is undefined")
-    p1, q1 = bideg1
-    p2, q2 = bideg2
-    tp, tq = p1 + p2, q1 + q2
-    out = [F0] * model.dim(tp, tq)
-    look = model.lookup(tp, tq)
-    labs1 = model.labels.get((p1, q1), ())
-    labs2 = model.labels.get((p2, q2), ())
-    for a, (_c1, s1, i1, j1) in enumerate(labs1):
-        ca = v1[a, 0]
-        if not ca:
-            continue
-        for b, (_c2, s2, i2, j2) in enumerate(labs2):
-            cb = v2[b, 0]
-            if not cb:
-                continue
-            ws, ii, jj = wedge_monomials(i1, j1, i2, j2)
-            if not ws:
-                continue
-            pos, ts = look[(0, ii, jj)]
-            out[pos] += ca * cb * (s1 * s2 * ws * ts)
-    return RatMatrix.column(out)
+    return _right_wedge(model, bideg1, bideg2, v2) @ v1
 
 
 def integral(model: ModelDoubleComplex, v: RatMatrix):
@@ -516,25 +491,8 @@ def cup_map(model: ModelDoubleComplex, window: tuple, alpha_bidegree,
     s, t = window
     src = truncate(model.complex, (s, t))
     tgt = shift2(truncate(model.complex, (s + u, t + u)), u, v)
-    alabs = base.labels[(u, v)]
-    mats = {}
-    for (a, b), cols in src.dims().items():
-        rows = model.dim(a + u, b + v)
-        if rows == 0:
-            continue
-        look = model.lookup(a + u, b + v)
-        out = [[F0] * cols for _ in range(rows)]
-        for col, (c1, s1, i1, j1) in enumerate(model.labels[(a, b)]):
-            for pos_a, (_c2, s2, i2, j2) in enumerate(alabs):
-                coeff = alpha[pos_a, 0]
-                if not coeff:
-                    continue
-                ws, ii, jj = wedge_monomials(i1, j1, i2, j2)
-                if not ws:
-                    continue
-                pos, ts = look[(c1, ii, jj)]
-                out[pos][col] += coeff * (s1 * s2 * ws * ts)
-        mats[(a, b)] = RatMatrix(rows, cols, out)
+    mats = {(a, b): _right_wedge(model, (a, b), (u, v), alpha)
+            for a, b in src.dims() if model.dim(a + u, b + v)}
     return BicomplexMap(src, tgt, mats)
 
 
@@ -587,7 +545,7 @@ def bott_chern_dim(k: DoubleComplex, p: int, q: int) -> int:
 
 def hyper(model: ModelDoubleComplex, window: tuple, k: int) -> int:
     """Window hypercohomology dimension of the model."""
-    return hypercohomology(model.complex, window, k)
+    return window_barcode(model.complex, window[0], window[1]).betti.get(k, 0)
 
 
 def column_dims(model: ModelDoubleComplex, p: int) -> dict:
@@ -604,7 +562,10 @@ def kunneth_predict(x: ModelDoubleComplex, y: ModelDoubleComplex,
                     window: tuple, c: int) -> int:
     """Predicted dim H^c of the product in the window: the first factor
     enters through its single-column windows, the second through the
-    correspondingly shifted windows.
+    correspondingly shifted windows.  This is Leray-Hirsch over y, with
+    the class (w, a - w) counted hyper(x, (w, w), a) times; the loop reads
+    each multiplicity once, where a class list with repeats would read
+    hyper(y, ...) once per copy.
 
     The identity with the actual product holds when the first factor's
     window spectral sequences degenerate (its differential splits off), as
@@ -630,16 +591,17 @@ def leray_hirsch_predict(x: ModelDoubleComplex, window: tuple, k: int,
 
 def projective_bundle_predict(x: ModelDoubleComplex, window: tuple, k: int,
                               r: int) -> int:
-    """Projectivized rank-r bundle: powers of the hyperplane class."""
+    """Projectivized rank-r bundle: Leray-Hirsch over the powers h^i,
+    i < r, of the hyperplane class, of bidegree (i, i)."""
     if r < 1:
         raise PreconditionViolation(f"bundle rank must be positive, got {r}")
-    s, t = window
-    return sum(hyper(x, (s - i, t - i), k - 2 * i) for i in range(r))
+    return leray_hirsch_predict(x, window, k, [(i, i) for i in range(r)])
 
 
 def blowup_predict(x: ModelDoubleComplex, y: ModelDoubleComplex,
                    window: tuple, k: int, r: int) -> int:
-    """Blowup of x along a center modeled by y of codimension r >= 2."""
+    """Blowup of x along a center modeled by y of codimension r >= 2: x
+    plus Leray-Hirsch over y with the classes (i, i), 0 < i < r."""
     if r < 2:
         raise PreconditionViolation(f"codimension must be at least 2, got {r}")
     if y.n + r != x.n:
@@ -647,10 +609,8 @@ def blowup_predict(x: ModelDoubleComplex, y: ModelDoubleComplex,
             f"center dimension {y.n} + codimension {r} != ambient {x.n}",
             stacklevel=2,
         )
-    s, t = window
-    return hyper(x, (s, t), k) + sum(
-        hyper(y, (s - i, t - i), k - 2 * i) for i in range(1, r)
-    )
+    return hyper(x, window, k) + leray_hirsch_predict(y, window, k,
+                                                      [(i, i) for i in range(1, r)])
 
 
 def degeneration_equivalence(x: ModelDoubleComplex, r: int) -> dict:

@@ -30,7 +30,7 @@ from .bicomplex import (
     total,
 )
 from .cochain import ChainMap, CochainComplex, GradedComplex, cohomology_dim
-from .errors import NotChainCompatible, ParseError, ValidationError, WitnessFailure
+from .errors import NotChainCompatible, ValidationError, WitnessFailure
 from .linalg import RatMatrix, check_piece_dims, rank
 from .report import Report
 
@@ -99,16 +99,6 @@ def kunneth_check(k: CochainComplex, l: CochainComplex, parity: int = 0) -> Repo
 # -- four-fold complexes --------------------------------------------------
 
 
-def _pqrs_key(s: str) -> tuple:
-    try:
-        parts = [int(x) for x in s.split(",")]
-    except (ValueError, AttributeError) as exc:
-        raise ParseError(f"bad quad key {s!r}: {exc}") from None
-    if len(parts) != 4:
-        raise ParseError(f"quad key needs 4 components, got {s!r}")
-    return tuple(parts)
-
-
 class QuadComplex(GradedComplex):
     """Four commuting gradings with one differential per direction; every
     differential squares to zero and every pair anticommutes."""
@@ -120,7 +110,8 @@ class QuadComplex(GradedComplex):
         lambda k: (k[0], k[1], k[2] + 1, k[3]),
         lambda k: (k[0], k[1], k[2], k[3] + 1),
     )
-    _NAMES = ("d1", "d2", "d3", "d4")
+    _NAMES = _FIELDS = ("d1", "d2", "d3", "d4")
+    _NOUN = "quad complex"
     _group = staticmethod(lambda k: (k[0] + k[1], k[2] + k[3]))
     _order = staticmethod(lambda k: (k[0], k[2]))
 
@@ -138,29 +129,6 @@ class QuadComplex(GradedComplex):
 
     def __repr__(self) -> str:
         return f"QuadComplex(cells={len(self._dims)}, total dim {self.total_dim()})"
-
-    def to_json(self) -> dict:
-        out = {"dims": {self._key_str(key): n for key, n in sorted(self._dims.items())}}
-        for name, d in zip(self._NAMES, self._diffs):
-            out[name] = self._blocks_json(d)
-        return out
-
-    @staticmethod
-    def from_json(obj) -> "QuadComplex":
-        if not isinstance(obj, dict) or "dims" not in obj:
-            raise ParseError("quad complex JSON must be an object with 'dims'")
-        try:
-            dims = {_pqrs_key(k): v for k, v in obj["dims"].items()}
-            ds = [
-                {
-                    _pqrs_key(k): RatMatrix.from_json(v)
-                    for k, v in obj.get(f"d{i}", {}).items()
-                }
-                for i in range(1, 5)
-            ]
-        except AttributeError as exc:
-            raise ParseError(f"bad quad complex JSON: {exc}") from None
-        return QuadComplex(dims, *ds)
 
 
 def quad_tensor(k: DoubleComplex, l: DoubleComplex) -> QuadComplex:

@@ -33,7 +33,7 @@ from spectra_dr.bicomplex import (
 from spectra_dr.cli import main
 from spectra_dr.cochain import GradedMap, direct_sum, shift
 from spectra_dr.errors import ValidationError
-from spectra_dr.models import iwasawa_spec, lie_model, product_model, torus_model
+from spectra_dr.models import hyper, iwasawa_spec, lie_model, product_model, torus_model
 from spectra_dr.randgen import random_double_complex
 from spectra_dr.tensorops import quad_slice, quad_tensor, ss_collapse
 from spectra_dr.truncation import (
@@ -235,4 +235,22 @@ def test_window_bounds_must_be_integers(models):
     assert truncation.window_barcode.cache_info().currsize == 0
     assert hyper_dims(k, (2, 2)) == {2: 3, 3: 6, 4: 6, 5: 3}
     assert hyper_dims(k, (True, 2)) == hyper_dims(k, (1, 2))
+    clear_truncation_cache()
+
+
+def test_a_warm_memo_still_refuses_float_window_bounds(models):
+    """A cached (1, 2) must not answer for (1.0, 2): the memo keys are
+    typed, so the float misses and reaches the bound check."""
+    iw = models["IW"]
+    k = iw.complex
+    clear_truncation_cache()
+    assert hyper_dims(k, (1, 2)) == {1: 2, 2: 6, 3: 8, 4: 6, 5: 2}
+    assert hyper(iw, (1, 2), 3) == hypercohomology(k, (1, 2), 3) == 8
+    for bad in ((1.0, 2), (1, 2.0)):
+        message = re.escape(f"window bounds must be integers, got {bad}")
+        for call in (lambda: hyper_dims(k, bad), lambda: hypercohomology(k, bad, 3),
+                     lambda: hyper(iw, bad, 3)):
+            with pytest.raises(ValidationError, match=message):
+                call()
+    assert truncation.window_barcode.cache_info().currsize == 1
     clear_truncation_cache()

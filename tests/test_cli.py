@@ -382,3 +382,40 @@ def test_spectral_under_a_cap_the_pieces_fit(capsys, monkeypatch, tmp_path):
     code, out, err = run(capsys, "spectral", str(path))
     assert code == 2 and out == ""
     assert err == "error: piece (0,0) has dim 2 > SPECTRA_DR_MAX_DIM=1\n"
+
+
+IW_TERM = {"wedge": [1, 2], "coeff": "-1"}
+
+
+@pytest.mark.parametrize("command,payload,message", [
+    (["cohomology", "-", "--format", "json"], {"dims": {"0,0": True, "1,0": 1}},
+     "bad dimension at (0,0): True"),
+    (["cohomology", "-", "--format", "json"],
+     {"dims": {"0": 1, "1": 1}, "diffs": {"0": {"rows": True, "cols": True, "entries": [["3"]]}}},
+     "matrix rows/cols must be integers"),
+    (["truncate", "-", "--window", "0,1"],
+     {"dims": {"0,0": 1, "1,0": 1}, "d1": {"0,0": {"rows": 1, "cols": True, "entries": [["3"]]}}},
+     "matrix rows/cols must be integers"),
+])
+def test_json_booleans_are_refused(capsys, monkeypatch, command, payload, message):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+    code, out, err = run(capsys, *command)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("spec,message", [
+    ({"n": 3.9, "twist_rank": 1, "d": {"3": [IW_TERM]}},
+     "model spec field 'n' must be an integer, got 3.9"),
+    ({"n": 3, "twist_rank": True, "d": {"3": [IW_TERM]}},
+     "model spec field 'twist_rank' must be an integer, got True"),
+    ({"n": 3, "d": {"3": [{"wedge": [1.7, 2], "coeff": "-1"}]}},
+     "wedge of d(3) must list integer generators, got [1.7, 2]"),
+])
+def test_spec_floats_and_booleans_are_refused(capsys, tmp_path, spec, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    for argv in (["model", "lie", "--spec", str(path)],
+                 ["predict", "projective", "--x", f"lie:{path}", "--window", "0,1",
+                  "--degree", "1"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")

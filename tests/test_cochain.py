@@ -19,7 +19,6 @@ from spectra_dr.cochain import (
     identity_chain_map,
     is_cohomology_iso,
     shift,
-    single_space,
 )
 from spectra_dr.errors import NotChainCompatible, ParseError, ValidationError
 from spectra_dr.linalg import RatMatrix
@@ -111,7 +110,7 @@ def test_degree_over_the_size_cap_is_named(monkeypatch):
     lambda: QuadComplex({(0, 0, 0): 1}),
     lambda: QuadComplex({(0, 0, 0, "a"): 1}),
     lambda: QuadComplex({(0, 0, 0, 0): 1, (1, 0, 0, 0): 1}, d1={7: M([[1]])}),
-    lambda: ChainMap(single_space(0, 1), single_space(0, 1), {"0": M([[1]])}),
+    lambda: ChainMap(CochainComplex({0: 1}), CochainComplex({0: 1}), {"0": M([[1]])}),
     lambda: BicomplexMap(DoubleComplex({(0, 0): 1}), DoubleComplex({(0, 0): 1}),
                          {(0, 0, 0): M([[1]])}),
 ])
@@ -187,7 +186,7 @@ def test_dual_cohomology_dims_random():
 
 def test_direct_sum():
     a = two_to_one()
-    b = single_space(1, 2)
+    b = CochainComplex({1: 2})
     s = direct_sum([a, b])
     assert s.dims() == {0: 2, 1: 3}
     assert betti_numbers(s) == {0: 1, 1: 2}
