@@ -19,48 +19,36 @@ by the eliminations already hold canonical sparse rows, so they are
 constructed with the private keyword ``_trusted=True``, which skips the
 per-entry coercion but not the size cap.
 
-Elimination.  There is one: fraction-free (Bareiss) elimination on
-integer-cleared {column: int} rows keyed by original column, which keeps
-intermediate entries polynomial in the input instead of exploding the way
-Fraction pivoting does.  It has two pivot rules.  Full pivoting, behind
-rank, pivot_columns, kernel_basis and the boundary basis of a subquotient,
-takes the nonzero of least
-``(|v|, row position, column position)``, a position permutation standing
-in for column swaps: what a dense row-major scan for the smallest magnitude
-picks (including its stop at the first 1), so pivot columns and kernel
-bases do not depend on the storage.  Leftmost pivoting, behind solve_matrix
-and subquotient, walks the columns once in ascending order and pivots on the
-least-magnitude entry, ties to the topmost row, of the first column a
-remaining row holds; its pivot columns are those of the reduced echelon
-form, so solutions (free variables zero) and representatives do not depend
-on the row picked.  A map from each column to the remaining rows that hold
-it gives leftmost pivoting its candidates and both rules the rows a step
-eliminates, so a step touches only the rows that hold its pivot column.
-Every other remaining row owes Bareiss's scaling by piv / prev; it is
-applied lazily.  Each row is stamped with the prev of its last update and
-is brought up to date as v * prev // stamp when next read: the factors
-telescope to prev / stamp, and the division is exact because the true
-entries are integers (minors of the input), so the integers are those of
-eager scaling.  Kernels and solutions then come from one
-back-substitution, bottom-up over the pivot rows, carrying every free or
-right-hand column at once in integers scaled by the last pivot.
-
-Filtered reduction.  column_lows, behind spectral.window_barcode, is the
-persistence reduction: it chooses no pivot, takes the columns in a fixed
-order, from the highest index down, and adds to a column only reduced
-columns of higher index, so the reduced matrix is M V with V unit upper
-triangular in that order.  It reads the blocks of M in place, unglued, and
-keeps integer columns.
+Elimination.  There is one: the persistence column reduction (_reduce),
+with one pivot rule.  It chooses no pivot: it takes the columns in a fixed
+order, from the highest key down, and adds to a column only multiples of
+reduced columns of higher key, until no two nonzero columns share a low
+(least row).  So the reduced matrix is R = M V with V upper triangular in
+that order and positive on its diagonal (a column is only ever scaled by a
+positive integer), and the nonzero columns of R are the columns of M that
+are independent of all columns taken before them.  Columns are read from the
+blocks of M in place, never glued, and kept as {row: int} dicts cleared of
+denominators; a step that scales a column then divides out the gcd of
+its entries, so the values stay small.
+Taken from the highest column down it is the filtered reduction behind
+spectral.window_barcode (column_lows) and rank.  Taken from the left (the
+columns keyed by negated index) it gives the rest, V recorded where asked:
+pivot_columns and image_basis keep the nonzero columns, which are the pivot
+columns of the reduced echelon form; kernel_basis reads the V columns of the
+columns that reduce to zero; solve_matrix reduces each right-hand column
+against the columns of the matrix and reads the solution off its V column,
+held only at pivot columns, so free variables are zero; subquotient keeps
+the nonzero columns of one reduction of [boundaries | Z].
 
 Memos.  Every memo of the package is declared with memo (an unbounded,
 typed lru_cache); clear_caches, which every clear_* name is, empties them all.
 
 A Subquotient packages (cycles mod boundaries) inside a fixed ambient space;
 every cohomology group, spectral-sequence term and Bott-Chern group in the
-package is one of these.  Its representatives are the leftmost pivot
-columns of [B | Z] inside Z: exactly the cycles a greedy left-to-right scan
-would add to the boundaries.  The pivot count certifies that the boundaries
-lie in the cycle span.
+package is one of these.  Its representatives are the columns of Z that stay
+nonzero in that reduction: exactly the cycles a greedy left-to-right scan
+would add to the boundaries.  The count of nonzero columns certifies that
+the boundaries lie in the cycle span.
 """
 
 from __future__ import annotations
@@ -607,21 +595,15 @@ def products_vanish(*pairs) -> bool:
     return True
 
 
-def column_lows(blocks, cleared=()) -> dict:
-    """The persistence reduction of the matrix that from_blocks would glue
-    from blocks, (row offset, column offset, RatMatrix) triples that do not
-    overlap; the matrix itself is never built.
+# -- the column reduction ----------------------------------------------------
 
-    A column's low is its least row index.  The columns are reduced from the
-    highest index down, each by adding multiples of reduced columns of
-    higher index, until no two nonzero columns share a low.  Returns
-    {column: low} for the columns that stay nonzero.  A column in cleared
-    is taken as zero unread: the caller knows it reduces to zero (it is the
-    low of a reduced column of the previous differential).  Exact: each
-    column is cleared of denominators, a step scales it by the integer that
-    cancels its low and then divides it by the gcd of its entries, so the
-    values stay small integers.
-    """
+
+def _columns(blocks, cleared=()) -> dict:
+    """The nonzero columns, {column: {row: value}}, of the matrix that
+    from_blocks would glue from blocks, (row offset, column offset,
+    RatMatrix) triples that do not overlap; the blocks are read in place and
+    the matrix itself is never built.  A column in cleared is left out
+    unread."""
     cols = {}
     for r0, c0, m in blocks:
         for i, row in enumerate(m._rows, r0):
@@ -631,8 +613,48 @@ def column_lows(blocks, cleared=()) -> dict:
                     cols[c][i] = v
                 elif c not in cleared:
                     cols[c] = {i: v}
+    return cols
+
+
+def _leftmost(*mats: RatMatrix) -> dict:
+    """The columns of [m0 | m1 | ...], never glued, keyed by negated column
+    index, so that _reduce takes them from the left."""
+    offs = accumulate((m.cols for m in mats), initial=0)
+    return {-c: col for c, col in _columns([(0, o, m) for o, m in zip(offs, mats)]).items()}
+
+
+def _step(col: dict, b: int, a: int, other: dict) -> dict:
+    """The sparse integer vector b * col - a * other; col is updated in place
+    when b is 1."""
+    if b != 1:
+        col = {i: v * b for i, v in col.items()}
+    for i, v in other.items():
+        x = col.get(i, 0) - a * v
+        if x:
+            col[i] = x
+        else:
+            del col[i]
+    return col
+
+
+def _reduce(cols: dict, track: bool = False):
+    """The persistence reduction of cols, {key: {row: value}}, from the
+    highest key down (see the module docstring); the column dicts may be
+    updated in place.
+
+    A column is cleared of denominators first; a step scales it by the
+    integer that cancels its low and then divides it by the gcd of its
+    entries.  Returns (lows, zeros): lows maps the key of each column that
+    stays nonzero to its low.  With track, V is recorded alongside (the gcd
+    is then taken over a column and its V column together), and zeros maps
+    the key of each column that reduces to zero to its V column {key: int}:
+    a vanishing integer combination of the input columns, positive at its
+    own key and otherwise held only at keys in lows.  Without track, zeros
+    is empty.
+    """
     reduced = {}  # low -> the reduced column that holds it
-    out = {}
+    ops = {}  # low -> that column's V column, when tracked
+    lows, zeros = {}, {}
     for j in sorted(cols, reverse=True):
         col = cols[j]
         lcm = 1
@@ -641,6 +663,7 @@ def column_lows(blocks, cleared=()) -> dict:
                 lcm = lcm * v.denominator // gcd(lcm, v.denominator)
         if lcm != 1:
             col = {i: int(v * lcm) for i, v in col.items()}
+        op = {j: lcm} if track else None
         low = min(col)
         while low in reduced:
             other = reduced[low]
@@ -649,239 +672,75 @@ def column_lows(blocks, cleared=()) -> dict:
             a, b = a // g, b // g
             if b < 0:
                 a, b = -a, -b
-            if b != 1:
-                col = {i: v * b for i, v in col.items()}
-            for i, v in other.items():
-                x = col.get(i, 0) - a * v
-                if x:
-                    col[i] = x
-                else:
-                    del col[i]
+            col = _step(col, b, a, other)
+            if track:
+                op = _step(op, b, a, ops[low])
             if not col:
                 break
             if b != 1:
                 g = 0
                 for v in col.values():
                     g = gcd(g, v)
+                if track:
+                    for v in op.values():
+                        g = gcd(g, v)
                 if g != 1:
                     col = {i: v // g for i, v in col.items()}
+                    if track:
+                        op = {i: v // g for i, v in op.items()}
             low = min(col)
         else:
             reduced[low] = col
-            out[j] = low
-    return out
+            if track:
+                ops[low] = op
+            lows[j] = low
+            continue
+        if track:
+            zeros[j] = op
+    return lows, zeros
 
 
-# -- fraction-free elimination -------------------------------------------
-
-
-def _integer_rows(*mats: RatMatrix) -> list:
-    """The rows of [m0 | m1 | ...], each cleared of denominators (row
-    scaling preserves rank, kernel, solutions and pivot-column structure).
-    One {column: int} dict per row; a row of ints is copied as it is."""
-    offs = list(accumulate((m.cols for m in mats[:-1]), initial=0))
-    out = []
-    for parts in zip(*(m._rows for m in mats)):
-        lcm = 1
-        for r in parts:
-            for x in r[1::2]:
-                if type(x) is not int:
-                    d = x.denominator
-                    lcm = lcm * d // gcd(lcm, d)
-        if lcm == 1:
-            out.append({c + off: x for off, r in zip(offs, parts) for c, x in _pairs(r)})
-        else:
-            out.append({c + off: x.numerator * (lcm // x.denominator)
-                        for off, r in zip(offs, parts) for c, x in _pairs(r)})
-    return out
-
-
-def _bareiss(a: list, nrows: int, ncols: int, lead: int | None = None):
-    """In-place fraction-free echelon of {column: int} rows keyed by original
-    column, with full pivoting, or leftmost pivoting in the columns below
-    lead (see the module docstring).
-
-    Returns (rank, pivots, a): rows a[i], i < rank, are the pivot rows, a[i]
-    holding its pivot at column pivots[i] and otherwise only columns that
-    are not pivots of the rows above it; the rows from rank on are up to
-    date and hold no column a pivot could have been taken from.
-    """
-    full = lead is None
-    if full:
-        colperm = list(range(ncols))
-        pos = list(range(ncols))  # pos[c]: position of original column c
-    # where[c]: the positions >= r of the rows that hold column c
-    where = {}
-    for i, row in enumerate(a):
-        for c in row:
-            if c in where:
-                where[c].add(i)
-            else:
-                where[c] = {i}
-    if not full:
-        # elimination never brings in a column that no row held to begin with
-        held = iter(sorted(c for c in where if c < lead))
-    # a[i] holds its true entries times stamp[i] / prev: a row that no step
-    # eliminates owes the scaling by piv / prev of every step since its
-    # stamp, and the factors telescope to prev / stamp
-    stamp = [1] * nrows
-    pivots = []
-    prev = 1
-    r = 0
-    while r < nrows:
-        if full:
-            best = None
-            bi = bc = bp = -1
-            for i in range(r, nrows):
-                row = a[i]
-                if not row:
-                    continue
-                if stamp[i] != prev:
-                    a[i] = row = _rescaled(row, prev, stamp[i])
-                    stamp[i] = prev
-                for c, v in row.items():
-                    av = -v if v < 0 else v
-                    if best is None or av < best:
-                        best, bi, bc, bp = av, i, c, pos[c]
-                    elif av == best and i == bi and pos[c] < bp:
-                        bc, bp = c, pos[c]
-                if best == 1:
-                    break
-            if best is None:
-                break
-            if bp != r:
-                moved = colperm[r]
-                colperm[r], colperm[bp] = bc, moved
-                pos[bc], pos[moved] = r, bp
-        else:
-            for bc in held:
-                if where[bc]:
-                    bi = min((abs(a[i][bc] * prev // stamp[i]), i) for i in where[bc])[1]
-                    break
-            else:
-                break
-        prow = a[bi]
-        if stamp[bi] != prev:
-            prow = _rescaled(prow, prev, stamp[bi])
-        # the pivot row leaves the index; then the row it displaces moves
-        for c in prow:
-            where[c].discard(bi)
-        if bi != r:
-            for c in a[r]:
-                s = where[c]
-                s.discard(r)
-                s.add(bi)
-            a[bi], stamp[bi] = a[r], stamp[r]
-        a[r] = prow
-        piv = prow[bc]
-        for i in where.pop(bc):
-            # the row brought up to date (times prev / its stamp) and times piv
-            row, st = a[i], stamp[i]
-            head = row.pop(bc) * prev // st
-            f = piv * prev
-            row = {c: v * f // st for c, v in row.items()}
-            for c, p in prow.items():
-                if c == bc:
-                    continue
-                if c in row:
-                    x = row[c] - head * p
-                    if x:
-                        row[c] = x
-                    else:
-                        del row[c]
-                        where[c].discard(i)
-                else:
-                    row[c] = -head * p
-                    where[c].add(i)
-            a[i] = {c: x // prev for c, x in row.items()} if prev != 1 else row
-            stamp[i] = piv
-        prev = piv
-        pivots.append(bc)
-        r += 1
-    for i in range(r, nrows):
-        if a[i] and stamp[i] != prev:
-            a[i] = _rescaled(a[i], prev, stamp[i])
-    return r, pivots, a
-
-
-def _rescaled(row: dict, prev: int, stamp: int) -> dict:
-    """A row stamped at stamp brought up to date at prev.  Exact: the true
-    entries are integers (minors of the input) and equal v * prev / stamp."""
-    return {c: v * prev // stamp for c, v in row.items()}
-
-
-def _back_substitute(a: list, pivots: list, seeds: dict):
-    """Each pivot row of a Bareiss echelon, bottom-up, fixes its pivot
-    column's value, a sparse {output index: int} dict, so that the row
-    vanishes; seeds holds the other columns' values (absent ones are zero).
-    Returns (d, x), x holding all values times d, the last pivot: d is the
-    determinant of the pivot block, so by Cramer's rule every division is
-    exact."""
-    d = a[len(pivots) - 1][pivots[-1]] if pivots else 1
-    x = {c: {t: v * d for t, v in vals.items()} for c, vals in seeds.items()}
-    for i in range(len(pivots) - 1, -1, -1):
-        row = a[i]
-        acc = {}
-        for c, v in row.items():
-            vals = x.get(c)
-            if vals:
-                for t, y in vals.items():
-                    acc[t] = acc[t] + v * y if t in acc else v * y
-        p = -row[pivots[i]]
-        vals = {t: s // p for t, s in acc.items() if s}
-        if vals:
-            x[pivots[i]] = vals
-    return d, x
-
-
-def _from_values(x: dict, rows: int, cols: int, value) -> RatMatrix:
-    """The rows x cols matrix whose entry (c, t) is value(t, x[c][t])."""
-    out = [()] * rows
-    for c, vals in x.items():
-        if c < rows:
-            out[c] = tuple(z for t in sorted(vals) for z in (t, value(t, vals[t])))
-    return RatMatrix(rows, cols, out, _trusted=True)
+def column_lows(blocks, cleared=()) -> dict:
+    """The persistence reduction (_reduce) of the matrix that from_blocks
+    would glue from blocks, read from the blocks in place, from the highest
+    column down: {column: low} for the columns that stay nonzero.  A column
+    in cleared is taken as zero unread: the caller knows it reduces to zero
+    (it is the low of a reduced column of the previous differential)."""
+    return _reduce(_columns(blocks, cleared))[0]
 
 
 @memo
 def rank(m: RatMatrix) -> int:
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    return _bareiss(_integer_rows(m), m.rows, m.cols)[0]
+    return len(column_lows([(0, 0, m)]))
 
 
 @memo
 def kernel_basis(m: RatMatrix) -> RatMatrix:
     """Basis of {x : m @ x = 0} as columns, shape (cols x nullity).
 
-    Each column is the primitive integer solution with value 1 at "its" free
-    column (positive after scaling) and 0 at the other free columns; columns
-    are ordered by ascending free-column index.  Deterministic.
+    The free columns are those that are not pivot_columns.  Each basis
+    column is the primitive integer solution, positive at "its" free column
+    and 0 at the other free columns; columns are ordered by ascending
+    free-column index.  Deterministic.
     """
-    n = m.cols
-    if n == 0:
-        return RatMatrix.zeros(0, 0)
-    if m.rows == 0:
-        return RatMatrix.identity(n)
-    _, pivots, a = _bareiss(_integer_rows(m), m.rows, n)
-    free = sorted(set(range(n)).difference(pivots))
-    d, x = _back_substitute(a, pivots, {f: {t: 1} for t, f in enumerate(free)})
-    # column t is d times the solution: divide by the gcd of its entries,
-    # taken with the sign of d
-    g = {}
-    for vals in x.values():
-        for t, v in vals.items():
-            g[t] = gcd(g.get(t, 0), v)
-    sign = 1 if d > 0 else -1
-    return _from_values(x, n, len(free), lambda t, v: sign * v // g[t])
+    lows, zeros = _reduce(_leftmost(m), track=True)
+    free = [c for c in range(m.cols) if -c not in lows]
+    out = [()] * m.cols
+    for t, f in enumerate(free):
+        op = zeros.get(-f) or {-f: 1}  # a zero column of m is read as no column
+        g = 0
+        for v in op.values():
+            g = gcd(g, v)
+        for c, v in op.items():
+            out[-c] += (t, v // g)
+    return RatMatrix(m.cols, len(free), out, _trusted=True)
 
 
 @memo
 def pivot_columns(m: RatMatrix) -> tuple:
-    """Original indices of a maximal independent set of columns, ascending."""
-    if m.rows == 0 or m.cols == 0:
-        return ()
-    return tuple(sorted(_bareiss(_integer_rows(m), m.rows, m.cols)[1]))
+    """The leftmost maximal independent set of columns (the pivot columns of
+    the reduced echelon form), ascending."""
+    return tuple(sorted(-c for c in _reduce(_leftmost(m))[0]))
 
 
 def image_basis(m: RatMatrix) -> RatMatrix:
@@ -898,16 +757,21 @@ def solve_matrix(a: RatMatrix, b: RatMatrix) -> RatMatrix | None:
             f"solve shape mismatch: {a.rows}x{a.cols} vs rhs {b.rows}x{b.cols}"
         )
     n, k = a.cols, b.cols
-    if k == 0:
-        return RatMatrix.zeros(n, 0)
-    if a.rows == 0:
-        return RatMatrix.zeros(n, k)
-    # a @ X = b says that [a | b] vanishes on [X; -1]
-    r, pivots, rows = _bareiss(_integer_rows(a, b), a.rows, n + k, lead=n)
-    if any(rows[r:]):
+    # a column of b reduces to zero against the reduced columns of a exactly
+    # when it lies in their span, and its V column is then held only at the
+    # pivot columns of a and at its own key: (x, t) with a @ x + t * b_j = 0
+    lows, zeros = _reduce(_leftmost(a, b), track=True)
+    if any(c <= -n for c in lows):
         return None
-    d, x = _back_substitute(rows, pivots, {n + j: {j: -1} for j in range(k)})
-    return _from_values(x, n, k, lambda _t, v: v // d if v % d == 0 else Fraction(v, d))
+    out = [()] * n
+    for j in range(k):
+        op = zeros.get(-n - j)
+        if op:
+            t = op.pop(-n - j)
+            for c, v in op.items():
+                q, r = divmod(-v, t)
+                out[-c] += (j, Fraction(-v, t) if r else q)
+    return RatMatrix(n, k, out, _trusted=True)
 
 
 # -- subquotients ---------------------------------------------------------
@@ -968,8 +832,9 @@ def subquotient(cycles: RatMatrix, boundaries) -> Subquotient:
     boundaries is a RatMatrix or a sequence of parts that together span them;
     B is the image_basis of [b0 | b1 | ...], taken from the parts unglued.
     Raises ContainmentViolation unless span(boundaries) <= span(cycles).
-    The representatives are the columns of the cycle basis that are leftmost
-    pivots of [B | Z]: each is independent of B and of the cycles before it.
+    The representatives are the columns of the cycle basis Z that stay
+    nonzero in the same reduction of [b0 | b1 | ... | Z], from the left:
+    each is independent of the boundaries and of the cycles before it.
     """
     parts = (boundaries,) if isinstance(boundaries, RatMatrix) else tuple(boundaries)
     if not parts:
@@ -979,22 +844,19 @@ def subquotient(cycles: RatMatrix, boundaries) -> Subquotient:
             raise ValidationError(
                 f"ambient mismatch: cycles in dim {cycles.rows}, boundaries in {m.rows}"
             )
-    ambient = cycles.rows
     z = image_basis(cycles)
-    width = sum(m.cols for m in parts)
-    pivots = sorted(_bareiss(_integer_rows(*parts), ambient, width)[1])
-    offs = accumulate((m.cols for m in parts), initial=0)
-    b = RatMatrix.hstack([m.select_columns([c - o for c in pivots if o <= c < o + m.cols])
+    offs = list(accumulate((m.cols for m in parts), initial=0))
+    # one reduction of [b0 | b1 | ... | Z], from the left; the glued matrix
+    # may exceed the size cap, so it is never a RatMatrix
+    kept = sorted(-c for c in _reduce(_leftmost(*parts, z))[0])
+    b = RatMatrix.hstack([m.select_columns([c - o for c in kept if o <= c < o + m.cols])
                           for o, m in zip(offs, parts)])
-    nb = b.cols
-    width = nb + z.cols  # may exceed the size cap: [B | Z] is never a RatMatrix
-    r, pivots, _ = _bareiss(_integer_rows(b, z), ambient, width, lead=width)
+    reps = [c - offs[-1] for c in kept if c >= offs[-1]]
     # rank [B | Z] = dim(span B + span Z), which equals rank Z = z.cols
     # exactly when span B <= span Z
-    if r != z.cols:
+    if b.cols + len(reps) != z.cols:
         raise ContainmentViolation("boundaries not contained in cycles")
-    reps = [c - nb for c in pivots if c >= nb]
-    return Subquotient(ambient, z, b, z.select_columns(reps))
+    return Subquotient(cycles.rows, z, b, z.select_columns(reps))
 
 
 def induced_map(mat: RatMatrix, source: Subquotient, target: Subquotient) -> RatMatrix:

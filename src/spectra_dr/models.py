@@ -166,12 +166,17 @@ class LieModelSpec:
         for field, value in (("n", n), ("twist_rank", twist)):
             if type(value) is not int:  # not a float, not a bool
                 raise ParseError(f"model spec field {field!r} must be an integer, got {value!r}")
+        raw = obj.get("d") or {}
+        if not isinstance(raw, dict):
+            raise ParseError(f"model spec field 'd' must be an object, got {raw!r}")
         d = {}
-        for g, terms in (obj.get("d") or {}).items():
+        for g, terms in raw.items():
             try:
                 gi = int(g)
             except (TypeError, ValueError):
                 raise ParseError(f"bad generator key {g!r}") from None
+            if not isinstance(terms, list):
+                raise ParseError(f"d({g}) must be a list of terms, got {terms!r}")
             parsed = []
             for term in terms:
                 if not isinstance(term, dict) or "wedge" not in term:

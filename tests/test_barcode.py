@@ -1,7 +1,7 @@
 """The filtered reduction of the total differential (spectral.barcode)
 against the rank and subquotient machinery it replaces as a read path.
 
-Window hypercohomology is checked against Bareiss ranks of the assembled
+Window hypercohomology is checked against the ranks of the assembled
 truncated total, filtration_dims against its former body (cohomology
 classes of the Z_r cycles reduced through a subquotient), and the page read
 of the pairing against the subquotient pages, on seeded complexes and on
@@ -43,7 +43,7 @@ T2IW_CAP_MESSAGE = "total degree 4 has dim 150 > SPECTRA_DR_MAX_DIM=120"
 
 
 def rank_hyper_dims(k, s, t):
-    """Window hypercohomology by Bareiss ranks of the truncated total."""
+    """Window hypercohomology by ranks of the assembled truncated total."""
     tt = truncated_total(k, s, t)
     dims = {j: cohomology_dim(tt, j) for j in tt.degrees()}
     return {j: n for j, n in dims.items() if n}

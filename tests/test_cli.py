@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import sys
@@ -410,6 +411,8 @@ def test_json_booleans_are_refused(capsys, monkeypatch, command, payload, messag
      "model spec field 'twist_rank' must be an integer, got True"),
     ({"n": 3, "d": {"3": [{"wedge": [1.7, 2], "coeff": "-1"}]}},
      "wedge of d(3) must list integer generators, got [1.7, 2]"),
+    ({"n": 3, "d": {"3": 5}}, "d(3) must be a list of terms, got 5"),
+    ({"n": 3, "d": [1]}, "model spec field 'd' must be an object, got [1]"),
 ])
 def test_spec_floats_and_booleans_are_refused(capsys, tmp_path, spec, message):
     path = tmp_path / "spec.json"
@@ -419,3 +422,23 @@ def test_spec_floats_and_booleans_are_refused(capsys, tmp_path, spec, message):
                   "--degree", "1"]):
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_pinned_stdout_digests(capsys, tmp_path):
+    # sha256 of stdout, taken while rank, kernels and solves still used full
+    # pivoting: each byte comes through the elimination (ranks, kernels,
+    # solves and subquotients), and a change of pivot rule, and so of the
+    # kernel bases and pivot sets inside, must leave every byte alone
+    code, model, _ = run(capsys, "model", "product", "--left", "torus:3", "--right", "lie:iwasawa")
+    assert code == 0
+    path = tmp_path / "t3xiw.json"
+    path.write_text(model)
+    for argv, digest in [
+        (["verify", "--suite", "all", "--seed", "7", "--runs", "5", "--format", "json"],
+         "04b9b6d0359525ccc0c25d143f750c37eb3967d1a8d151f1f0cec627153d56ba"),
+        (["spectral", str(path), "--format", "json"],
+         "df9642ea68716d905fbf667c143535a822a56161042980e03aa5b1fa5e9f6d2f"),
+    ]:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

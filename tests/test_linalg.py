@@ -15,8 +15,6 @@ from spectra_dr.errors import (
 )
 from spectra_dr.linalg import (
     RatMatrix,
-    _bareiss,
-    _integer_rows,
     clear_caches,
     image_basis,
     induced_map,
@@ -261,9 +259,9 @@ def test_kernel_frozen_values():
     k2 = kernel_basis(M([[1, 1, 1]]))
     # free columns 1 and 2, ascending; defining coordinate positive
     assert k2 == M([[-1, -1], [1, 0], [0, 1]])
-    # full pivoting picks the cleared entry 2 in column 1, so column 0 is free
+    # the leftmost column is the pivot, so column 1 is free
     k3 = kernel_basis(M([["1/2", "1/3"]]))
-    assert k3 == M([[2], [-3]])
+    assert k3 == M([[-2], [3]])
 
 
 def test_image_frozen_values():
@@ -515,70 +513,13 @@ def test_zero_literals_give_the_zero_matrix():
 
 
 # -- differential tests: sparse rows against the dense engine -----------------
-# The dense elimination engine the sparse one replaced, kept as an oracle.
-# It runs on dense lists of Fractions taken through the public row().
+# A dense Gauss-Jordan elimination to the reduced echelon form, kept as an
+# oracle that shares no code with the column reduction.  It runs on dense
+# lists of Fractions taken through the public row().
 
 
 def _dense(m):
     return [list(m.row(i)) for i in range(m.rows)]
-
-
-def _dense_integer_rows(rows):
-    out = []
-    for r in rows:
-        lcm = 1
-        for x in r:
-            d = x.denominator
-            if d != 1:
-                lcm = lcm * d // gcd(lcm, d)
-        out.append([int(x * lcm) if lcm != 1 else x.numerator for x in r])
-    return out
-
-
-def _dense_bareiss(a, nrows, ncols):
-    colperm = list(range(ncols))
-    prev = 1
-    rank = 0
-    limit = min(nrows, ncols)
-    for r in range(limit):
-        best = None
-        bi = bj = -1
-        for i in range(r, nrows):
-            ai = a[i]
-            for j in range(r, ncols):
-                v = ai[j]
-                if v:
-                    av = -v if v < 0 else v
-                    if best is None or av < best:
-                        best, bi, bj = av, i, j
-                        if av == 1:
-                            break
-            if best == 1:
-                break
-        if best is None:
-            break
-        if bi != r:
-            a[r], a[bi] = a[bi], a[r]
-        if bj != r:
-            for row in a:
-                row[r], row[bj] = row[bj], row[r]
-            colperm[r], colperm[bj] = colperm[bj], colperm[r]
-        piv = a[r][r]
-        for i in range(r + 1, nrows):
-            ai = a[i]
-            head = ai[r]
-            if head:
-                ar = a[r]
-                for j in range(r + 1, ncols):
-                    ai[j] = (piv * ai[j] - head * ar[j]) // prev
-                ai[r] = 0
-            elif prev != 1 or piv != 1:
-                for j in range(r + 1, ncols):
-                    if ai[j]:
-                        ai[j] = piv * ai[j] // prev
-        prev = piv
-        rank = r + 1
-    return rank, colperm, a
 
 
 def _dense_rref(rows, lead_cols):
@@ -609,19 +550,12 @@ def _dense_rref(rows, lead_cols):
     return pivots, rows
 
 
-def _dense_elim(m):
-    return _dense_bareiss(_dense_integer_rows(_dense(m)), m.rows, m.cols)
-
-
 def _dense_rank(m):
-    return 0 if m.rows == 0 or m.cols == 0 else _dense_elim(m)[0]
+    return len(_dense_rref(_dense(m), m.cols)[0])
 
 
 def _dense_pivots(m):
-    if m.rows == 0 or m.cols == 0:
-        return ()
-    r, colperm, _ = _dense_elim(m)
-    return tuple(sorted(colperm[:r]))
+    return tuple(_dense_rref(_dense(m), m.cols)[0])
 
 
 def _dense_primitive(vec):
@@ -638,22 +572,20 @@ def _dense_primitive(vec):
 
 def _dense_kernel(m):
     n = m.cols
-    if n == 0:
-        return RatMatrix.zeros(0, 0)
-    if m.rows == 0:
-        return RatMatrix.identity(n)
-    r, colperm, a = _dense_elim(m)
+    pivots, rows = _dense_rref(_dense(m), n)
     cols = []
-    for f in sorted(range(r, n), key=lambda f: colperm[f]):
-        y = [Fraction(0)] * n
-        y[f] = Fraction(1)
-        for i in range(r - 1, -1, -1):
-            s = sum((a[i][j] * y[j] for j in range(i + 1, n)), Fraction(0))
-            y[i] = -s / a[i][i]
-        x = [Fraction(0)] * n
-        for j in range(n):
-            x[colperm[j]] = y[j]
-        cols.append(_dense_primitive(x))
+    for f in range(n):
+        if f not in pivots:
+            x = [Fraction(0)] * n
+            x[f] = Fraction(1)
+            for i, c in enumerate(pivots):
+                x[c] = -rows[i][f]
+            cols.append(_dense_primitive(x))
+    return _from_columns(n, cols)
+
+
+def _from_columns(n, cols):
+    """The n x len(cols) matrix with the given columns."""
     return RatMatrix(n, len(cols), [list(row) for row in zip(*cols)] if cols else [[]] * n)
 
 
@@ -760,80 +692,6 @@ def test_elimination_matches_dense_engine(kind):
     clear_caches()
 
 
-def _eager_bareiss(a, nrows, ncols, lead=None):
-    """The column-indexed elimination's predecessor, kept as an oracle: it
-    finds every candidate by scanning all remaining rows and scales each row
-    a step leaves alone by piv / prev at once."""
-    full = lead is None
-    if full:
-        colperm = list(range(ncols))
-        pos = list(range(ncols))
-    else:
-        held = iter(sorted({c for row in a for c in row if c < lead}))
-    pivots = []
-    prev = 1
-    r = 0
-    while r < nrows:
-        if full:
-            best = None
-            bi = bc = bp = -1
-            for i in range(r, nrows):
-                for c, v in a[i].items():
-                    av = abs(v)
-                    if best is None or av < best:
-                        best, bi, bc, bp = av, i, c, pos[c]
-                    elif av == best and i == bi and pos[c] < bp:
-                        bc, bp = c, pos[c]
-                if best == 1:
-                    break
-            if best is None:
-                break
-            if bp != r:
-                moved = colperm[r]
-                colperm[r], colperm[bp] = bc, moved
-                pos[bc], pos[moved] = r, bp
-        else:
-            for bc in held:
-                held_by = [(abs(v), i) for i in range(r, nrows) if (v := a[i].get(bc))]
-                if held_by:
-                    bi = min(held_by)[1]
-                    break
-            else:
-                break
-        a[r], a[bi] = a[bi], a[r]
-        prow = a[r]
-        piv = prow[bc]
-        for i in range(r + 1, nrows):
-            row = a[i]
-            head = row.pop(bc, 0)
-            new = {}
-            for c in row.keys() | prow.keys():
-                if c != bc:
-                    x = (piv * row.get(c, 0) - head * prow.get(c, 0)) // prev
-                    if x:
-                        new[c] = x
-            a[i] = new
-        prev = piv
-        pivots.append(bc)
-        r += 1
-    return r, pivots, a
-
-
-@pytest.mark.parametrize("kind", KINDS + ["magnitude", "shared-swap"])
-def test_elimination_gives_the_integers_of_eager_scaling(kind):
-    # every pivot, every pivot row and every remaining row, under both pivot
-    # rules: the lazy scaling changes no integer and no pivot choice
-    rng = random.Random(f"eager-{kind}")
-    for _ in range(200):
-        m = _gen(rng, kind)
-        rhs = _like(rng, RatMatrix.zeros(m.rows, rng.randint(0, 3)), kind)
-        width = m.cols + rhs.cols
-        for lead in (None, m.cols, width):
-            rows = _integer_rows(m, rhs)
-            want = _eager_bareiss([dict(r) for r in rows], m.rows, width, lead)
-            assert _bareiss(rows, m.rows, width, lead) == want
-
-
 def _from_dense(rows, cols):
     return RatMatrix(len(rows), cols, rows)
 
@@ -897,15 +755,44 @@ def test_algebra_matches_dense_lists(kind):
         assert RatMatrix.from_json(a.to_json()) == a
 
 
+def _sympy_solve(sympy, a, b):
+    """sympy's solution of a @ X = b with every free parameter zero, or None."""
+    if a.cols == 0 or b.cols == 0:  # sympy refuses both shapes
+        return sympy.zeros(a.cols, b.cols) if b.is_zero_matrix else None
+    try:
+        sol, params = a.gauss_jordan_solve(b)
+    except ValueError:
+        return None
+    return sol.subs({t: 0 for t in params})
+
+
 def test_sparse_rank_against_sympy():
+    # rank, pivot columns, kernel and solve on the same matrices, each read
+    # from sympy's own reduced echelon form; the right-hand sides come from
+    # a second generator, so the matrices are those the rank check always had
     sympy = pytest.importorskip("sympy")
-    rng = random.Random(11)
+    rng, rhs_rng = random.Random(11), random.Random(12)
+
+    def to_sympy(m):
+        return sympy.Matrix(m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator)
+                                             for i in range(m.rows) for x in m.row(i)])
+
+    def from_sympy(s):
+        return RatMatrix(s.rows, s.cols, [[Fraction(int(x.p), int(x.q)) for x in s.row(i)]
+                                          for i in range(s.rows)])
+
     for kind in KINDS:
         for _ in range(24):
             m = _gen(rng, kind)
-            want = sympy.Matrix(m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator)
-                                                 for i in range(m.rows) for x in m.row(i)]).rank()
-            assert rank(m) == want
+            sm = to_sympy(m)
+            assert rank(m) == sm.rank()
+            assert pivot_columns(m) == sm.rref()[1]
+            want = [_dense_primitive(from_sympy(v).col(0)) for v in sm.nullspace()]
+            assert kernel_basis(m) == _from_columns(m.cols, want)
+            consistent = m @ _like(rhs_rng, RatMatrix.zeros(m.cols, rhs_rng.randint(0, 3)), kind)
+            for rhs in (consistent, _like(rhs_rng, consistent, kind)):
+                x = _sympy_solve(sympy, sm, to_sympy(rhs))
+                assert solve_matrix(m, rhs) == (None if x is None else from_sympy(x))
     clear_caches()
 
 
