@@ -16,8 +16,13 @@ The public boundary is Fraction: ``row``, ``col``, ``m[i, j]`` and
 ``rat_from`` hand out Fractions, and ``repr`` and ``to_json`` the same
 strings as for Fractions.  Matrices built by RatMatrix's own operations and
 by the eliminations already hold canonical sparse rows, so they are
-constructed with the private keyword ``_trusted=True``, which skips the
-per-entry coercion but not the size cap.
+constructed with the private keyword ``_trusted=True``.  That branch, the
+first after the negative-shape and cap checks, only stores the row tuple,
+each slot through its own descriptor, so an internal matrix costs little
+more than its data; zeros (no entries) is as lean.  Every matrix is still
+built through __init__, and each construction reads SPECTRA_DR_MAX_DIM
+once, with one lookup in os.environ's backing dict; a value that is not a
+non-negative integer raises at every construction.
 
 Elimination.  There is one: the persistence column reduction (_reduce),
 with one pivot rule.  It chooses no pivot: it takes the columns in a fixed
@@ -69,14 +74,28 @@ F0 = Fraction(0)
 _DEFAULT_MAX_DIM = 4096
 
 
+# os.environ's backing store and its key for the cap: one dict lookup per
+# read, and os.environ[...] = and del os.environ[...] update the same
+# dict
+_ENVIRON = os.environ._data
+_MAX_DIM_KEY = os.environ.encodekey("SPECTRA_DR_MAX_DIM")
+
+
 def _max_dim() -> int:
-    raw = os.environ.get("SPECTRA_DR_MAX_DIM")
+    """The size cap, read afresh on every call; a value that does not parse
+    as a non-negative int raises each time it is read."""
+    raw = _ENVIRON.get(_MAX_DIM_KEY)
     if raw is None:
         return _DEFAULT_MAX_DIM
+    raw = os.environ.decodevalue(raw)
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise ValidationError(f"SPECTRA_DR_MAX_DIM must be an integer, got {raw!r}")
+    if cap < 0:
+        raise ValidationError(
+            f"SPECTRA_DR_MAX_DIM must be a non-negative integer, got {raw!r}")
+    return cap
 
 
 def check_piece_dims(dims: Mapping, context: str = "", noun: str = "piece") -> None:
@@ -252,10 +271,10 @@ class RatMatrix:
                 raise ValidationError(
                     f"entry count {len(entries)} does not fit shape {rows}x{cols}"
                 )
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "_rows", data)
-        object.__setattr__(self, "_hash", None)
+        _set_rows(self, rows)
+        _set_cols(self, cols)
+        _set_data(self, data)
+        _set_hash(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatMatrix is immutable")
@@ -540,7 +559,7 @@ class RatMatrix:
         h = self._hash
         if h is None:
             h = hash((self.rows, self.cols, self._rows))
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
         return h
 
     def __repr__(self) -> str:
@@ -576,6 +595,14 @@ class RatMatrix:
         if not isinstance(entries, list) or len(entries) != rows:
             raise ParseError("matrix entries must be a list of rows")
         return RatMatrix(rows, cols, entries)
+
+
+# the slots' own descriptors: __setattr__ refuses every write, and a
+# descriptor's __set__ is cheaper than object.__setattr__ by name
+_set_rows = RatMatrix.rows.__set__
+_set_cols = RatMatrix.cols.__set__
+_set_data = RatMatrix._rows.__set__
+_set_hash = RatMatrix._hash.__set__
 
 
 def products_vanish(*pairs) -> bool:

@@ -2,7 +2,8 @@
 against the rank and subquotient machinery it replaces as a read path.
 
 Window hypercohomology is checked against the ranks of the assembled
-truncated total, filtration_dims against its former body (cohomology
+truncated total, both the engine's and dense Fraction row-echelon ranks that
+share no elimination with it, filtration_dims against its former body (cohomology
 classes of the Z_r cycles reduced through a subquotient), and the page read
 of the pairing against the subquotient pages, on seeded complexes and on
 the model ladder."""
@@ -46,6 +47,36 @@ def rank_hyper_dims(k, s, t):
     """Window hypercohomology by ranks of the assembled truncated total."""
     tt = truncated_total(k, s, t)
     dims = {j: cohomology_dim(tt, j) for j in tt.degrees()}
+    return {j: n for j, n in dims.items() if n}
+
+
+def dense_rank(m):
+    """The rank of m by Fraction row echelon on its dense rows: an oracle
+    that shares no elimination with the engine."""
+    rows = [list(m.row(i)) for i in range(m.rows)]
+    r = 0
+    for c in range(m.cols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        for i in range(r + 1, len(rows)):
+            if rows[i][c]:
+                f = rows[i][c] / prow[c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
+        r += 1
+        if r == len(rows):
+            break
+    return r
+
+
+def dense_hyper_dims(k, s, t):
+    """Window hypercohomology by the dense ranks of the differentials of the
+    assembled truncated total."""
+    tt = truncated_total(k, s, t)
+    ranks = {j: dense_rank(tt.diff(j)) for j in range(tt.lo - 1, tt.hi + 1)}
+    dims = {j: tt.dim(j) - ranks[j] - ranks[j - 1] for j in tt.degrees()}
     return {j: n for j, n in dims.items() if n}
 
 
@@ -166,6 +197,26 @@ def test_window_dims_match_the_ranks_on_the_ladder(name):
     k = ladder()[name].complex
     for s, t in every_window(k):
         assert hyper_dims(k, (s, t)) == rank_hyper_dims(k, s, t)
+    truncation.clear_truncation_cache()
+
+
+def test_window_dims_match_dense_ranks_on_seeded_complexes():
+    windows = nonzero = 0
+    for k in seeded_complexes(2111, 200):
+        for s, t in every_window(k):
+            got = hyper_dims(k, (s, t))
+            assert got == dense_hyper_dims(k, s, t)
+            windows += 1
+            nonzero += bool(got)
+    truncation.clear_truncation_cache()
+    assert windows > 2_000 and nonzero > 1_000
+
+
+@pytest.mark.parametrize("name", ["T1", "T2", "IW", "T1xIW"])
+def test_window_dims_match_dense_ranks_on_the_ladder(name):
+    k = ladder()[name].complex
+    for s, t in every_window(k):
+        assert hyper_dims(k, (s, t)) == dense_hyper_dims(k, s, t)
     truncation.clear_truncation_cache()
 
 

@@ -1,3 +1,4 @@
+import os
 import random
 from collections import Counter
 from fractions import Fraction
@@ -15,6 +16,7 @@ from spectra_dr.errors import (
 )
 from spectra_dr.linalg import (
     RatMatrix,
+    check_piece_dims,
     clear_caches,
     image_basis,
     induced_map,
@@ -239,6 +241,125 @@ def test_max_dim_cap(monkeypatch):
     with pytest.raises(ValidationError):
         RatMatrix.zeros(1, 1)
     monkeypatch.delenv("SPECTRA_DR_MAX_DIM")
+    clear_caches()
+
+
+_A = M([[1, 2, 0], [0, "1/2", 3]])
+_B = M([[1, 0], [2, -1], [0, "3/4"]])
+_SQ = M([[1, 2], [2, 4]])
+
+# every producer of a RatMatrix, each building its result from operands made
+# under the default cap
+PRODUCERS = {
+    "add": lambda: _A + _A,
+    "sub": lambda: _A - _A,
+    "neg": lambda: -_A,
+    "scale": lambda: _A.scale(2),
+    "matmul": lambda: _A @ _B,
+    "transpose": lambda: _A.transpose(),
+    "submatrix": lambda: _A.submatrix([0, 1], [0, 2]),
+    "col_matrix": lambda: _A.col_matrix(1),
+    "hstack": lambda: RatMatrix.hstack([_A, _A]),
+    "vstack": lambda: RatMatrix.vstack([_A, _A]),
+    "block_diag": lambda: RatMatrix.block_diag([_A, _B]),
+    "kron": lambda: RatMatrix.kron(_SQ, _B),
+    "identity": lambda: RatMatrix.identity(3),
+    "zeros": lambda: RatMatrix.zeros(2, 3),
+    "from_blocks": lambda: RatMatrix.from_blocks(3, 4, [(1, 1, _A)]),
+    "kernel_basis": lambda: kernel_basis(RatMatrix.hstack([_A, _A])),
+    "solve_matrix": lambda: solve_matrix(_A, _A),
+}
+
+
+@pytest.mark.parametrize("name", PRODUCERS)
+def test_every_producer_reads_the_cap(monkeypatch, name):
+    make = PRODUCERS[name]
+    clear_caches()
+    shape = make().shape
+    assert max(shape) >= 2
+    monkeypatch.setenv("SPECTRA_DR_MAX_DIM", "junk")
+    clear_caches()
+    with pytest.raises(ValidationError,
+                       match=r"^SPECTRA_DR_MAX_DIM must be an integer, got 'junk'$"):
+        make()
+    cap = max(shape) - 1
+    monkeypatch.setenv("SPECTRA_DR_MAX_DIM", str(cap))
+    clear_caches()
+    with pytest.raises(ValidationError, match=f"exceeds SPECTRA_DR_MAX_DIM={cap}$"):
+        make()
+    monkeypatch.setenv("SPECTRA_DR_MAX_DIM", str(cap + 1))
+    clear_caches()
+    assert make().shape == shape
+    monkeypatch.delenv("SPECTRA_DR_MAX_DIM")
+    clear_caches()
+
+
+def test_a_junk_cap_raises_on_every_construction(monkeypatch):
+    monkeypatch.setenv("SPECTRA_DR_MAX_DIM", "junk")
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="must be an integer, got 'junk'"):
+            RatMatrix.identity(1)
+
+
+def test_a_cap_set_and_removed_is_seen_at_the_next_construction():
+    assert "SPECTRA_DR_MAX_DIM" not in os.environ
+    os.environ["SPECTRA_DR_MAX_DIM"] = "8"
+    try:
+        assert RatMatrix.identity(8).shape == (8, 8)
+        with pytest.raises(ValidationError, match="exceeds SPECTRA_DR_MAX_DIM=8"):
+            RatMatrix.identity(9)
+    finally:
+        del os.environ["SPECTRA_DR_MAX_DIM"]
+    assert RatMatrix.identity(9).shape == (9, 9)
+
+
+@pytest.mark.parametrize("raw", ["-1", "-4096"])
+def test_a_negative_cap_is_refused_by_name(monkeypatch, raw):
+    monkeypatch.setenv("SPECTRA_DR_MAX_DIM", raw)
+    message = f"SPECTRA_DR_MAX_DIM must be a non-negative integer, got '{raw}'"
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        RatMatrix.zeros(0, 0)
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        check_piece_dims({0: 1})
+
+
+def test_a_zero_cap_admits_only_empty_matrices(monkeypatch):
+    monkeypatch.setenv("SPECTRA_DR_MAX_DIM", "0")
+    assert RatMatrix.zeros(0, 0).shape == (0, 0)
+    with pytest.raises(ValidationError, match="matrix shape 1x0 exceeds SPECTRA_DR_MAX_DIM=0"):
+        RatMatrix.zeros(1, 0)
+
+
+@pytest.mark.parametrize("make", [lambda: RatMatrix.from_blocks(-1, 2, []),
+                                  lambda: RatMatrix.zeros(-1, 0)])
+def test_a_negative_shape_is_refused(make):
+    with pytest.raises(ValidationError, match="negative matrix shape"):
+        make()
+
+
+@pytest.mark.parametrize("build", [
+    lambda a, b: a @ b,
+    lambda a, b: RatMatrix.kron(a, b),
+    lambda a, b: RatMatrix.zeros(2, 5),
+    lambda a, b: RatMatrix.identity(4),
+    lambda a, b: a.transpose(),
+    lambda a, b: a.submatrix([1], [0, 2]),
+    lambda a, b: kernel_basis(a),
+])
+def test_each_construction_is_one_init_call(monkeypatch, build):
+    # the benchmark tracer counts RatMatrix constructions by wrapping __init__
+    a, b = M([[1, 2, 3], [2, 4, 6]]), M([[1], [0], ["1/3"]])
+    clear_caches()
+    calls = []
+    init = RatMatrix.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(args[:2])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RatMatrix, "__init__", counting)
+    build(a, b)
+    assert len(calls) == 1
     clear_caches()
 
 
