@@ -8,8 +8,9 @@ Totalization is one collapse on the graded core (GradedComplex._collapse,
 grouping (p, q) by p+q), and so is the induced map of totals.  The summand
 order inside total degree k, blocks (p, k-p) with p ascending, is stated
 once in GradedComplex._layout.  The filtration and spectral-sequence code
-depends on that order (column filtration = suffix of blocks), as does the
-block-permutation witness comparing dual-of-total with total-of-dual.
+depends on that order (column filtration = suffix of blocks), as do the two
+block-permutation witnesses, dual-of-total vs total-of-dual here and the
+collapse in tensorops, both certified by _certified_permutation.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from operator import index
 from typing import Mapping, Sequence
 
-from .cochain import ChainMap, CochainComplex, GradedComplex, GradedMap
+from .cochain import ChainMap, CochainComplex, GradedComplex, GradedMap, dual
 from .errors import NotChainCompatible, ValidationError, WitnessFailure
 from .linalg import RatMatrix, clear_caches, memo, rank
 
@@ -205,7 +206,33 @@ def total_map(f: BicomplexMap) -> ChainMap:
     return f._collapse(ChainMap, total(f.source), total(f.target))
 
 
-# -- dual-of-total vs total-of-dual ---------------------------------------
+# -- certified block permutations ----------------------------------------
+
+
+def _certified_permutation(src: CochainComplex, tgt: CochainComplex, blocks,
+                           names: tuple, noun: str) -> ChainMap:
+    """The map src -> tgt carrying by identities, in each degree d, the
+    (target offset, source offset, size) blocks that blocks(d) yields,
+    certified a chain map and bijective; each failure raises WitnessFailure
+    naming the two sides (names) or the map (noun)."""
+    degrees = range(min(src.lo, tgt.lo), max(src.hi, tgt.hi) + 1)
+    mats = {}
+    for deg in degrees:
+        ns, nt = src.dim(deg), tgt.dim(deg)
+        if ns != nt:
+            raise WitnessFailure(f"degree {deg}: {names[0]} dim {ns} != {names[1]} dim {nt}")
+        if ns:
+            mats[deg] = RatMatrix.from_blocks(nt, ns, [(toff, soff, RatMatrix.identity(n))
+                                                       for toff, soff, n in blocks(deg)])
+    try:
+        witness = ChainMap(src, tgt, mats)
+    except NotChainCompatible as exc:
+        raise WitnessFailure(f"{noun} is not a chain map: {exc}") from None
+    for deg in degrees:
+        n = src.dim(deg)
+        if n and rank(witness.mat(deg)) != n:
+            raise WitnessFailure(f"{noun} not bijective in degree {deg}")
+    return witness
 
 
 def verify_total_dual_iso(k: DoubleComplex) -> ChainMap:
@@ -213,36 +240,17 @@ def verify_total_dual_iso(k: DoubleComplex) -> ChainMap:
     dual(total(K)) -> total(dual2(K)) and certify it is an isomorphism of
     complexes.  Raises WitnessFailure if a square fails or a degree map is
     not bijective (neither should happen for valid input)."""
-    from .cochain import dual
 
-    a = dual(total(k))
-    b = total(dual2(k))
-    mats = {}
-    for deg in range(min(a.lo, b.lo), max(a.hi, b.hi) + 1):
-        na, nb = a.dim(deg), b.dim(deg)
-        if na != nb:
-            raise WitnessFailure(
-                f"degree {deg}: dual-of-total dim {na} != total-of-dual dim {nb}"
-            )
-        if na == 0:
-            continue
+    def blocks(deg):
         # A^deg blocks mirror T^{-deg} (p ascending); B^deg blocks are the
         # same K-bidegrees visited in the reverse order.
-        blocks = []
         roff = 0
         for (_p, _q, aoff, n) in reversed(block_offsets(k, -deg)):
-            blocks.append((roff, aoff, RatMatrix.identity(n)))
+            yield roff, aoff, n
             roff += n
-        mats[deg] = RatMatrix.from_blocks(nb, na, blocks)
-    try:
-        witness = ChainMap(a, b, mats)
-    except NotChainCompatible as exc:
-        raise WitnessFailure(f"comparison map is not a chain map: {exc}") from None
-    for deg in range(min(a.lo, b.lo), max(a.hi, b.hi) + 1):
-        n = a.dim(deg)
-        if n and rank(witness.mat(deg)) != n:
-            raise WitnessFailure(f"comparison map not bijective in degree {deg}")
-    return witness
+
+    return _certified_permutation(dual(total(k)), total(dual2(k)), blocks,
+                                  ("dual-of-total", "total-of-dual"), "comparison map")
 
 
 clear_total_cache = clear_caches

@@ -14,6 +14,8 @@ The `model` command emits plain double-complex JSON so it pipes into
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from functools import lru_cache
@@ -61,12 +63,13 @@ def _read_json(path: str):
 
 
 def _load_complex(path: str):
-    """A cochain or double complex, told apart by the dims key shape."""
+    """A cochain or double complex, told apart by the dims key shape or, for
+    a complex with no pieces, by a double complex's own fields."""
     obj = _read_json(path)
     if not isinstance(obj, dict) or "dims" not in obj:
         raise ParseError("input must be an object with a 'dims' field")
     keys = list(obj["dims"])
-    if keys and all("," in str(k) for k in keys):
+    if (keys and all("," in str(k) for k in keys)) or obj.keys() & {"support", "d1", "d2"}:
         return DoubleComplex.from_json(obj)
     return CochainComplex.from_json(obj)
 
@@ -154,9 +157,13 @@ def _emit(payload, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
     elif fmt == "csv":
-        print("key,value")
-        for key, val in _flatten(payload):
-            print(f"{key},{val}")
+        # quotes a key such as limit.0,0; one write, so that unbuffered, a
+        # reader that stops after one line (| head -1) breaks no later row
+        buf = io.StringIO()
+        out = csv.writer(buf, lineterminator="\n")
+        out.writerow(("key", "value"))
+        out.writerows(_flatten(payload))
+        sys.stdout.write(buf.getvalue())
     else:
         for key, val in _flatten(payload):
             print(f"{key}: {val}")

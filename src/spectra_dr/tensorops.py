@@ -15,7 +15,8 @@ Sign conventions, fixed once:
 The collapse is one call into the graded core (GradedComplex._collapse,
 grouping (p, q, r, s) by (p+q, r+s)); the summand order at (k, l), (p, r)
 lexicographic ascending, is stated once in GradedComplex._layout.  The
-comparison witnesses below depend on that order.
+comparison witnesses below depend on that order; collapse_total_check states
+its block offsets and bicomplex's certification routine does the rest.
 """
 
 from __future__ import annotations
@@ -25,13 +26,14 @@ from typing import Mapping
 from .bicomplex import (
     DoubleComplex,
     BicomplexMap,
+    _certified_permutation,
     block_offsets,
     row_complex,
     total,
 )
-from .cochain import ChainMap, CochainComplex, GradedComplex, cohomology_dim
-from .errors import NotChainCompatible, ValidationError, WitnessFailure
-from .linalg import RatMatrix, check_piece_dims, rank
+from .cochain import ChainMap, CochainComplex, GradedComplex, cohomology_dim, direct_sum
+from .errors import ValidationError, WitnessFailure
+from .linalg import RatMatrix, check_piece_dims
 from .report import Report
 
 
@@ -177,8 +179,6 @@ def slice_check(k: DoubleComplex, l: DoubleComplex) -> Report:
 def collapse_rows_check(k: DoubleComplex, l: DoubleComplex) -> Report:
     """Column k of the collapse (with D2) equals the direct sum over p+q = k
     of the totals of the row tensors, summands in ascending p — on the nose."""
-    from .cochain import direct_sum
-
     rep = Report("collapse_rows")
     a = quad_tensor(k, l)
     ss = ss_collapse(a)
@@ -201,25 +201,14 @@ def collapse_total_check(k: DoubleComplex, l: DoubleComplex) -> ChainMap:
     a = quad_tensor(k, l)
     ss = ss_collapse(a)
     src = total(ss)
-    tk = total(k)
-    tl = total(l)
-    big = tensor(tk, tl, 0)
-    tgt = total(big)
-    lok = min(src.lo, tgt.lo)
-    hik = max(src.hi, tgt.hi)
-    mats = {}
-    for n in range(lok, hik + 1):
-        ns, nt = src.dim(n), tgt.dim(n)
-        if ns != nt:
-            raise WitnessFailure(f"degree {n}: collapse dim {ns} != tensor dim {nt}")
-        if ns == 0:
-            continue
+    big = tensor(total(k), total(l), 0)
+
+    def blocks(n):
         # source index of cell (p,q,r,s): by block k=p+q asc, then (p,r) lex
         src_pos = {cell: (off + coff, size) for kl, off, _sz in ss._layout().get(n, ())
                    for cell, coff, size in a._layout()[kl]}
         # target index: by a = p+r asc; within, (total K)^a (x) (total L)^b is
         # K-major, and each total splits into its own p-asc / q-asc blocks
-        blocks = []
         for (aa, bb, toff, _sz) in block_offsets(big, n):
             k_cells = block_offsets(k, aa)
             l_cells = block_offsets(l, bb)
@@ -232,20 +221,11 @@ def collapse_total_check(k: DoubleComplex, l: DoubleComplex) -> ChainMap:
                         raise WitnessFailure(
                             f"cell ({p},{q},{r},{s}) size mismatch {ssz} vs {ksz * lsz}"
                         )
-                    eye = RatMatrix.identity(lsz)
-                    blocks.extend(
-                        (base + i * l_total + loff, spos + i * lsz, eye)
-                        for i in range(ksz)
-                    )
-        mats[n] = RatMatrix.from_blocks(nt, ns, blocks)
-    try:
-        witness = ChainMap(src, tgt, mats)
-    except NotChainCompatible as exc:
-        raise WitnessFailure(f"collapse comparison is not a chain map: {exc}") from None
-    for n in range(lok, hik + 1):
-        if src.dim(n) and rank(witness.mat(n)) != src.dim(n):
-            raise WitnessFailure(f"collapse comparison not bijective in degree {n}")
-    return witness
+                    for i in range(ksz):
+                        yield base + i * l_total + loff, spos + i * lsz, lsz
+
+    return _certified_permutation(src, total(big), blocks,
+                                  ("collapse", "tensor"), "collapse comparison")
 
 
 def kunneth_double_check(k: DoubleComplex, l: DoubleComplex) -> Report:

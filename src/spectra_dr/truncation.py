@@ -13,8 +13,9 @@ the predictor formulas evaluate it thousands of times).  The assembled
 truncated total (truncated_total) stays for what needs real matrices, and as
 the rank oracle in the suites and tests.
 
-Nested windows are compared by identity-on-overlap maps.  Two shapes are
-chain maps and are used everywhere:
+Nested windows are compared by the identity on the pieces both truncations
+share (a shared piece has one dimension in both).  Two shapes are chain
+maps and are used everywhere:
   inclusion   (a, b) -> (c, b) for c <= a   (right edges aligned),
   restriction (a, b) -> (a, d) for d <= b   (left edges aligned).
 Chaining them gives the four-term sequence
@@ -28,6 +29,7 @@ Chaining them gives the four-term sequence
 whose long exact cohomology sequence is built here with an explicit
 connecting map: lift a class by the coordinate section, apply the ambient
 total differential, certify the result lands in the subcomplex, reduce.
+Both checks truncate (and total) each of their windows once.
 """
 
 from __future__ import annotations
@@ -60,15 +62,13 @@ def window_map(s_cx: DoubleComplex, win_from: tuple, win_to: tuple) -> Bicomplex
     source included, or share their left edge with the target ending earlier;
     construction raises NotChainCompatible for incompatible windows.
     """
-    src = truncate(s_cx, win_from)
-    tgt = truncate(s_cx, win_to)
-    lo = max(win_from[0], win_to[0])
-    hi = min(win_from[1], win_to[1])
-    mats = {}
-    for (p, q), n in src.dims().items():
-        if lo <= p <= hi and tgt.dim(p, q) == n:
-            mats[(p, q)] = RatMatrix.identity(n)
-    return BicomplexMap(src, tgt, mats)
+    return _overlap_map(truncate(s_cx, win_from), truncate(s_cx, win_to))
+
+
+def _overlap_map(src: DoubleComplex, tgt: DoubleComplex) -> BicomplexMap:
+    """The identity on the pieces two windows of one complex share."""
+    return BicomplexMap(src, tgt, {key: RatMatrix.identity(n)
+                                   for key, n in src.dims().items() if key in tgt._dims})
 
 
 @memo
@@ -103,28 +103,20 @@ def four_term_check(s_cx: DoubleComplex, s: int, s_prime: int, t: int,
     k2 = truncate(s_cx, (s_prime, t_prime))
     k3 = truncate(s_cx, (s, t))
     k4 = truncate(s_cx, (s, s_prime - 1))
-    f1 = window_map(s_cx, (t + 1, t_prime), (s_prime, t_prime))
-    f2 = window_map(s_cx, (s_prime, t_prime), (s, t))
-    f3 = window_map(s_cx, (s, t), (s, s_prime - 1))
+    f1, f2, f3 = _overlap_map(k1, k2), _overlap_map(k2, k3), _overlap_map(k3, k4)
     rep = Report("four_term")
-    p_lo = min(k.p_lo for k in (k1, k2, k3, k4))
-    p_hi = max(k.p_hi for k in (k1, k2, k3, k4))
-    q_lo = min(k.q_lo for k in (k1, k2, k3, k4))
-    q_hi = max(k.q_hi for k in (k1, k2, k3, k4))
-    for p in range(p_lo, p_hi + 1):
-        for q in range(q_lo, q_hi + 1):
-            n1, n2 = k1.dim(p, q), k2.dim(p, q)
-            n3, n4 = k3.dim(p, q), k4.dim(p, q)
-            if not (n1 or n2 or n3 or n4):
-                continue
-            m1, m2, m3 = f1.mat(p, q), f2.mat(p, q), f3.mat(p, q)
-            r1, r2, r3 = rank(m1), rank(m2), rank(m3)
-            rep.add("injective", (p, q), r1, n1)
-            rep.add("boundary_composition_zero", (p, q),
-                    (m2 @ m1).is_zero() and (m3 @ m2).is_zero(), True)
-            rep.add("exact_mid_left", (p, q), r1 + r2, n2)
-            rep.add("exact_mid_right", (p, q), r2 + r3, n3)
-            rep.add("surjective", (p, q), r3, n4)
+    # k1 lies inside k2 and k4 inside k3, so their pieces cover all four
+    for p, q in sorted(k2.dims().keys() | k3.dims().keys()):
+        n1, n2 = k1.dim(p, q), k2.dim(p, q)
+        n3, n4 = k3.dim(p, q), k4.dim(p, q)
+        m1, m2, m3 = f1.mat(p, q), f2.mat(p, q), f3.mat(p, q)
+        r1, r2, r3 = rank(m1), rank(m2), rank(m3)
+        rep.add("injective", (p, q), r1, n1)
+        rep.add("boundary_composition_zero", (p, q),
+                (m2 @ m1).is_zero() and (m3 @ m2).is_zero(), True)
+        rep.add("exact_mid_left", (p, q), r1 + r2, n2)
+        rep.add("exact_mid_right", (p, q), r2 + r3, n3)
+        rep.add("surjective", (p, q), r3, n4)
     return rep
 
 
@@ -146,8 +138,13 @@ def connecting_matrix(s_cx: DoubleComplex, r: int, s: int, t: int, k: int) -> Ra
     b = truncate(s_cx, (r, t))
     c = truncate(s_cx, (r, s - 1))
     tb = total(b)
-    ta = total(a)
-    tc = total(c)
+    return _connecting(b, total(a), tb, total(c), s, k)
+
+
+def _connecting(b: DoubleComplex, ta: CochainComplex, tb: CochainComplex,
+                tc: CochainComplex, s: int, k: int) -> RatMatrix:
+    """connecting_matrix's body on the middle window b = S(r,t) and the
+    totals of the sub, middle and quotient windows."""
     h_c = cohomology(tc, k)
     h_a = cohomology(ta, k + 1)
     if h_c.dim == 0 or ta.dim(k + 1) == 0:
@@ -171,37 +168,20 @@ def les_check(s_cx: DoubleComplex, r: int, s: int, t: int) -> Report:
     a = truncate(s_cx, (s, t))
     b = truncate(s_cx, (r, t))
     c = truncate(s_cx, (r, s - 1))
-    inc = total_map(window_map(s_cx, (s, t), (r, t)))
-    proj = total_map(window_map(s_cx, (r, t), (r, s - 1)))
+    inc = total_map(_overlap_map(a, b))
+    proj = total_map(_overlap_map(b, c))
     ta, tb, tc = total(a), total(b), total(c)
-    lo = min(ta.lo, tb.lo, tc.lo) - 1
-    hi = max(ta.hi, tb.hi, tc.hi) + 1
     rep = Report("les")
-    i_mat = {}
-    p_mat = {}
-    d_mat = {}
-    for k in range(lo, hi + 1):
-        i_mat[k] = cohomology_map(inc, k)
-        p_mat[k] = cohomology_map(proj, k)
-        d_mat[k] = connecting_matrix(s_cx, r, s, t, k)
-    for k in range(lo, hi + 1):
-        dims = {
-            "A": cohomology_dim(ta, k),
-            "B": cohomology_dim(tb, k),
-            "C": cohomology_dim(tc, k),
-        }
-        triples = (
-            ("A", d_mat.get(k - 1), i_mat[k]),
-            ("B", i_mat[k], p_mat[k]),
-            ("C", p_mat[k], d_mat[k]),
-        )
-        for node, inc_m, out_m in triples:
-            n = dims[node]
-            if inc_m is None:
-                inc_m = RatMatrix.zeros(n, 0)
-            comp_zero = (out_m @ inc_m).is_zero()
-            rep.add("les_composition_zero", (node, k), comp_zero, True)
-            rep.add("les_exactness", (node, k), rank(inc_m) + rank(out_m), n)
+    d_prev = RatMatrix.zeros(0, 0)  # H^k(A) = 0 in the lowest degree
+    for k in range(min(ta.lo, tb.lo, tc.lo) - 1, max(ta.hi, tb.hi, tc.hi) + 2):
+        i_k, p_k = cohomology_map(inc, k), cohomology_map(proj, k)
+        d_k = _connecting(b, ta, tb, tc, s, k)
+        for node, tk, inc_m, out_m in (("A", ta, d_prev, i_k), ("B", tb, i_k, p_k),
+                                       ("C", tc, p_k, d_k)):
+            rep.add("les_composition_zero", (node, k), (out_m @ inc_m).is_zero(), True)
+            rep.add("les_exactness", (node, k), rank(inc_m) + rank(out_m),
+                    cohomology_dim(tk, k))
+        d_prev = d_k
     return rep
 
 

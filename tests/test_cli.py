@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 import json
@@ -8,7 +9,7 @@ import pytest
 
 from spectra_dr.bicomplex import DoubleComplex
 from spectra_dr.cli import main
-from spectra_dr.models import torus_model
+from spectra_dr.models import iwasawa_spec, lie_model, torus_model
 from spectra_dr.report import Report
 
 
@@ -93,6 +94,42 @@ def test_truncate_emit_round_trips(capsys, torus1_file):
     assert code == 0
     cut = DoubleComplex.from_json(json.loads(out))
     assert cut.dims() == {(0, 0): 1, (0, 1): 1}
+
+
+def test_an_empty_window_pipes_back_in(capsys, monkeypatch, torus1_file):
+    # a complex with no pieces is told a double complex by its own fields
+    code, empty, _ = run(capsys, "truncate", torus1_file, "--window", "5,9", "--emit")
+    assert code == 0
+    for argv, want in [
+        (["spectral", "-"], {"limit": {}, "pages": [{"d_r_ranks": {}, "r": 1, "terms": {}}],
+                             "stable_at": 1}),
+        (["truncate", "-", "--window", "0,1"], {"dims": {}, "hyper": {}, "window": [0, 1]}),
+        (["hodge", "-", "--degree", "0"], {"degree": 0, "filtration": [0]}),
+    ]:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(empty))
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectral", "{iw}"],
+    ["truncate", "{iw}", "--window", "0,2"],
+    ["model", "lie", "--builtin", "iwasawa", "--info"],
+])
+def test_csv_rows_have_two_fields(capsys, tmp_path, argv):
+    # bidegree keys such as limit.0,0 hold a comma: csv quotes them
+    path = tmp_path / "iw.json"
+    path.write_text(json.dumps(lie_model(iwasawa_spec()).complex.to_json()))
+    argv = [a.format(iw=path) for a in argv]
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["key", "value"]
+    assert any("," in key for key, _ in rows[1:])
+    code, text, _ = run(capsys, *argv, "--format", "text")
+    assert code == 0
+    assert rows[1:] == [line.split(": ") for line in text.splitlines()]
 
 
 def test_hodge_text(capsys, torus1_file):
