@@ -9,8 +9,10 @@ every block's shape, refuses a piece larger than SPECTRA_DR_MAX_DIM by name,
 and checks that each differential squares to zero and each pair
 anticommutes, multiplying only stored blocks; what is placed from a valid
 complex's own blocks gets the cap check alone (the rule is in GradedComplex).
-GradedMap is the one map behind ChainMap and BicomplexMap; its squares are
-checked only where a stored block can make them nonzero.
+GradedMap is the one map behind ChainMap and BicomplexMap.  A map is admitted
+like a complex: its blocks pass the same routine (GradedComplex._admit), and
+its squares are checked like a complex's, by products_vanish over stored
+blocks, so no product matrix is built to be tested for zero.
 
 Every restriction and regrading (truncations, slices, shifts, transposition)
 is one call to GradedComplex._part, both duals are one call to
@@ -89,21 +91,9 @@ class GradedComplex:
                 if n:
                     clean[key] = n
             check_piece_dims(clean, noun=self._PIECE)
-            stored = []
-            for i, (step, given) in enumerate(zip(self._STEPS, diffs)):
-                kept = {}
-                for key, m in (given or {}).items():
-                    key = grade(key)
-                    if not isinstance(m, RatMatrix):
-                        raise ValidationError(f"{self._name(i, key)} is not a RatMatrix")
-                    want = (clean.get(step(key), 0), clean.get(key, 0))
-                    if m.shape != want:
-                        raise ValidationError(
-                            f"{self._name(i, key)} has shape {m.shape}, expected {want}"
-                        )
-                    if not m.is_zero():
-                        kept[key] = m
-                stored.append(kept)
+            stored = [self._admit(given, name, lambda key, step=step: (
+                          clean.get(step(key), 0), clean.get(key, 0)))
+                      for name, step, given in zip(self._NAMES, self._STEPS, diffs)]
         object.__setattr__(self, "_dims", clean)
         object.__setattr__(self, "_diffs", tuple(stored))
         object.__setattr__(self, "_hash", None)
@@ -120,6 +110,25 @@ class GradedComplex:
         if len(graded) != len(self._STEPS):
             raise ValidationError(f"key must be {len(self._STEPS)} integers, got {key!r}")
         return graded
+
+    def _admit(self, blocks, name: str, want) -> dict:
+        """The nonzero blocks of blocks (key -> RatMatrix, or None), keys
+        graded.  A block that is not a RatMatrix of shape want(key) is
+        refused with a ValidationError that names it by name and its key.
+        Every differential of a complex and every map is admitted here."""
+        grade, at, kept = self._grade, self._AT, {}
+        for key, m in (blocks or {}).items():
+            key = grade(key)
+            if not isinstance(m, RatMatrix):
+                raise ValidationError(f"{name} at {at.format(key)} is not a RatMatrix")
+            shape = want(key)
+            if m.shape != shape:
+                raise ValidationError(
+                    f"{name} at {at.format(key)} has shape {m.shape}, expected {shape}"
+                )
+            if not m.is_zero():
+                kept[key] = m
+        return kept
 
     def _validate(self):
         """Each differential squares to zero and each pair anticommutes.
@@ -141,9 +150,6 @@ class GradedComplex:
                          if f is not None and g is not None]
                 if terms and not products_vanish(*terms):
                     raise ValidationError(self._violation(i, j, key))
-
-    def _name(self, i: int, key) -> str:
-        return f"{self._NAMES[i]} at {self._AT.format(key)}"
 
     def _violation(self, i: int, j: int, key) -> str:
         a, b, at = self._NAMES[i], self._NAMES[j], self._AT.format(key)
@@ -430,8 +436,9 @@ def direct_sum(parts: Sequence[CochainComplex]) -> CochainComplex:
 
 class GradedMap:
     """Immutable map between two graded complexes of one kind, one block per
-    key, commuting with every differential; the squares are checked at
-    construction.
+    key, commuting with every differential.  Construction admits the blocks
+    through the source's `_admit`, with the messages of a complex's blocks,
+    and then checks the squares (`_check_squares`).
 
     A subclass names the kind of complex it maps (`_SPACE`), itself
     (`_NOUN`) and a failed square (`_SQUARE`, formatted with the name of
@@ -447,39 +454,30 @@ class GradedMap:
         if _trusted:  # internal: a collapse of a valid map's own blocks
             object.__setattr__(self, "_mats", mats)
             return
-        grade, sd, td = source._grade, source._dims, target._dims
-        kept = {}
-        for key, m in mats.items():
-            key = grade(key)
-            want = (td.get(key, 0), sd.get(key, 0))
-            if m.shape != want:
-                raise ValidationError(
-                    f"{self._NOUN} at {source._AT.format(key)} has shape {m.shape},"
-                    f" expected {want}"
-                )
-            if not m.is_zero():
-                kept[key] = m
-        object.__setattr__(self, "_mats", kept)
+        sd, td = source._dims, target._dims
+        object.__setattr__(self, "_mats", source._admit(
+            mats, self._NOUN, lambda key: (td.get(key, 0), sd.get(key, 0))))
         self._check_squares()
 
     def _check_squares(self):
-        """t_i(key) @ f(key) == f(key + e_i) @ s_i(key) for every
-        differential i.  A square can be nonzero only at a key with a stored
-        map block or a stored source block, so only those keys are visited,
-        ascending, with d1 before d2 at each."""
+        """t_i(key) f(key) - f(step_i(key)) s_i(key) = 0 for every
+        differential i, checked as _validate checks a complex: one
+        products_vanish call over the terms with both factors stored, the
+        second term negated, and none where no term is.  A square can be
+        nonzero only at a key with a stored map block or a stored source
+        block, so only those keys are visited, ascending, with the
+        differentials in order at each."""
         src, tgt, mats = self.source, self.target, self._mats
         for key in sorted(set(mats).union(*src._diffs)):
             f = mats.get(key)
             for i, step in enumerate(src._STEPS):
                 t, s = tgt._diffs[i].get(key), src._diffs[i].get(key)
-                g = mats.get(step(key)) if s is not None else None
-                lhs = t @ f if t is not None and f is not None else None
-                rhs = g @ s if g is not None else None
-                if lhs is None:
-                    ok = rhs is None or rhs.is_zero()
-                else:
-                    ok = lhs.is_zero() if rhs is None else lhs == rhs
-                if not ok:
+                g = mats.get(step(key))
+                terms = [(a, b) for a, b in ((t, f), (g, s))
+                         if a is not None and b is not None]
+                if len(terms) == 2:
+                    terms[1] = (-g, s)
+                if terms and not products_vanish(*terms):
                     raise NotChainCompatible(self._SQUARE.format(
                         name=src._NAMES[i], at=src._AT.format(key)))
 
@@ -575,14 +573,12 @@ def cohomology_map(f: ChainMap, k: int) -> RatMatrix:
     return induced_map(f.mat(k), cohomology(f.source, k), cohomology(f.target, k))
 
 
-def is_cohomology_iso(f: ChainMap, degrees: Sequence[int] | None = None) -> bool:
-    """True when H^k(f) is bijective for every k (degrees default: the union
-    of both supports, padded by one)."""
-    if degrees is None:
-        lo = min(f.source.lo, f.target.lo) - 1
-        hi = max(f.source.hi, f.target.hi) + 1
-        degrees = range(lo, hi + 1)
-    for k in degrees:
+def is_cohomology_iso(f: ChainMap) -> bool:
+    """True when H^k(f) is bijective in every degree k of the union of both
+    supports, padded by one."""
+    lo = min(f.source.lo, f.target.lo) - 1
+    hi = max(f.source.hi, f.target.hi) + 1
+    for k in range(lo, hi + 1):
         a = cohomology_dim(f.source, k)
         b = cohomology_dim(f.target, k)
         if a != b:

@@ -17,10 +17,13 @@ product monomials differ by sign from the tensor basis.
 Each basis vector carries a label (copy, sign, I, J): the vector equals
 sign * (copy, w^I wb^J).  Labels drive the multiplicative structure — the
 matrix of a right wedge (behind both wedge and the cup maps), integration
-against the top monomial, and the duality pairing into the shifted bigraded
-dual of the complementary window.
+against the top monomial (one top-bidegree row, read by integral and by the
+duality map's Stokes check), and the duality pairing into the shifted
+bigraded dual of the complementary window.
 The duality map is handed to the double-complex machinery unmodified; that
 its squares anticommute correctly is re-verified on every construction.
+Closedness of a cup class and the Stokes check are zero tests of products,
+made by linalg.products_vanish without building the product.
 
 The predictors at the bottom turn window hypercohomology of small models
 into the dimension formulas for fibrations, projective bundles and blowups.
@@ -50,6 +53,7 @@ from .linalg import (
     RatMatrix,
     check_piece_dims,
     kernel_basis,
+    products_vanish,
     rat_from,
     rat_str,
     subquotient,
@@ -467,17 +471,21 @@ def wedge(model: ModelDoubleComplex, bideg1, v1: RatMatrix, bideg2,
     return _right_wedge(model, bideg1, bideg2, v2) @ v1
 
 
+def _top_row(model: ModelDoubleComplex) -> RatMatrix:
+    """The integral as a 1 x dim(n, n) row: the sign of each top-bidegree
+    basis vector against the fundamental monomial of its twist copy."""
+    n = model.n
+    labels = model.labels[(n, n)]
+    return RatMatrix(1, len(labels), [[s for _c, s, _i, _j in labels]])
+
+
 def integral(model: ModelDoubleComplex, v: RatMatrix):
     """Pairing of a top-bidegree element against the fundamental monomial,
     summed over twist copies."""
     n = model.n
     if v.rows != model.dim(n, n):
         raise ValidationError("integral needs an (n, n) coordinate vector")
-    total = F0
-    for pos, (_c, s, _i, _j) in enumerate(model.labels[(n, n)]):
-        if v[pos, 0]:
-            total += v[pos, 0] * s
-    return total
+    return (_top_row(model) @ v)[0, 0]
 
 
 def cup_map(model: ModelDoubleComplex, window: tuple, alpha_bidegree,
@@ -489,9 +497,9 @@ def cup_map(model: ModelDoubleComplex, window: tuple, alpha_bidegree,
     base = model.base
     if alpha.shape != (base.dim(u, v), 1):
         raise ValidationError("cup class has the wrong shape")
-    if not (base.complex.d1(u, v) @ alpha).is_zero():
+    if not products_vanish((base.complex.d1(u, v), alpha)):
         raise NotClosed("cup class is not d1-closed")
-    if not (base.complex.d2(u, v) @ alpha).is_zero():
+    if not products_vanish((base.complex.d2(u, v), alpha)):
         raise NotClosed("cup class is not d2-closed")
     s, t = window
     src = truncate(model.complex, (s, t))
@@ -511,13 +519,11 @@ def duality_map(model: ModelDoubleComplex, window: tuple) -> BicomplexMap:
     """
     n = model.n
     s, t = window
-    for (a, b) in ((n - 1, n), (n, n - 1)):
-        dmat = model.complex.d1(a, b) if a == n - 1 else model.complex.d2(a, b)
-        for col in range(model.dim(a, b)):
-            if integral(model, dmat.col_matrix(col)):
-                raise IntegralNotClosed(
-                    f"top-degree form with nonzero d-integral at ({a},{b})"
-                )
+    top = _top_row(model)
+    for (a, b), dmat in (((n - 1, n), model.complex.d1(n - 1, n)),
+                         ((n, n - 1), model.complex.d2(n, n - 1))):
+        if not products_vanish((top, dmat)):
+            raise IntegralNotClosed(f"top-degree form with nonzero d-integral at ({a},{b})")
     src = truncate(model.complex, (s, t))
     tgt = shift2(dual2(truncate(model.complex, (n - t, n - s))), -n, -n)
     mats = {}

@@ -21,14 +21,12 @@ from .cochain import CochainComplex
 from .linalg import RatMatrix, kernel_basis
 
 
-def random_matrix(rng: random.Random, rows: int, cols: int, bound: int = 2) -> RatMatrix:
-    return RatMatrix(
-        rows, cols,
-        [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)],
-    )
+def random_matrix(rng: random.Random, rows: int, cols: int) -> RatMatrix:
+    """Entries drawn uniformly from -2..2."""
+    return RatMatrix(rows, cols, [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)])
 
 
-def random_unimodular(rng: random.Random, n: int, shears: int = 3):
+def random_unimodular(rng: random.Random, n: int, shears: int):
     """(U, U^-1) with U a product of integer shear matrices."""
     u = RatMatrix.identity(n)
     uinv = RatMatrix.identity(n)
@@ -50,8 +48,7 @@ def random_unimodular(rng: random.Random, n: int, shears: int = 3):
     return u, uinv
 
 
-def random_complex(rng: random.Random, max_dim: int = 4, span: int = 4,
-                   bound: int = 2) -> CochainComplex:
+def random_complex(rng: random.Random, max_dim: int = 4, span: int = 4) -> CochainComplex:
     """Random bounded complex with d o d = 0 by construction: each next
     differential is (random matrix) @ (basis of the left kernel of the
     previous one), which reaches every valid complex up to base change."""
@@ -65,10 +62,10 @@ def random_complex(rng: random.Random, max_dim: int = 4, span: int = 4,
             prev = None
             continue
         if prev is None:
-            d = random_matrix(rng, n_next, n_here, bound)
+            d = random_matrix(rng, n_next, n_here)
         else:
             left_null = kernel_basis(prev.transpose()).transpose()
-            d = random_matrix(rng, n_next, left_null.rows, bound) @ left_null
+            d = random_matrix(rng, n_next, left_null.rows) @ left_null
         diffs[k] = d
         prev = d
     return CochainComplex(dims, diffs)

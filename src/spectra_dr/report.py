@@ -42,9 +42,6 @@ class Report:
         self.lines.append(ReportLine(check, degree, lhs, rhs, bool(passed)))
         return passed
 
-    def extend(self, other: "Report"):
-        self.lines.extend(other.lines)
-
     @property
     def ok(self) -> bool:
         return all(line.passed for line in self.lines)

@@ -156,11 +156,10 @@ class SpectralPage:
     """One page: terms (subquotients of the total spaces) and the induced
     differentials d_r^{p,q}: E_r^{p,q} -> E_r^{p+r,q-r+1}."""
 
-    __slots__ = ("r", "source", "terms", "diffs")
+    __slots__ = ("r", "terms", "diffs")
 
-    def __init__(self, r: int, source: DoubleComplex, terms: dict, diffs: dict):
+    def __init__(self, r: int, terms: dict, diffs: dict):
         self.r = r
-        self.source = source
         self.terms = terms
         self.diffs = diffs
 
@@ -196,7 +195,7 @@ def page(k: DoubleComplex, r: int) -> SpectralPage:
     terms: dict = {}
     diffs: dict = {}
     if k.is_zero():
-        return SpectralPage(r, k, terms, diffs)
+        return SpectralPage(r, terms, diffs)
 
     cycles: dict = {}
 
@@ -219,7 +218,7 @@ def page(k: DoubleComplex, r: int) -> SpectralPage:
         if tgt is None:
             continue
         diffs[(p, q)] = induced_map(t.diff(p + q), term, tgt)
-    return SpectralPage(r, k, terms, diffs)
+    return SpectralPage(r, terms, diffs)
 
 
 def first_page(k: DoubleComplex) -> SpectralPage:

@@ -85,7 +85,7 @@ def _guard(rep: Report, check: str, tag, fn) -> None:
         rep.add(check, tag, bool(out), True)
 
 
-def cochain_suite(seed: int = 1011, runs: int = 60) -> Report:
+def cochain_suite(seed: int, runs: int) -> Report:
     rng = random.Random(seed)
     rep = Report("cochain")
     for i in range(runs):
@@ -109,7 +109,7 @@ def cochain_suite(seed: int = 1011, runs: int = 60) -> Report:
     return rep
 
 
-def bicomplex_suite(seed: int = 2022, runs: int = 40) -> Report:
+def bicomplex_suite(seed: int, runs: int) -> Report:
     rng = random.Random(seed)
     rep = Report("bicomplex")
     for i in range(runs):
@@ -130,7 +130,7 @@ def bicomplex_suite(seed: int = 2022, runs: int = 40) -> Report:
     return rep
 
 
-def tensor_suite(seed: int = 3033, runs: int = 12) -> Report:
+def tensor_suite(seed: int, runs: int) -> Report:
     rng = random.Random(seed)
     rep = Report("tensor")
     for i in range(runs):
@@ -154,7 +154,7 @@ def tensor_suite(seed: int = 3033, runs: int = 12) -> Report:
     return rep
 
 
-def spectral_suite(seed: int = 4044, runs: int = 25) -> Report:
+def spectral_suite(seed: int, runs: int) -> Report:
     rng = random.Random(seed)
     rep = Report("spectral")
     for i in range(runs):
@@ -180,7 +180,7 @@ def spectral_suite(seed: int = 4044, runs: int = 25) -> Report:
     return rep
 
 
-def truncation_suite(seed: int = 5055, runs: int = 15) -> Report:
+def truncation_suite(seed: int, runs: int) -> Report:
     rng = random.Random(seed)
     rep = Report("truncation")
     for i in range(runs):
@@ -209,7 +209,7 @@ def truncation_suite(seed: int = 5055, runs: int = 15) -> Report:
     return rep
 
 
-def models_suite(seed: int = 6066, runs: int = 6) -> Report:
+def models_suite(seed: int, runs: int) -> Report:
     rng = random.Random(seed)
     rep = Report("models")
     t1 = torus_model(1)
@@ -264,11 +264,5 @@ SUITES = {
 }
 
 
-def run_suite(name: str, seed: int | None = None, runs: int | None = None) -> Report:
-    fn = SUITES[name]
-    kwargs = {}
-    if seed is not None:
-        kwargs["seed"] = seed
-    if runs is not None:
-        kwargs["runs"] = runs
-    return fn(**kwargs)
+def run_suite(name: str, seed: int, runs: int) -> Report:
+    return SUITES[name](seed, runs)

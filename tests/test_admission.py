@@ -10,36 +10,55 @@ and anticommutator: the rebuilt object must come back equal, with no
 exception.  The work counts pin that the placed builders multiply nothing,
 with a positive control (the same data through the public constructor) and
 a negative one (a broken model is still refused by name).
+
+A map is admitted like a complex, through the same routine and with its
+squares tested by products_vanish: the last section compares it with the
+previous release's map admission, kept as the oracle, and pins that the
+witnesses multiply no product only to test it for zero.
 """
 
 import json
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
 from spectra_dr import cochain, truncation
 from spectra_dr.bicomplex import (
+    BicomplexMap,
     DoubleComplex,
     clear_total_cache,
     column_complex,
     direct_sum2,
+    identity_bicomplex_map,
     row_complex,
     shift2,
     total,
     total_map,
     transpose2,
+    verify_total_dual_iso,
 )
 from spectra_dr.cli import main
-from spectra_dr.cochain import GradedMap, direct_sum, shift
-from spectra_dr.errors import ValidationError
-from spectra_dr.models import hyper, iwasawa_spec, lie_model, product_model, torus_model
+from spectra_dr.cochain import ChainMap, GradedMap, direct_sum, identity_chain_map, shift
+from spectra_dr.errors import EngineError, NotChainCompatible, ValidationError
+from spectra_dr.linalg import RatMatrix, clear_caches
+from spectra_dr.models import (
+    duality_map,
+    hyper,
+    iwasawa_spec,
+    lie_model,
+    product_model,
+    torus_model,
+)
 from spectra_dr.randgen import random_double_complex
 from spectra_dr.tensorops import quad_slice, quad_tensor, ss_collapse
 from spectra_dr.truncation import (
     clear_truncation_cache,
+    four_term_check,
     hyper_dims,
     hypercohomology,
+    les_check,
     truncate,
     truncated_total,
     window_map,
@@ -162,15 +181,19 @@ def test_placed_builders_multiply_nothing(monkeypatch, models):
     window = truncate(iwiw, (1, 3))
     inclusion = window_map(iwiw, (2, 4), (1, 4))
     real = cochain.products_vanish
-    calls = []
+    calls, inside = [], []
 
     def counting(*pairs):
-        calls.append(len(pairs))
+        calls.append(len(pairs) if inside else "outside a square check")
         return real(*pairs)
 
     def squares(self, _real=GradedMap._check_squares):
         calls.append("square")
-        return _real(self)
+        inside.append(self)
+        try:
+            return _real(self)
+        finally:
+            inside.pop()
 
     monkeypatch.setattr(cochain, "products_vanish", counting)
     monkeypatch.setattr(GradedMap, "_check_squares", squares)
@@ -187,7 +210,9 @@ def test_placed_builders_multiply_nothing(monkeypatch, models):
     assert len(calls) > 0
     calls.clear()
     type(inclusion)(inclusion.source, inclusion.target, inclusion._mats)
-    assert calls == ["square"]
+    # the square check multiplies through products_vanish, and only it does
+    assert calls[0] == "square" and len(calls) > 1
+    assert all(type(c) is int for c in calls[1:])
     clear_total_cache()
 
 
@@ -254,3 +279,149 @@ def test_a_warm_memo_still_refuses_float_window_bounds(models):
                 call()
     assert truncation.window_barcode.cache_info().currsize == 1
     clear_truncation_cache()
+
+
+# -- maps are admitted like complexes ---------------------------------------------
+
+
+def head_map_admission(cls, source, target, mats):
+    """The map admission of the previous release, kept as the oracle: its own
+    shape loop, then the squares built as products and compared.  The
+    refusal it raised, as (type, message), or None."""
+    grade, sd, td = source._grade, source._dims, target._dims
+    kept = {}
+    for key, m in mats.items():
+        key = grade(key)
+        want = (td.get(key, 0), sd.get(key, 0))
+        if m.shape != want:
+            return ValidationError, (f"{cls._NOUN} at {source._AT.format(key)} has shape"
+                                     f" {m.shape}, expected {want}")
+        if not m.is_zero():
+            kept[key] = m
+    for key in sorted(set(kept).union(*source._diffs)):
+        f = kept.get(key)
+        for i, step in enumerate(source._STEPS):
+            t, s = target._diffs[i].get(key), source._diffs[i].get(key)
+            g = kept.get(step(key)) if s is not None else None
+            lhs = t @ f if t is not None and f is not None else None
+            rhs = g @ s if g is not None else None
+            if lhs is None:
+                ok = rhs is None or rhs.is_zero()
+            else:
+                ok = lhs.is_zero() if rhs is None else lhs == rhs
+            if not ok:
+                return NotChainCompatible, cls._SQUARE.format(
+                    name=source._NAMES[i], at=source._AT.format(key))
+    return None
+
+
+def _admission(cls, source, target, mats):
+    try:
+        cls(source, target, mats)
+    except EngineError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _seeded_maps(rng, models):
+    """Valid maps: identities, window inclusions and restrictions of seeded
+    complexes, their total maps, and the duality maps of the small models."""
+    for n in range(160):
+        k = random_double_complex(rng, p_span=rng.randint(1, 4), q_span=rng.randint(1, 4))
+        if n % 8 == 0:
+            yield identity_bicomplex_map(k)
+            yield identity_chain_map(total(k))
+        a, b = sorted(rng.randint(k.p_lo - 1, k.p_hi + 1) for _ in range(2))
+        c = rng.randint(b, k.p_hi + 1)
+        f = window_map(k, (b, c), (a, c)) if n % 2 else window_map(k, (a, c), (a, b))
+        yield total_map(f) if n % 3 == 0 else f
+    for name in ("T1", "T2", "IW"):
+        model = models[name]
+        for s in range(model.n + 1):
+            for t in range(s, model.n + 1):
+                f = duality_map(model, (s, t))
+                yield f
+                yield total_map(f)
+
+
+def _planted(rng, f):
+    """f's blocks, with one entry of one block changed, or one block given a
+    row too many, or untouched."""
+    mats = dict(f._mats)
+    sd, td = f.source._dims, f.target._dims
+    keys = sorted(key for key in sd if td.get(key))
+    fault = rng.choice(("none", "entry", "entry", "entry", "shape"))
+    if fault == "none" or not keys:
+        return mats
+    key = rng.choice(keys)
+    m = f._block(key)
+    if fault == "shape":
+        mats[key] = RatMatrix.zeros(m.rows + 1, m.cols)
+        return mats
+    rows = [list(m.row(i)) for i in range(m.rows)]
+    rows[rng.randrange(m.rows)][rng.randrange(m.cols)] += rng.choice((1, -1, 2, Fraction(1, 2)))
+    mats[key] = RatMatrix(m.rows, m.cols, rows)
+    return mats
+
+
+def test_map_admission_matches_the_previous_release(models):
+    rng = random.Random(1900)
+    seen = {None: 0, ValidationError: 0, NotChainCompatible: 0}
+    for f in _seeded_maps(rng, models):
+        cls = type(f)
+        assert _admission(cls, f.source, f.target, f._mats) is None
+        mats = _planted(rng, f)
+        want = head_map_admission(cls, f.source, f.target, mats)
+        assert _admission(cls, f.source, f.target, mats) == want
+        seen[want and want[0]] += 1
+    assert min(seen.values()) >= 15, seen
+
+
+def test_a_map_block_that_is_not_a_matrix_is_refused_by_name(models):
+    k = models["IW"].complex
+    tk = total(k)
+    one = RatMatrix.identity(1)
+    cases = [
+        (ChainMap, tk, {0: "x"}, "chain map at degree 0 is not a RatMatrix"),
+        (ChainMap, tk, {0: one, 1: [[1, 0, 0]]}, "chain map at degree 1 is not a RatMatrix"),
+        (BicomplexMap, k, {(0, 0): one, (1, 0): None},
+         "bicomplex map at (1,0) is not a RatMatrix"),
+        (BicomplexMap, k, {(0, 1): 1.0}, "bicomplex map at (0,1) is not a RatMatrix"),
+        (ChainMap, tk, {0.5: one}, "degree must be an integer, got 0.5"),
+        (BicomplexMap, k, {(0,): one}, "key must be 2 integers, got (0,)"),
+    ]
+    for cls, space, mats, message in cases:
+        with pytest.raises(ValidationError) as info:
+            cls(space, space, mats)
+        assert str(info.value) == message
+
+
+def test_witnesses_and_map_admission_build_no_products(monkeypatch, models):
+    """Squares, compositions, closedness and the Stokes condition are zero
+    tests of products, made without building the product.  What les_check
+    still multiplies is the lifts of its connecting maps and its induced
+    maps."""
+    iw, iwiw = models["IW"], models["IWxIW"].complex
+    real = RatMatrix.__matmul__
+    count = []
+
+    def counting(a, b):
+        count.append(1)
+        return real(a, b)
+
+    maps = [window_map(iwiw, (2, 4), (1, 4)), duality_map(iw, (0, 3)),
+            total_map(window_map(iwiw, (0, 4), (0, 2)))]
+    monkeypatch.setattr(RatMatrix, "__matmul__", counting)
+    for f in maps:
+        readmit(f)
+    assert count == []
+    for call, want in ((lambda: window_map(iwiw, (2, 4), (1, 4)), 0),
+                       (lambda: four_term_check(iw.complex, 0, 1, 2, 3), 0),
+                       (lambda: verify_total_dual_iso(iwiw), 0),
+                       (lambda: duality_map(iw, (0, 3)), 0),
+                       (lambda: les_check(iw.complex, 0, 1, 3), 22)):
+        clear_caches()
+        count.clear()
+        call()
+        assert len(count) == want
+    clear_caches()
