@@ -606,11 +606,22 @@ _set_hash = RatMatrix._hash.__set__
 
 
 def products_vanish(*pairs) -> bool:
-    """True when the sum of f @ g over the pairs (f, g) of conforming shapes
-    is zero; a pair with an absent (None) factor is skipped.  Each row of the
-    sum is accumulated in one dict, so no matrix is built, in int arithmetic
-    where both factors' entries are integral."""
-    pairs = [(f._rows, g._rows) for f, g in pairs if f is not None and g is not None]
+    """True when the sum of f @ g over the pairs (f, g) is zero; a pair with
+    an absent (None) factor is skipped.  Raises ValidationError, with the
+    messages of @ and of +, for a pair that does not conform or for
+    products of different shapes.  Each row of the sum is accumulated in
+    one dict, so no matrix is built, in int arithmetic where both factors'
+    entries are integral."""
+    pairs = [(f, g) for f, g in pairs if f is not None and g is not None]
+    for f, g in pairs:
+        if f.cols != g.rows:
+            raise ValidationError(
+                f"cannot multiply {f.rows}x{f.cols} by {g.rows}x{g.cols}")
+        if (f.rows, g.cols) != (pairs[0][0].rows, pairs[0][1].cols):
+            raise ValidationError(
+                f"shape mismatch {pairs[0][0].rows}x{pairs[0][1].cols}"
+                f" vs {f.rows}x{g.cols}")
+    pairs = [(f._rows, g._rows) for f, g in pairs]
     for i in range(len(pairs[0][0]) if pairs else 0):
         acc = {}
         for frows, grows in pairs:

@@ -422,17 +422,17 @@ def product_model(x: ModelDoubleComplex, y: ModelDoubleComplex) -> ModelDoubleCo
     for (k, l), cells in quad._layout().items():
         labs = [None] * cx.dim(k, l)
         for (p, q, r, s), off, _size in cells:
-            ylabs = y.labels[(q, s)]
+            # the cell's y labels, shifted past x's generators and signed
+            # by (-1)^{rq} once for every x label
+            flip = -1 if (r * q) % 2 else 1
+            ylabs = [(cy_copy, sy * flip, tuple(g + x.n for g in i2),
+                      tuple(g + x.n for g in j2))
+                     for cy_copy, sy, i2, j2 in y.labels[(q, s)]]
             ny = len(ylabs)
             for ix, (cx_copy, sx, i1, j1) in enumerate(x.labels[(p, r)]):
-                for iy, (cy_copy, sy, i2, j2) in enumerate(ylabs):
-                    sign = sx * sy * (-1 if (r * q) % 2 else 1)
-                    labs[off + ix * ny + iy] = (
-                        cx_copy * y.twist_rank + cy_copy,
-                        sign,
-                        i1 + tuple(g + x.n for g in i2),
-                        j1 + tuple(g + x.n for g in j2),
-                    )
+                copy0 = cx_copy * y.twist_rank
+                for pos, (cy_copy, sy, i2, j2) in enumerate(ylabs, off + ix * ny):
+                    labs[pos] = (copy0 + cy_copy, sx * sy, i1 + i2, j1 + j2)
         labels[(k, l)] = tuple(labs)
     base = None
     if m > 1:

@@ -17,6 +17,12 @@ grouping (p, q, r, s) by (p+q, r+s)); the summand order at (k, l), (p, r)
 lexicographic ascending, is stated once in GradedComplex._layout.  The
 comparison witnesses below depend on that order; collapse_total_check states
 its block offsets and bicomplex's certification routine does the rest.
+
+Each object is built once: quad_tensor and ss_collapse are linalg memos (so
+the witnesses of one pair share one quad tensor and one collapse, and
+clear_caches empties them), and a Kronecker leg d (x) 1 or +-1 (x) d depends
+on the other factor only through its piece size, so one leg per (block,
+size, sign) is shared by every piece that needs it.  tensor is not memoised.
 """
 
 from __future__ import annotations
@@ -33,25 +39,40 @@ from .bicomplex import (
 )
 from .cochain import ChainMap, CochainComplex, GradedComplex, cohomology_dim, direct_sum
 from .errors import ValidationError, WitnessFailure
-from .linalg import RatMatrix, check_piece_dims
+from .linalg import RatMatrix, check_piece_dims, memo
 from .report import Report
 
 
 def _left_legs(blocks: Mapping, dims: Mapping) -> dict:
     """d (x) 1 at (a, b) for every stored block d at a of the left factor
-    and every piece b of the right one; absent blocks build nothing."""
-    return {(a, b): RatMatrix.kron(m, RatMatrix.identity(n))
-            for a, m in blocks.items() for b, n in dims.items()}
+    and every piece b of the right one; absent blocks build nothing.  The
+    leg depends on b only through dim b, so each (d, dim b) is built once
+    and shared (RatMatrix is immutable)."""
+    out = {}
+    for a, m in blocks.items():
+        legs = {}
+        for b, n in dims.items():
+            leg = legs.get(n)
+            if leg is None:
+                leg = legs[n] = RatMatrix.kron(m, RatMatrix.identity(n))
+            out[(a, b)] = leg
+    return out
 
 
 def _right_legs(dims: Mapping, blocks: Mapping, degree) -> dict:
     """(-1)^degree(a) 1 (x) d at (a, b) for every piece a of the left factor
-    and every stored block d at b of the right one."""
+    and every stored block d at b of the right one, built once per (d,
+    dim a, parity of degree(a)) and shared; 1 (x) -d has the canonical rows
+    of -(1 (x) d)."""
     out = {}
     for b, m in blocks.items():
+        legs = {}
         for a, n in dims.items():
-            leg = RatMatrix.kron(RatMatrix.identity(n), m)
-            out[(a, b)] = -leg if degree(a) % 2 else leg
+            key = (n, degree(a) % 2)
+            leg = legs.get(key)
+            if leg is None:
+                leg = legs[key] = RatMatrix.kron(RatMatrix.identity(n), -m if key[1] else m)
+            out[(a, b)] = leg
     return out
 
 
@@ -133,6 +154,7 @@ class QuadComplex(GradedComplex):
         return f"QuadComplex(cells={len(self._dims)}, total dim {self.total_dim()})"
 
 
+@memo
 def quad_tensor(k: DoubleComplex, l: DoubleComplex) -> QuadComplex:
     """A^{p,q,r,s} = K^{p,r} (x) L^{q,s} with the four differentials listed in
     the module docstring."""
@@ -155,6 +177,7 @@ def quad_slice(a: QuadComplex, p: int, q: int) -> DoubleComplex:
                    lambda key: (key[2], key[3]), (2, 3))
 
 
+@memo
 def ss_collapse(a: QuadComplex) -> DoubleComplex:
     """Collapse to bidegree (p+q, r+s) with D1 = d1 + d2, D2 = d3 + d4."""
     return a._collapse(DoubleComplex, ((0, 1), (2, 3)), "piece")

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from spectra_dr import bicomplex, cli, cochain, linalg, spectral, truncation
+from spectra_dr import bicomplex, cli, cochain, linalg, spectral, tensorops, truncation
 from spectra_dr.bicomplex import DoubleComplex, total
 from spectra_dr.cochain import cohomology, cohomology_dim
 from spectra_dr.errors import ValidationError
@@ -394,11 +394,11 @@ CLEAR_NAMES = [
 ]
 
 
-def test_the_registry_holds_the_eight_memos():
+def test_the_registry_holds_the_ten_memos():
     memos = [linalg.rank, linalg.kernel_basis, linalg.pivot_columns, cochain.cohomology,
              bicomplex.total, spectral.page, spectral.window_barcode,
-             truncation.truncated_total]
-    assert len(linalg._MEMOS) == 8
+             truncation.truncated_total, tensorops.quad_tensor, tensorops.ss_collapse]
+    assert len(linalg._MEMOS) == 10
     assert {id(f) for f in linalg._MEMOS} == {id(f) for f in memos}
     assert all(f is not cli._parser for f in linalg._MEMOS)
     for module, name in CLEAR_NAMES:
@@ -413,9 +413,10 @@ def test_each_clear_name_empties_every_memo(module, name):
     hyper_dims(k, (1, 2))
     cochain.cohomology(truncated_total(k, 0, 1), 1)
     linalg.pivot_columns(total(k).diff(2))
+    tensorops.ss_collapse(tensorops.quad_tensor(k, k))
     assert all(f.cache_info().currsize > 0 for f in linalg._MEMOS)
     getattr(module, name)()
-    assert [f.cache_info().currsize for f in linalg._MEMOS] == [0] * 8
+    assert [f.cache_info().currsize for f in linalg._MEMOS] == [0] * 10
 
 
 @pytest.mark.parametrize("name", ["T1xIW", "IWxIW"])

@@ -163,6 +163,33 @@ def test_products_vanish_sees_non_integral_products():
             assert products_vanish((f, g), (-prod, RatMatrix.identity(m)))
 
 
+def test_products_vanish_refuses_what_at_and_plus_refuse():
+    # each pair must conform, as for @, and the products must share a shape,
+    # as for +; formerly these read True, False and an IndexError
+    with pytest.raises(ValidationError, match="cannot multiply 1x3 by 2x2"):
+        products_vanish((RatMatrix.zeros(1, 3), RatMatrix.identity(2)))
+    with pytest.raises(ValidationError, match="cannot multiply 1x1 by 2x1"):
+        products_vanish((RatMatrix.identity(1), RatMatrix(2, 1, [[1], [1]])))
+    with pytest.raises(ValidationError, match="cannot multiply 1x2 by 1x1"):
+        products_vanish((RatMatrix(1, 2, [[1, 1]]), RatMatrix.identity(1)))
+    for f, g in [(RatMatrix.zeros(1, 3), RatMatrix.identity(2)),
+                 (RatMatrix(1, 2, [[1, 1]]), RatMatrix.identity(1))]:
+        with pytest.raises(ValidationError, match="cannot multiply") as at:
+            f @ g
+        with pytest.raises(ValidationError, match=str(at.value)):
+            products_vanish((f, g))
+    # 2x2 and 2x3 products: the shape message of +, first product first
+    one = RatMatrix.identity(2)
+    wide = RatMatrix(2, 3, [[1, 0, 0], [0, 0, 0]])
+    with pytest.raises(ValidationError, match="shape mismatch 2x2 vs 2x3") as plus:
+        products_vanish((one, one), (one, wide))
+    with pytest.raises(ValidationError, match=str(plus.value)):
+        (one @ one) + (one @ wide)
+    # an absent factor still skips its pair, whatever the other's shape
+    assert products_vanish((one, one), (None, wide), (wide, None)) is False
+    assert products_vanish((RatMatrix.zeros(2, 2), one), (None, wide))
+
+
 # -- submatrix: the ascending fast path against the general path -------------
 
 

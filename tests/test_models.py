@@ -30,7 +30,7 @@ from spectra_dr.errors import (
     PreconditionViolation,
     ValidationError,
 )
-from spectra_dr.linalg import F0, RatMatrix, rank
+from spectra_dr.linalg import F0, RatMatrix, clear_caches, rank
 from spectra_dr.models import (
     BUILTIN_SPECS,
     LieModelSpec,
@@ -383,6 +383,7 @@ def test_iwasawa_squared_spectral_sequence_stabilizes_at_page_2(iw):
 def test_product_validates_only_the_quad_tensor_and_builds_no_zero_matrix(monkeypatch, iw):
     # the collapse is placed from the quad tensor's own blocks and admitted
     # without validation; re-admitting it validates it, still without zeros
+    clear_caches()  # the quad tensor is built cold, not read from its memo
     t1 = torus_model(1)
     validating = []
     validated = []
