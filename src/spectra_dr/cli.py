@@ -31,7 +31,6 @@ from .models import (
     kunneth_predict,
     leray_hirsch_predict,
     lie_model,
-    point_model,
     product_model,
     projective_bundle_predict,
     torus_model,
@@ -109,23 +108,35 @@ def _parse_classes(text: str) -> list:
     return out
 
 
+def _model(kind: str, n=None, twist_rank: int = 1, builtin=None, spec=None):
+    """The torus or lie model that `model torus|lie` and the model
+    descriptors name (a point is the torus on no generators).  A spec
+    file's own twist rank holds unless twist_rank is not 1."""
+    if kind == "torus":
+        return torus_model(n, twist_rank)
+    if builtin is not None:
+        return lie_model(BUILTIN_SPECS[builtin](twist_rank))
+    if spec is None:
+        raise ParseError("model lie needs --builtin or --spec")
+    spec = LieModelSpec.from_json(_read_json(spec))
+    if twist_rank != 1:
+        spec = LieModelSpec(spec.n, spec.images, twist_rank)
+    return lie_model(spec)
+
+
 def _parse_model(desc: str):
     """torus:N[:M] | point[:M] | lie:BUILTIN[:M] | lie:PATH"""
-    parts = desc.split(":")
-    kind = parts[0]
+    kind, *rest = desc.split(":")
     try:
-        if kind == "torus" and len(parts) in (2, 3):
-            n = int(parts[1])
-            m = int(parts[2]) if len(parts) == 3 else 1
-            return torus_model(n, m)
-        if kind == "point" and len(parts) in (1, 2):
-            return point_model(int(parts[1]) if len(parts) == 2 else 1)
-        if kind == "lie" and len(parts) >= 2:
-            name = parts[1]
-            if name in BUILTIN_SPECS:
-                m = int(parts[2]) if len(parts) == 3 else 1
-                return lie_model(BUILTIN_SPECS[name](m))
-            return lie_model(LieModelSpec.from_json(_read_json(":".join(parts[1:]))))
+        if kind == "torus" and len(rest) in (1, 2):
+            return _model(kind, *map(int, rest))
+        if kind == "point" and len(rest) in (0, 1):
+            return _model("torus", 0, *map(int, rest))
+        if kind == "lie" and rest:
+            if rest[0] in BUILTIN_SPECS:
+                m = int(rest[1]) if len(rest) == 2 else 1
+                return _model(kind, twist_rank=m, builtin=rest[0])
+            return _model(kind, spec=":".join(rest))
     except ValueError:
         raise ParseError(f"bad integer in model descriptor {desc!r}") from None
     raise ParseError(
@@ -236,11 +247,8 @@ def _cmd_verify(args) -> int:
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     reports = [run_suite(n, args.seed, args.runs) for n in names]
     if args.format == "json":
-        payload = {
-            "ok": all(r.ok for r in reports),
-            "suites": {r.name: r.to_json() for r in reports},
-        }
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        _emit({"ok": all(r.ok for r in reports),
+               "suites": {r.name: r.to_json() for r in reports}}, "json")
     elif args.format == "csv":
         print("suite,check,degree,lhs,rhs,pass")
         for rep in reports:
@@ -275,20 +283,11 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_model(args) -> int:
-    if args.kind == "torus":
-        model = torus_model(args.n, args.twist_rank)
-    elif args.kind == "lie":
-        if args.builtin is not None:
-            model = lie_model(BUILTIN_SPECS[args.builtin](args.twist_rank))
-        elif args.spec is not None:
-            spec = LieModelSpec.from_json(_read_json(args.spec))
-            if args.twist_rank != 1:
-                spec = LieModelSpec(spec.n, spec.images, args.twist_rank)
-            model = lie_model(spec)
-        else:
-            raise ParseError("model lie needs --builtin or --spec")
-    else:
+    if args.kind == "product":
         model = product_model(_parse_model(args.left), _parse_model(args.right))
+    else:
+        model = _model(args.kind, getattr(args, "n", None), args.twist_rank,
+                       getattr(args, "builtin", None), getattr(args, "spec", None))
     if args.info:
         payload = {
             "n": model.n,

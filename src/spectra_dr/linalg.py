@@ -46,7 +46,8 @@ held only at pivot columns, so free variables are zero; subquotient keeps
 the nonzero columns of one reduction of [boundaries | Z].
 
 Memos.  Every memo of the package is declared with memo (an unbounded,
-typed lru_cache); clear_caches, which every clear_* name is, empties them all.
+typed lru_cache, keyed on the cap too); clear_caches, which every clear_*
+name is, empties them all.
 
 A Subquotient packages (cycles mod boundaries) inside a fixed ambient space;
 every cohomology group, spectral-sequence term and Bott-Chern group in the
@@ -61,7 +62,7 @@ from __future__ import annotations
 import os
 from bisect import bisect_left
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import accumulate
 from math import gcd
 from operator import neg
@@ -115,11 +116,19 @@ _MEMOS: list = []
 
 
 def memo(fn):
-    """lru_cache(maxsize=None, typed=True), recorded so that clear_caches
-    empties it.  Typed keys keep 1.0 from hitting the entry of 1, so a
-    malformed argument reaches the checks of the cold path."""
-    _MEMOS.append(lru_cache(maxsize=None, typed=True)(fn))
-    return _MEMOS[-1]
+    """An unbounded, typed lru_cache of fn, a function of one to three
+    positional arguments, whose key also holds the raw SPECTRA_DR_MAX_DIM
+    value; recorded so that clear_caches empties it.  A call with 1.0 for
+    1, or under another cap, misses, and meets the checks of the cold path."""
+    cached = lru_cache(maxsize=None, typed=True)(lambda _cap, *args: fn(*args))
+    get, key = _ENVIRON.get, _MAX_DIM_KEY
+    # a caller of fn's own arity: a starred call costs more than the hit
+    memoised = wraps(fn)({1: lambda a: cached(get(key), a),
+                          2: lambda a, b: cached(get(key), a, b),
+                          3: lambda a, b, c: cached(get(key), a, b, c)}[fn.__code__.co_argcount])
+    memoised.cache_info, memoised.cache_clear = cached.cache_info, cached.cache_clear
+    _MEMOS.append(memoised)
+    return memoised
 
 
 def clear_caches():
@@ -297,6 +306,24 @@ class RatMatrix:
                 raise ValidationError("from_rows with no rows needs explicit cols")
             cols = len(rows[0])
         return RatMatrix(len(rows), cols, rows)
+
+    @staticmethod
+    def from_entries(rows: int, cols: int, entries) -> "RatMatrix":
+        """The rows x cols matrix of the (row, column, value) triples in
+        entries, int or Fraction values: repeats are summed, a zero sum is not
+        stored, an integral value is stored as an int.  Raises
+        ValidationError naming an entry outside the shape."""
+
+        def packed():  # a generator: __init__ checks the cap before allocation
+            acc = [{} for _ in range(rows)]
+            for i, j, v in entries:
+                if not (0 <= i < rows and 0 <= j < cols):
+                    raise ValidationError(f"entry ({i},{j}) outside {rows}x{cols}")
+                row = acc[i]
+                row[j] = row[j] + v if j in row else v
+            yield from map(_pack, acc)
+
+        return RatMatrix(rows, cols, packed(), _trusted=True)
 
     @staticmethod
     def column(values: Sequence) -> "RatMatrix":

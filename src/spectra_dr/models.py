@@ -9,10 +9,12 @@ d1 raising the holomorphic degree and d2 the antiholomorphic one.  A twist of
 rank m is the direct sum of m copies of the model.
 
 Concrete builders: torus_model (all structure constants zero), lie_model
-(from a LieModelSpec, e.g. the built-in Iwasawa one with d w^3 = -w^1 w^2),
-point_model, and product_model, which assembles the model of a product by
-collapsing the fourfold tensor grading and keeping track of how the sorted
-product monomials differ by sign from the tensor basis.
+(from a LieModelSpec, e.g. the built-in Iwasawa one with d w^3 = -w^1 w^2)
+and point_model are one exterior-model builder given no generator images or
+a spec's; product_model assembles the model of a product by collapsing the
+fourfold tensor grading and keeping track of how the sorted product
+monomials differ by sign from the tensor basis.  Every label-indexed matrix
+is built from its nonzero entries by RatMatrix.from_entries.
 
 Each basis vector carries a label (copy, sign, I, J): the vector equals
 sign * (copy, w^I wb^J).  Labels drive the multiplicative structure — the
@@ -49,7 +51,6 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
-    F0,
     RatMatrix,
     check_piece_dims,
     kernel_basis,
@@ -273,15 +274,9 @@ def _check_model_size(what: str, n: int, m: int) -> None:
 
 
 def _exterior_labels(n: int) -> dict:
-    labels = {}
-    for p in range(n + 1):
-        for q in range(n + 1):
-            labels[(p, q)] = tuple(
-                (0, 1, i, j)
-                for i in combinations(range(n), p)
-                for j in combinations(range(n), q)
-            )
-    return labels
+    return {(p, q): tuple((0, 1, i, j) for i in combinations(range(n), p)
+                          for j in combinations(range(n), q))
+            for p in range(n + 1) for q in range(n + 1)}
 
 
 def _twist(base: ModelDoubleComplex, m: int) -> ModelDoubleComplex:
@@ -290,12 +285,8 @@ def _twist(base: ModelDoubleComplex, m: int) -> ModelDoubleComplex:
     if m == 1:
         return base
     _check_model_size(f"twist n={base.n}", base.n, m)
-    labels = {
-        key: tuple(
-            (c, s, i, j) for c in range(m) for (_c, s, i, j) in labs
-        )
-        for key, labs in base.labels.items()
-    }
+    labels = {key: tuple((c, s, i, j) for c in range(m) for (_c, s, i, j) in labs)
+              for key, labs in base.labels.items()}
     return ModelDoubleComplex(base.n, m, direct_sum2([base.complex] * m), labels, base)
 
 
@@ -306,11 +297,7 @@ def torus_model(n: int, twist_rank: int = 1) -> ModelDoubleComplex:
     """All structure constants zero: dims C(n,p)C(n,q), no differentials."""
     if not isinstance(n, int) or n < 0:
         raise ValidationError(f"bad generator count {n!r}")
-    _check_model_size(f"torus n={n}", n, twist_rank)
-    labels = _exterior_labels(n)
-    dims = {key: len(labs) for key, labs in labels.items()}
-    base = ModelDoubleComplex(n, 1, DoubleComplex(dims), labels)
-    return _twist(base, twist_rank)
+    return _exterior_model(f"torus n={n}", n, twist_rank)
 
 
 def point_model(twist_rank: int = 1) -> ModelDoubleComplex:
@@ -323,33 +310,54 @@ def _generator_images(spec: LieModelSpec) -> dict:
     n = spec.n
     gen_d = {}
     for g, terms in spec.images.items():
-        for hol, conj in ((0, False), (n, True)):
-            out = gen_d.setdefault(hol + g - 1, [])
+        for off, flip in ((0, 1), (n, -1)):
+            out = gen_d[off + g - 1] = []
             for ta, tb, c in terms:
-                if conj:
-                    ta, tb = -ta, -tb
-                sg, pair = _sort_sign((_token_index(ta, n), _token_index(tb, n)))
+                sg, pair = _sort_sign((_token_index(flip * ta, n), _token_index(flip * tb, n)))
                 out.append((pair, c * sg))
     return gen_d
 
 
 def _d_monomial(gen_d: dict, mono: tuple) -> dict:
     """Derivation on a sorted monomial: d(x_1...x_k) expanded, as a map
-    sorted-monomial -> coefficient.  The inserted two-form commutes past
-    everything, so only the Leibniz sign (-1)^pos appears."""
+    sorted-monomial -> nonzero coefficient.  The inserted two-form commutes
+    past everything, so only the Leibniz sign (-1)^pos appears."""
     out = {}
     for pos, g in enumerate(mono):
         rest = mono[:pos] + mono[pos + 1:]
         for pair, c in gen_d.get(g, ()):
             sg, merged = _sort_sign(pair + rest)
-            if not sg:
-                continue
-            val = out.get(merged, F0) + (c if pos % 2 == 0 else -c) * sg
-            if val:
-                out[merged] = val
-            elif merged in out:
-                del out[merged]
-    return out
+            if sg:
+                out[merged] = out.get(merged, 0) + (c if pos % 2 == 0 else -c) * sg
+    return {mono: c for mono, c in out.items() if c}
+
+
+def _exterior_model(what: str, n: int, twist_rank: int,
+                    gen_d=None) -> ModelDoubleComplex:
+    """The exterior model on n generators whose differential extends the
+    generator images gen_d (as _generator_images gives them; none, and
+    every differential is zero), at the given twist rank.  what names the
+    input in a refusal, which comes before any label is built."""
+    _check_model_size(what, n, twist_rank)
+    labels = _exterior_labels(n)
+    d1, d2 = {}, {}
+    if gen_d:
+        index = {key: {lab[2:]: pos for pos, lab in enumerate(labs)}
+                 for key, labs in labels.items()}
+        for (p, q), labs in labels.items():
+            up = {(p + 1, q): [], (p, q + 1): []}  # the d1 and the d2 entries
+            for col, (_c, _s, i, j) in enumerate(labs):
+                for tm, coeff in _d_monomial(gen_d, i + tuple(n + b for b in j)).items():
+                    k = sum(g < n for g in tm)  # sorted: the w^ factors come first
+                    tgt = (k, len(tm) - k)
+                    up[tgt].append((index[tgt][(tm[:k], tuple(g - n for g in tm[k:]))],
+                                    col, coeff))
+            for d, (tgt, entries) in zip((d1, d2), up.items()):
+                if entries:
+                    d[(p, q)] = RatMatrix.from_entries(len(labels[tgt]), len(labs), entries)
+    dims = {key: len(labs) for key, labs in labels.items()}
+    base = ModelDoubleComplex(n, 1, DoubleComplex(dims, d1, d2), labels)
+    return _twist(base, twist_rank)
 
 
 def lie_model(spec: LieModelSpec) -> ModelDoubleComplex:
@@ -361,47 +369,11 @@ def lie_model(spec: LieModelSpec) -> ModelDoubleComplex:
         dd = {}
         for pair, c in gen_d.get(g, ()):
             for mono, cc in _d_monomial(gen_d, pair).items():
-                val = dd.get(mono, F0) + c * cc
-                if val:
-                    dd[mono] = val
-                elif mono in dd:
-                    del dd[mono]
-        if dd:
+                dd[mono] = dd.get(mono, 0) + c * cc
+        if any(dd.values()):
             name = f"w^{g + 1}" if g < n else f"wb^{g - n + 1}"
             raise JacobiViolation(f"d^2 != 0 on generator {name}")
-
-    _check_model_size(f"lie n={n}", n, spec.twist_rank)
-    labels = _exterior_labels(n)
-    index = {
-        key: {lab[2:]: pos for pos, lab in enumerate(labs)}
-        for key, labs in labels.items()
-    }
-    d1 = {}
-    d2 = {}
-    for (p, q), labs in labels.items():
-        rows1 = len(labels.get((p + 1, q), ()))
-        rows2 = len(labels.get((p, q + 1), ()))
-        m1 = [[F0] * len(labs) for _ in range(rows1)]
-        m2 = [[F0] * len(labs) for _ in range(rows2)]
-        hit1 = hit2 = False
-        for col, (_c, _s, i, j) in enumerate(labs):
-            mono = i + tuple(n + b for b in j)
-            for tm, coeff in _d_monomial(gen_d, mono).items():
-                ti = tuple(g for g in tm if g < n)
-                tj = tuple(g - n for g in tm if g >= n)
-                if len(ti) == p + 1:
-                    m1[index[(p + 1, q)][(ti, tj)]][col] += coeff
-                    hit1 = True
-                else:
-                    m2[index[(p, q + 1)][(ti, tj)]][col] += coeff
-                    hit2 = True
-        if hit1:
-            d1[(p, q)] = RatMatrix(rows1, len(labs), m1)
-        if hit2:
-            d2[(p, q)] = RatMatrix(rows2, len(labs), m2)
-    dims = {key: len(labs) for key, labs in labels.items()}
-    base = ModelDoubleComplex(n, 1, DoubleComplex(dims, d1, d2), labels)
-    return _twist(base, spec.twist_rank)
+    return _exterior_model(f"lie n={n}", n, spec.twist_rank, gen_d)
 
 
 def product_model(x: ModelDoubleComplex, y: ModelDoubleComplex) -> ModelDoubleComplex:
@@ -453,14 +425,14 @@ def _right_wedge(model: ModelDoubleComplex, bideg, alpha_bideg,
              if alpha[pos, 0]]
     labs = model.labels.get((a, b), ())
     look = model.lookup(a + u, b + v)
-    out = [[F0] * len(labs) for _ in range(model.dim(a + u, b + v))]
+    entries = []
     for col, (c1, s1, i1, j1) in enumerate(labs):
         for coeff, s2, i2, j2 in terms:
             ws, ii, jj = wedge_monomials(i1, j1, i2, j2)
             if ws:
                 pos, ts = look[(c1, ii, jj)]
-                out[pos][col] += coeff * (s1 * s2 * ws * ts)
-    return RatMatrix(len(out), len(labs), out)
+                entries.append((pos, col, coeff * (s1 * s2 * ws * ts)))
+    return RatMatrix.from_entries(model.dim(a + u, b + v), len(labs), entries)
 
 
 def wedge(model: ModelDoubleComplex, bideg1, v1: RatMatrix, bideg2,
@@ -476,7 +448,8 @@ def _top_row(model: ModelDoubleComplex) -> RatMatrix:
     basis vector against the fundamental monomial of its twist copy."""
     n = model.n
     labels = model.labels[(n, n)]
-    return RatMatrix(1, len(labels), [[s for _c, s, _i, _j in labels]])
+    return RatMatrix.from_entries(
+        1, len(labels), ((0, col, s) for col, (_c, s, _i, _j) in enumerate(labels)))
 
 
 def integral(model: ModelDoubleComplex, v: RatMatrix):
@@ -528,16 +501,15 @@ def duality_map(model: ModelDoubleComplex, window: tuple) -> BicomplexMap:
     tgt = shift2(dual2(truncate(model.complex, (n - t, n - s))), -n, -n)
     mats = {}
     for (a, b), cols in src.dims().items():
-        rows = model.dim(n - a, n - b)
         comp_look = model.lookup(n - a, n - b)
-        out = [[F0] * cols for _ in range(rows)]
+        entries = []
         for col, (c, s1, i1, j1) in enumerate(model.labels[(a, b)]):
             ic = tuple(g for g in range(n) if g not in i1)
             jc = tuple(g for g in range(n) if g not in j1)
             ws, _ii, _jj = wedge_monomials(i1, j1, ic, jc)
             pos, s2 = comp_look[(c, ic, jc)]
-            out[pos][col] = rat_from(s1 * s2 * ws)
-        mats[(a, b)] = RatMatrix(rows, cols, out)
+            entries.append((pos, col, s1 * s2 * ws))
+        mats[(a, b)] = RatMatrix.from_entries(model.dim(n - a, n - b), cols, entries)
     return BicomplexMap(src, tgt, mats)
 
 

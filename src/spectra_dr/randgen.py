@@ -27,25 +27,23 @@ def random_matrix(rng: random.Random, rows: int, cols: int) -> RatMatrix:
 
 
 def random_unimodular(rng: random.Random, n: int, shears: int):
-    """(U, U^-1) with U a product of integer shear matrices."""
-    u = RatMatrix.identity(n)
-    uinv = RatMatrix.identity(n)
-    if n < 2:
-        return u, uinv
-    for _ in range(shears):
-        i = rng.randrange(n)
-        j = rng.randrange(n)
-        if i == j:
-            continue
-        c = rng.choice((-2, -1, 1, 2))
-        rows = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-        rows[i][j] = c
-        e = RatMatrix(n, n, rows)
-        rows[i][j] = -c
-        einv = RatMatrix(n, n, rows)
-        u = e @ u
-        uinv = uinv @ einv
-    return u, uinv
+    """(U, U^-1) with U a product of integer shear matrices: each shear
+    E = I + c e_ij adds c times row j of U to its row i, and takes c times
+    column i of U^-1 from its column j, so that U becomes E U and U^-1
+    becomes U^-1 E^-1."""
+    u = [[int(a == b) for b in range(n)] for a in range(n)]
+    uinv = [row[:] for row in u]
+    if n >= 2:
+        for _ in range(shears):
+            i = rng.randrange(n)
+            j = rng.randrange(n)
+            if i == j:
+                continue
+            c = rng.choice((-2, -1, 1, 2))
+            u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+            for row in uinv:
+                row[j] -= c * row[i]
+    return RatMatrix(n, n, u), RatMatrix(n, n, uinv)
 
 
 def random_complex(rng: random.Random, max_dim: int = 4, span: int = 4) -> CochainComplex:

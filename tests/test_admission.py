@@ -281,6 +281,36 @@ def test_a_warm_memo_still_refuses_float_window_bounds(models):
     clear_truncation_cache()
 
 
+def test_a_lowered_cap_refuses_warm_memos_by_name(models, monkeypatch):
+    """A memo's key holds the raw SPECTRA_DR_MAX_DIM value, so an entry
+    answers only under the cap it was built under: a lowered cap raises the
+    cold path's refusal, and the restored cap hits the entry again."""
+    monkeypatch.delenv("SPECTRA_DR_MAX_DIM", raising=False)
+    k = models["IW"].complex
+    clear_caches()
+    quad = quad_tensor(k, k)
+    calls = {
+        total: (lambda: total(k), "total degree 2 has dim 15"),
+        quad_tensor: (lambda: quad_tensor(k, k), "piece (0,1,1,1) has dim 27"),
+        ss_collapse: (lambda: ss_collapse(quad), "piece (0,2) has dim 15"),
+        truncated_total: (lambda: truncated_total(k, 0, 3), "total degree 2 has dim 15"),
+        truncation.window_barcode: (lambda: truncation.window_barcode(k, 0, 3),
+                                    "total degree 2 has dim 15"),
+    }
+    warm = {cached: call() for cached, (call, _text) in calls.items()}
+    monkeypatch.setenv("SPECTRA_DR_MAX_DIM", "10")
+    for call, text in calls.values():
+        with pytest.raises(ValidationError, match=re.escape(f"{text} > SPECTRA_DR_MAX_DIM=10")):
+            call()
+    monkeypatch.delenv("SPECTRA_DR_MAX_DIM")
+    for cached, (call, _text) in calls.items():
+        before = cached.cache_info()
+        assert call() is warm[cached]
+        after = cached.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    clear_caches()
+
+
 # -- maps are admitted like complexes ---------------------------------------------
 
 

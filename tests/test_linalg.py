@@ -1,5 +1,6 @@
 import os
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from math import gcd
@@ -29,7 +30,7 @@ from spectra_dr.linalg import (
     solve_matrix,
     subquotient,
 )
-from spectra_dr.randgen import random_double_complex
+from spectra_dr.randgen import random_double_complex, random_unimodular
 
 
 def M(rows):
@@ -215,6 +216,60 @@ def test_internal_construction_hashes_like_public():
         assert after.hits == before.hits + len(group) - 1
         assert after.currsize == 1
     clear_caches()
+
+
+# -- construction from entries and from shears ------------------------------
+
+
+def test_from_entries_sums_repeats_and_stores_canonical_values():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    m = RatMatrix.from_entries(2, 3, [(0, 1, 2), (1, 0, half), (0, 1, -2), (1, 2, third),
+                                      (1, 0, half), (0, 2, Fraction(10, 2))])
+    assert m == M([[0, 0, 5], [1, 0, "1/3"]])
+    # the repeats at (0,1) cancel and are not stored; 1/2 + 1/2 and 10/2 are ints
+    assert m._rows == ((2, 5), (0, 1, 2, third))
+    assert [type(v) for row in m._rows for v in row[1::2]] == [int, int, Fraction]
+    assert RatMatrix.from_entries(2, 0, []) == RatMatrix.zeros(2, 0)
+    for i, j in ((2, 0), (0, 3), (-1, 0), (0, -1)):
+        with pytest.raises(ValidationError, match=re.escape(f"entry ({i},{j}) outside 2x3")):
+            RatMatrix.from_entries(2, 3, [(0, 0, 1), (i, j, 1)])
+
+
+def test_from_entries_matches_a_dense_grid_on_seeded_triples():
+    """The oracle sums the triples into a dense grid of Fractions and parses
+    it as a literal."""
+    rng = random.Random(2121)
+    for _ in range(300):
+        rows, cols = rng.randint(0, 5), rng.randint(0, 5)
+        triples = [(rng.randrange(rows), rng.randrange(cols),
+                    rng.choice((Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                                rng.randint(-2, 2))))
+                   for _ in range(rng.randint(0, 12) if rows and cols else 0)]
+        grid = [[Fraction(0)] * cols for _ in range(rows)]
+        for i, j, v in triples:
+            grid[i][j] += v
+        assert RatMatrix.from_entries(rows, cols, triples) == RatMatrix(rows, cols, grid)
+
+
+def test_random_unimodular_pairs_are_inverse_and_the_shear_products():
+    """U U^-1 = I on 500 seeded draws, and U is the product of the drawn
+    shear matrices, read from a second generator with the same seed."""
+    for seed in range(500):
+        rng = random.Random(seed)
+        n = rng.randint(0, 6)
+        shears = rng.randint(0, 8)
+        u, uinv = random_unimodular(rng, n, shears)
+        assert u @ uinv == RatMatrix.identity(n) == uinv @ u
+        replay = random.Random(seed)
+        replay.randint(0, 6), replay.randint(0, 8)
+        want = RatMatrix.identity(n)
+        for _ in range(shears if n >= 2 else 0):
+            i, j = replay.randrange(n), replay.randrange(n)
+            if i != j:
+                e = [[int(a == b) for b in range(n)] for a in range(n)]
+                e[i][j] = replay.choice((-2, -1, 1, 2))
+                want = RatMatrix(n, n, e) @ want
+        assert u == want
 
 
 def test_max_dim_cap_on_internal_construction(monkeypatch):

@@ -1,6 +1,8 @@
 import random
 import re
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -95,6 +97,35 @@ def test_point():
     pt = point_model()
     assert pt.complex.dims() == {(0, 0): 1}
     assert hyper(pt, (0, 0), 0) == 1
+
+
+@pytest.mark.parametrize("n", range(5))
+@pytest.mark.parametrize("m", range(1, 4))
+def test_torus_models_are_the_bare_exterior_algebra(n, m):
+    """No block stored, dims C(n,p) C(n,q) m, and in each copy of the twist
+    the labels are the exterior monomials w^I wb^J, I before J, in the
+    order combinations gives."""
+    model = torus_model(n, m)
+    assert model.complex.to_json()["d1"] == model.complex.to_json()["d2"] == {}
+    assert model.complex.dims() == {(p, q): comb(n, p) * comb(n, q) * m
+                                    for p in range(n + 1) for q in range(n + 1)}
+    assert model.labels.keys() == model.complex.dims().keys()
+    for (p, q), labs in model.labels.items():
+        assert labs == tuple((c, 1, i, j) for c in range(m)
+                             for i in combinations(range(n), p)
+                             for j in combinations(range(n), q))
+
+
+def test_a_torus_walks_no_derivation(monkeypatch):
+    calls = []
+    real = models._d_monomial
+    monkeypatch.setattr(models, "_d_monomial",
+                        lambda gen_d, mono: calls.append(mono) or real(gen_d, mono))
+    torus_model(4, 2)
+    point_model(3)
+    assert calls == []
+    lie_model(iwasawa_spec())  # positive control: a Lie model does walk it
+    assert calls
 
 
 # -- spec validation ------------------------------------------------------

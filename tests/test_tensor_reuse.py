@@ -219,6 +219,9 @@ def test_a_warm_memo_still_refuses_an_oversized_product_by_name(monkeypatch):
         product_model(t1, iw)
     assert quad_tensor.cache_info().hits == 0  # refused before the memo is read
     monkeypatch.setenv("SPECTRA_DR_MAX_DIM", "36")
+    product_model(t1, iw)  # a memo entry answers only under its own cap
+    assert quad_tensor.cache_info()[:2] == (0, 2)
+    monkeypatch.delenv("SPECTRA_DR_MAX_DIM")
     product_model(t1, iw)
     assert quad_tensor.cache_info().hits == 1
     clear_caches()
