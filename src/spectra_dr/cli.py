@@ -132,11 +132,10 @@ def _parse_model(desc: str):
             return _model(kind, *map(int, rest))
         if kind == "point" and len(rest) in (0, 1):
             return _model("torus", 0, *map(int, rest))
-        if kind == "lie" and rest:
-            if rest[0] in BUILTIN_SPECS:
-                m = int(rest[1]) if len(rest) == 2 else 1
-                return _model(kind, twist_rank=m, builtin=rest[0])
+        if kind == "lie" and rest and rest[0] not in BUILTIN_SPECS:
             return _model(kind, spec=":".join(rest))
+        if kind == "lie" and len(rest) in (1, 2):
+            return _model(kind, None, *map(int, rest[1:]), builtin=rest[0])
     except ValueError:
         raise ParseError(f"bad integer in model descriptor {desc!r}") from None
     raise ParseError(
@@ -252,7 +251,8 @@ def _cmd_verify(args) -> int:
     elif args.format == "csv":
         print("suite,check,degree,lhs,rhs,pass")
         for rep in reports:
-            for row in rep.to_csv_rows()[1:]:
+            for j in (line.to_json() for line in rep.lines):
+                row = (j["check"], j["degree"], j["lhs"], j["rhs"], str(j["pass"]).lower())
                 print(",".join([rep.name] + [str(c).replace(",", ";") for c in row]))
     else:
         for rep in reports:

@@ -27,17 +27,17 @@ its squares anticommute correctly is re-verified on every construction.
 Closedness of a cup class and the Stokes check are zero tests of products,
 made by linalg.products_vanish without building the product.
 
-The predictors at the bottom turn window hypercohomology of small models
-into the dimension formulas for fibrations, projective bundles and blowups.
-The bundle formulas are Leray-Hirsch sums: a projective bundle is the sum
-over the powers of the hyperplane class, and a blowup is the ambient model
-plus that sum over the center.  They are pure arithmetic and are tested
-against actual product models.
+The predictors at the bottom are Leray-Hirsch sums of shifted windows:
+Kunneth over the E_1 classes of the first factor, which must degenerate at
+E_1 (kunneth_predict refuses any other), a projective bundle over the powers
+of the hyperplane class, and a blowup is the ambient model plus that sum
+over the center.  They are tested against actual product models.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from itertools import combinations
 from math import comb
 
@@ -59,7 +59,7 @@ from .linalg import (
     rat_str,
     subquotient,
 )
-from .spectral import window_barcode
+from .spectral import stabilization_index, window_barcode
 from .tensorops import quad_tensor, ss_collapse
 from .truncation import (
     column_cohomology_dim,
@@ -119,10 +119,7 @@ class LieModelSpec:
     __slots__ = ("n", "twist_rank", "images")
 
     def __init__(self, n: int, d=None, twist_rank: int = 1):
-        if not isinstance(n, int) or n < 0:
-            raise ValidationError(f"bad generator count {n!r}")
-        if not isinstance(twist_rank, int) or twist_rank < 1:
-            raise ValidationError(f"bad twist rank {twist_rank!r}")
+        _check_counts(n, twist_rank)
         images = {}
         for g, terms in (d or {}).items():
             g = int(g)
@@ -263,10 +260,20 @@ class ModelDoubleComplex:
         return word
 
 
+def _check_counts(n: int, m: int) -> None:
+    """Refuse a generator count n that is not an int >= 0, or a twist rank m
+    that is not an int >= 1."""
+    if not isinstance(n, int) or n < 0:
+        raise ValidationError(f"bad generator count {n!r}")
+    if not isinstance(m, int) or m < 1:
+        raise ValidationError(f"bad twist rank {m!r}")
+
+
 def _check_model_size(what: str, n: int, m: int) -> None:
-    """Refuse a model on n generators with twist rank m whose largest piece,
-    (n//2, n//2) of dim C(n, n//2)^2 * m, exceeds the matrix cap, before any
-    label or matrix is built.  what names the input in the error."""
+    """Refuse bad counts and a model on n generators with twist rank m whose
+    largest piece, (n//2, n//2) of dim C(n, n//2)^2 * m, exceeds the matrix
+    cap, before any label or matrix is built.  what names the input."""
+    _check_counts(n, m)
     if m != 1:
         what = f"{what} twist_rank={m}"
     h = n // 2
@@ -280,11 +287,9 @@ def _exterior_labels(n: int) -> dict:
 
 
 def _twist(base: ModelDoubleComplex, m: int) -> ModelDoubleComplex:
-    if not isinstance(m, int) or m < 1:
-        raise ValidationError(f"bad twist rank {m!r}")
+    _check_model_size(f"twist n={base.n}", base.n, m)
     if m == 1:
         return base
-    _check_model_size(f"twist n={base.n}", base.n, m)
     labels = {key: tuple((c, s, i, j) for c in range(m) for (_c, s, i, j) in labs)
               for key, labs in base.labels.items()}
     return ModelDoubleComplex(base.n, m, direct_sum2([base.complex] * m), labels, base)
@@ -295,8 +300,6 @@ def _twist(base: ModelDoubleComplex, m: int) -> ModelDoubleComplex:
 
 def torus_model(n: int, twist_rank: int = 1) -> ModelDoubleComplex:
     """All structure constants zero: dims C(n,p)C(n,q), no differentials."""
-    if not isinstance(n, int) or n < 0:
-        raise ValidationError(f"bad generator count {n!r}")
     return _exterior_model(f"torus n={n}", n, twist_rank)
 
 
@@ -543,33 +546,29 @@ def column_dims(model: ModelDoubleComplex, p: int) -> dict:
 
 def kunneth_predict(x: ModelDoubleComplex, y: ModelDoubleComplex,
                     window: tuple, c: int) -> int:
-    """Predicted dim H^c of the product in the window: the first factor
-    enters through its single-column windows, the second through the
-    correspondingly shifted windows.  This is Leray-Hirsch over y, with
-    the class (w, a - w) counted hyper(x, (w, w), a) times; the loop reads
-    each multiplicity once, where a class list with repeats would read
-    hyper(y, ...) once per copy.
-
-    The identity with the actual product holds when the first factor's
-    window spectral sequences degenerate (its differential splits off), as
-    for a torus; the second factor is unconstrained.
-    """
-    s, t = window
-    total = 0
-    for w in range(0, x.n + 1):
-        for a in range(0, 2 * x.n + 1):
-            hx = hyper(x, (w, w), a)
-            if hx:
-                total += hx * hyper(y, (s - w, t - w), c - a)
-    return total
+    """Predicted dim H^c of the product in the window: Leray-Hirsch over y
+    with x's E_1 classes, (w, a - w) counted hyper(x, (w, w), a) times.  A
+    theorem when x degenerates at E_1 (stabilization index 1, a torus or the
+    point), as x is then E_1-isomorphic to those classes; otherwise raises
+    PreconditionViolation.  The second factor is unconstrained."""
+    stable = stabilization_index(x.complex)
+    if stable != 1:
+        raise PreconditionViolation(
+            f"kunneth needs a first factor that degenerates at E_1, but the "
+            f"first factor's spectral sequence stabilizes at page {stable}")
+    classes = {(w, a - w): h for w in range(x.n + 1) for a in range(2 * x.n + 1)
+               if (h := hyper(x, (w, w), a))}
+    return leray_hirsch_predict(y, window, c, classes)
 
 
 def leray_hirsch_predict(x: ModelDoubleComplex, window: tuple, k: int,
                          classes) -> int:
     """Free-module prediction for a fiber bundle whose fiber cohomology is
-    spanned by global classes of bidegrees (u_i, v_i)."""
+    spanned by global classes of bidegrees (u_i, v_i), listed (a repeat is
+    read once) or mapped to their multiplicities."""
     s, t = window
-    return sum(hyper(x, (s - u, t - u), k - u - v) for (u, v) in classes)
+    return sum(m * hyper(x, (s - u, t - u), k - u - v)
+               for (u, v), m in Counter(classes).items())
 
 
 def projective_bundle_predict(x: ModelDoubleComplex, window: tuple, k: int,

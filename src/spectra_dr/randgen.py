@@ -6,7 +6,10 @@ for byte-identical reports.
 
 Double complexes are built from elementary shapes — dots, horizontal and
 vertical segments, anticommuting unit squares, and staircase zigzags — summed
-and then conjugated by random unimodular base changes in every bidegree.  The
+and then conjugated by random unimodular base changes in every bidegree.
+Each shape is a list of one-dimensional pieces, in the order that decides
+the draws of the base changes, and a list of unit d1 and d2 arrows given by
+their sources (the square's d2 out of (p+1, q) is -1), built by _shape.  The
 conjugation hides the block structure from the eliminations while preserving
 validity; zigzags are what make higher spectral-sequence differentials show
 up, so convergence tests see genuinely nontrivial pages.
@@ -69,64 +72,50 @@ def random_complex(rng: random.Random, max_dim: int = 4, span: int = 4) -> Cocha
     return CochainComplex(dims, diffs)
 
 
+def _shape(pieces, d1=(), d2=(), neg=()) -> DoubleComplex:
+    """The shape with a one-dimensional piece at each bidegree of pieces, in
+    that order, and a unit arrow out of each source in d1 (to the right) and
+    d2 (upward); the arrows out of a source in neg are -1."""
+    one = RatMatrix.from_rows([[1]]) if d1 or d2 else None  # a dot has no arrow
+    arrows = [{key: -one if key in neg else one for key in keys} for keys in (d1, d2)]
+    return DoubleComplex(dict.fromkeys(pieces, 1), *arrows)
+
+
 def _dot(p: int, q: int) -> DoubleComplex:
-    return DoubleComplex({(p, q): 1})
+    return _shape([(p, q)])
 
 
 def _hseg(p: int, q: int) -> DoubleComplex:
-    one = RatMatrix.from_rows([[1]])
-    return DoubleComplex({(p, q): 1, (p + 1, q): 1}, {(p, q): one}, {})
+    return _shape([(p, q), (p + 1, q)], d1=[(p, q)])
 
 
 def _vseg(p: int, q: int) -> DoubleComplex:
-    one = RatMatrix.from_rows([[1]])
-    return DoubleComplex({(p, q): 1, (p, q + 1): 1}, {}, {(p, q): one})
+    return _shape([(p, q), (p, q + 1)], d2=[(p, q)])
 
 
 def _square(p: int, q: int) -> DoubleComplex:
-    one = RatMatrix.from_rows([[1]])
-    neg = RatMatrix.from_rows([[-1]])
-    dims = {(p, q): 1, (p + 1, q): 1, (p, q + 1): 1, (p + 1, q + 1): 1}
-    d1 = {(p, q): one, (p, q + 1): one}
-    d2 = {(p, q): one, (p + 1, q): neg}
-    return DoubleComplex(dims, d1, d2)
+    return _shape([(p, q), (p + 1, q), (p, q + 1), (p + 1, q + 1)],
+                  d1=[(p, q), (p, q + 1)], d2=[(p, q), (p + 1, q)], neg=[(p + 1, q)])
 
 
 def _zigzag(p: int, q: int, length: int) -> DoubleComplex:
     """Staircase of sources (p+i, q-i) and sinks (p+i, q-i+1).  The top-left
     class survives to the limit page even though the total differential is
     nonzero on its naive representative — good for exercising Z_r bookkeeping."""
-    one = RatMatrix.from_rows([[1]])
-    dims = {}
-    d1 = {}
-    d2 = {}
-    for i in range(length + 1):
-        dims[(p + i, q - i)] = 1
-    for i in range(1, length + 1):
-        dims[(p + i, q - i + 1)] = 1
-    for i in range(length):
-        d1[(p + i, q - i)] = one
-    for i in range(1, length + 1):
-        d2[(p + i, q - i)] = one
-    return DoubleComplex(dims, d1, d2)
+    sources = [(p + i, q - i) for i in range(length + 1)]
+    sinks = [(p + i, q - i + 1) for i in range(1, length + 1)]
+    return _shape(sources + sinks, d1=sources[:-1], d2=sources[1:])
 
 
 def _staircase(p: int, q: int, r: int) -> DoubleComplex:
     """Length-r ladder x -> m_1 <- v_1 -> m_2 <- ... -> w whose class at
     (p, q+r-1) supports a nonzero differential exactly on page r of the
-    column-filtration spectral sequence (r >= 2)."""
-    one = RatMatrix.from_rows([[1]])
-    dims = {(p, q + r - 1): 1, (p + r, q): 1}
-    d1 = {}
-    d2 = {}
-    for i in range(1, r):
-        dims[(p + i, q + r - i)] = 1      # m_i
-        dims[(p + i, q + r - i - 1)] = 1  # v_i
-    d1[(p, q + r - 1)] = one              # x -> m_1
-    for i in range(1, r):
-        d2[(p + i, q + r - i - 1)] = one  # v_i -> m_i
-        d1[(p + i, q + r - i - 1)] = one  # v_i -> m_{i+1}, or w when i = r-1
-    return DoubleComplex(dims, d1, d2)
+    column-filtration spectral sequence (r >= 2).  Pieces: x, w, then each
+    m_i above its v_i; v_i maps up to m_i and right to m_{i+1} (w if i = r-1)."""
+    x = (p, q + r - 1)
+    vs = [(p + i, q + r - i - 1) for i in range(1, r)]
+    pieces = [x, (p + r, q)] + [cell for a, b in vs for cell in ((a, b + 1), (a, b))]
+    return _shape(pieces, d1=[x, *vs], d2=vs)
 
 
 def random_double_complex(rng: random.Random, p_span: int = 4, q_span: int = 4,

@@ -36,11 +36,8 @@ class Report:
     name: str
     lines: list = field(default_factory=list)
 
-    def add(self, check: str, degree, lhs, rhs, passed: bool | None = None):
-        if passed is None:
-            passed = lhs == rhs
-        self.lines.append(ReportLine(check, degree, lhs, rhs, bool(passed)))
-        return passed
+    def add(self, check: str, degree, lhs, rhs) -> None:
+        self.lines.append(ReportLine(check, degree, lhs, rhs, bool(lhs == rhs)))
 
     @property
     def ok(self) -> bool:
@@ -56,16 +53,6 @@ class Report:
             "checks": len(self.lines),
             "lines": [line.to_json() for line in self.lines],
         }
-
-    def to_csv_rows(self) -> list:
-        rows = [["check", "degree", "lhs", "rhs", "pass"]]
-        for line in self.lines:
-            j = line.to_json()
-            rows.append(
-                [j["check"], str(j["degree"]), str(j["lhs"]), str(j["rhs"]),
-                 "true" if j["pass"] else "false"]
-            )
-        return rows
 
     def summary(self) -> str:
         n = len(self.lines)

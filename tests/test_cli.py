@@ -187,12 +187,37 @@ def test_verify_csv_header(capsys):
     assert out.splitlines()[0] == "suite,check,degree,lhs,rhs,pass"
 
 
+def test_verify_csv_rows_are_the_report_lines(capsys, monkeypatch):
+    # one row per line, after the suite name; a comma inside a field is a ;
+    def report(name, seed=None, runs=None):
+        rep = Report(name)
+        rep.add("same", (1, 2), 3, 3)
+        rep.add("differ", 0, [1, 2], "a,b")
+        return rep
+
+    monkeypatch.setattr("spectra_dr.cli.run_suite", report)
+    code, out, _ = run(capsys, "verify", "--suite", "cochain", "--format", "csv")
+    assert code == 1
+    assert out == ("suite,check,degree,lhs,rhs,pass\n"
+                   "cochain,same,1;2,3,3,true\n"
+                   "cochain,differ,0,[1; 2],a;b,false\n")
+
+
 def test_predict_kunneth_frozen(capsys):
     code, out, _ = run(capsys, "predict", "kunneth", "--x", "torus:1",
                        "--y", "lie:iwasawa", "--window", "0,2",
                        "--degree", "1", "--format", "json")
     assert code == 0
     assert json.loads(out)["value"] == 6
+
+
+def test_predict_kunneth_refuses_a_first_factor_that_does_not_degenerate(capsys):
+    # the formula gives 7 here, and window (0,2) of the built product has 6
+    code, out, err = run(capsys, "predict", "kunneth", "--x", "lie:iwasawa",
+                         "--y", "torus:1", "--window", "0,2", "--degree", "1")
+    assert (code, out) == (2, "")
+    assert err == ("error: kunneth needs a first factor that degenerates at E_1, but the "
+                   "first factor's spectral sequence stabilizes at page 2\n")
 
 
 def test_predict_projective(capsys):
@@ -215,6 +240,19 @@ def test_predict_bad_descriptor(capsys):
                        "--window", "0,1", "--degree", "1")
     assert code == 2
     assert "descriptor" in err
+
+
+@pytest.mark.parametrize("desc", ["lie:iwasawa:2:3", "torus:1:2:3", "point:2:3"])
+def test_a_descriptor_with_too_many_fields_is_refused(capsys, desc):
+    code, out, err = run(capsys, "model", "product", "--left", desc, "--right", "point",
+                         "--info")
+    assert (code, out) == (2, "")
+    assert err == (f"error: bad model descriptor {desc!r}; expected torus:N[:M], "
+                   "point[:M], lie:{iwasawa}[:M] or lie:PATH\n")
+    # one field fewer is a twist rank
+    code, out, _ = run(capsys, "model", "product", "--left", desc.rsplit(":", 1)[0],
+                       "--right", "point", "--info", "--format", "json")
+    assert (code, json.loads(out)["twist_rank"]) == (0, 2)
 
 
 def test_bad_window_string(capsys, torus1_file):

@@ -373,6 +373,57 @@ def test_kunneth_predict_spot(iw):
             assert hyper(prod, window, c) == kunneth_predict(t1, iw, window, c)
 
 
+@pytest.mark.parametrize("y", ["T1", "point"])
+def test_kunneth_refuses_a_first_factor_that_does_not_degenerate(iw, y):
+    y = torus_model(1) if y == "T1" else point_model()
+    assert stabilization_index(iw.complex) == 2
+    with pytest.raises(PreconditionViolation, match=re.escape(
+            "kunneth needs a first factor that degenerates at E_1, but the first "
+            "factor's spectral sequence stabilizes at page 2")):
+        kunneth_predict(iw, y, (0, 2), 1)
+
+
+def test_the_kunneth_formula_misses_where_it_is_refused(iw):
+    """Why IW x T1 is refused: the sum over IW's E_1 classes gives 7 in
+    window (0,2), degree 1, and the built product has 6."""
+    t1 = torus_model(1)
+    classes = [(w, a - w) for w in range(4) for a in range(7)
+               for _ in range(hyper(iw, (w, w), a))]
+    assert leray_hirsch_predict(t1, (0, 2), 1, classes) == 7
+    assert hyper(product_model(iw, t1), (0, 2), 1) == 6
+
+
+def test_leray_hirsch_takes_repeats_or_multiplicities(iw):
+    window, k = (1, 2), 4
+    want = 2 * hyper(iw, (1, 2), 4) + hyper(iw, (0, 1), 2)
+    assert leray_hirsch_predict(iw, window, k, [(0, 0), (1, 1), (0, 0)]) == want
+    assert leray_hirsch_predict(iw, window, k, {(0, 0): 2, (1, 1): 1}) == want
+
+
+def test_kunneth_reads_each_window_of_the_second_factor_once(monkeypatch, iw):
+    """Kunneth is Leray-Hirsch over y: the windows read are those of the
+    former double loop, and a class that x has several times is read once."""
+    t2 = torus_model(2)
+    reads = []
+    real = models.hyper
+    monkeypatch.setattr(models, "hyper",
+                        lambda m, w, k: reads.append((m is iw, w, k)) or real(m, w, k))
+    value = kunneth_predict(t2, iw, (1, 3), 4)
+    former = set()
+    total = 0
+    for w in range(3):
+        for a in range(5):
+            former.add((False, (w, w), a))
+            hx = real(t2, (w, w), a)
+            if hx:
+                former.add((True, (1 - w, 3 - w), 4 - a))
+                total += hx * real(iw, (1 - w, 3 - w), 4 - a)
+    assert value == total
+    assert set(reads) == former
+    y_reads = [r for r in reads if r[0]]
+    assert len(y_reads) == len(set(y_reads))
+
+
 def _convolve(a, b):
     out = {}
     for i, x in a.items():
@@ -540,6 +591,25 @@ def builders_spied(monkeypatch):
 
 def _cap_error(text):
     return pytest.raises(ValidationError, match=re.escape(text + " > SPECTRA_DR_MAX_DIM=4096"))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: torus_model(2, "a"), "bad twist rank 'a'"),
+    (lambda: torus_model(2, None), "bad twist rank None"),
+    (lambda: point_model(2.0), "bad twist rank 2.0"),
+    (lambda: torus_model(-1), "bad generator count -1"),
+    (lambda: LieModelSpec(3, twist_rank=0), "bad twist rank 0"),
+], ids=["str", "None", "float", "negative-n", "spec"])
+def test_counts_are_refused_by_name_before_anything_is_built(builders_spied, build,
+                                                              message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        build()
+    assert builders_spied == []
+
+
+def test_a_float_twist_rank_is_refused_even_at_rank_one():
+    with pytest.raises(ValidationError, match=r"^bad twist rank 1\.0$"):
+        torus_model(2).with_twist_rank(1.0)
 
 
 def test_oversized_torus_refused_before_labels(builders_spied):
