@@ -59,7 +59,7 @@ from .linalg import (
     rat_str,
     subquotient,
 )
-from .spectral import stabilization_index, window_barcode
+from .spectral import barcode, stabilization_index, window_barcode
 from .tensorops import quad_tensor, ss_collapse
 from .truncation import (
     column_cohomology_dim,
@@ -547,18 +547,18 @@ def column_dims(model: ModelDoubleComplex, p: int) -> dict:
 def kunneth_predict(x: ModelDoubleComplex, y: ModelDoubleComplex,
                     window: tuple, c: int) -> int:
     """Predicted dim H^c of the product in the window: Leray-Hirsch over y
-    with x's E_1 classes, (w, a - w) counted hyper(x, (w, w), a) times.  A
-    theorem when x degenerates at E_1 (stabilization index 1, a torus or the
-    point), as x is then E_1-isomorphic to those classes; otherwise raises
-    PreconditionViolation.  The second factor is unconstrained."""
+    with x's E_1 classes.  A theorem when x degenerates at E_1
+    (stabilization index 1, a torus or the point), as x is then
+    E_1-isomorphic to those classes; otherwise raises PreconditionViolation.
+    With no pair of positive length, the unpaired elements of x's barcode by
+    bidegree are exactly its E_1 classes, so x is read once.  The second
+    factor is unconstrained."""
     stable = stabilization_index(x.complex)
     if stable != 1:
         raise PreconditionViolation(
             f"kunneth needs a first factor that degenerates at E_1, but the "
             f"first factor's spectral sequence stabilizes at page {stable}")
-    classes = {(w, a - w): h for w in range(x.n + 1) for a in range(2 * x.n + 1)
-               if (h := hyper(x, (w, w), a))}
-    return leray_hirsch_predict(y, window, c, classes)
+    return leray_hirsch_predict(y, window, c, barcode(x.complex).unpaired)
 
 
 def leray_hirsch_predict(x: ModelDoubleComplex, window: tuple, k: int,

@@ -2,29 +2,31 @@
 against the rank and subquotient machinery it replaces as a read path.
 
 Window hypercohomology is checked against the ranks of the assembled
-truncated total, both the engine's and dense Fraction row-echelon ranks that
-share no elimination with it, filtration_dims against its former body (cohomology
-classes of the Z_r cycles reduced through a subquotient), and the page read
-of the pairing against the subquotient pages, on seeded complexes and on
-the model ladder."""
+truncated total, both the engine's and the dense Fraction ranks of
+dense.window_dims, which share no elimination with it, filtration_dims and
+the Hodge filtration against the images that exactness fixes from those
+dense window ranks (dense.filtration), and the page read of the pairing
+against the subquotient pages, on seeded complexes and on the model
+ladder."""
 
 import json
 import random
 import re
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from dense import filtration, window_dims
 
 from spectra_dr import bicomplex, cli, cochain, linalg, spectral, tensorops, truncation
 from spectra_dr.bicomplex import DoubleComplex, total
-from spectra_dr.cochain import cohomology, cohomology_dim
+from spectra_dr.cochain import cohomology_dim
 from spectra_dr.errors import ValidationError
 from spectra_dr.linalg import rank
 from spectra_dr.models import iwasawa_spec, lie_model, product_model, torus_model
 from spectra_dr.randgen import random_double_complex
 from spectra_dr.spectral import (
-    _z_basis,
     barcode,
     convergence_check,
     filtration_dims,
@@ -36,7 +38,6 @@ from spectra_dr.truncation import (
     hodge_filtration_dims,
     hyper_dims,
     hypercohomology,
-    truncate,
     truncated_total,
 )
 
@@ -50,63 +51,15 @@ def rank_hyper_dims(k, s, t):
     return {j: n for j, n in dims.items() if n}
 
 
-def dense_rank(m):
-    """The rank of m by Fraction row echelon on its dense rows: an oracle
-    that shares no elimination with the engine."""
-    rows = [list(m.row(i)) for i in range(m.rows)]
-    r = 0
-    for c in range(m.cols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        for i in range(r + 1, len(rows)):
-            if rows[i][c]:
-                f = rows[i][c] / prow[c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
-        r += 1
-        if r == len(rows):
-            break
-    return r
+def dense_windows(k):
+    """dense.window_dims of k, computed once per window."""
+    return cache(lambda a, b: window_dims(k, a, b))
 
 
-def dense_hyper_dims(k, s, t):
-    """Window hypercohomology by the dense ranks of the differentials of the
-    assembled truncated total."""
-    tt = truncated_total(k, s, t)
-    ranks = {j: dense_rank(tt.diff(j)) for j in range(tt.lo - 1, tt.hi + 1)}
-    dims = {j: tt.dim(j) - ranks[j] - ranks[j - 1] for j in tt.degrees()}
-    return {j: n for j, n in dims.items() if n}
-
-
-def old_filtration_dims(k, deg):
-    """The former body of filtration_dims: the cycles of T^deg inside F^p,
-    reduced to cohomology classes, and the rank of their span."""
-    t = total(k)
-    h = cohomology(t, deg)
-    return [rank(h.reduce(_z_basis(k, t, p, deg - p, k.p_hi + 1 - p)))
-            for p in range(k.p_lo, k.p_hi + 2)]
-
-
-def old_hodge_filtration_dims(s_cx, k, n=None):
-    """The former body of hodge_filtration_dims: the filtration of the
-    window (0, n), clamped to p = 0 .. n+1."""
-    if n is None:
-        n = s_cx.p_hi
-    base = truncate(s_cx, (0, n))
-    if base.is_zero():
-        return [0] * (n + 2)
-    inner = filtration_dims(base, k)
-    out = []
-    for p in range(0, n + 2):
-        if p < base.p_lo:
-            out.append(inner[0])
-        elif p > base.p_hi + 1:
-            out.append(0)
-        else:
-            out.append(inner[p - base.p_lo])
-    return out
+def dense_filtration(dims, deg, s, t, ps):
+    """For each p in ps, the image of H^deg of the window (p, t) in H^deg
+    of the window (s, t), by exactness on the dense window ranks dims."""
+    return [filtration(dims, s, t, deg, p) for p in ps]
 
 
 def interval_dims(bars, s, t):
@@ -205,7 +158,7 @@ def test_window_dims_match_dense_ranks_on_seeded_complexes():
     for k in seeded_complexes(2111, 200):
         for s, t in every_window(k):
             got = hyper_dims(k, (s, t))
-            assert got == dense_hyper_dims(k, s, t)
+            assert got == window_dims(k, s, t)
             windows += 1
             nonzero += bool(got)
     truncation.clear_truncation_cache()
@@ -216,7 +169,7 @@ def test_window_dims_match_dense_ranks_on_seeded_complexes():
 def test_window_dims_match_dense_ranks_on_the_ladder(name):
     k = ladder()[name].complex
     for s, t in every_window(k):
-        assert hyper_dims(k, (s, t)) == dense_hyper_dims(k, s, t)
+        assert hyper_dims(k, (s, t)) == window_dims(k, s, t)
     truncation.clear_truncation_cache()
 
 
@@ -248,9 +201,10 @@ def test_windows_are_interval_arithmetic_on_the_ladder(name):
 def test_filtration_dims_match_the_former_body():
     checked = nontrivial = 0
     for k in seeded_complexes(2102, 300):
+        dims = dense_windows(k)
         for deg in range(k.p_lo + k.q_lo - 1, k.p_hi + k.q_hi + 2):
             got = filtration_dims(k, deg)
-            assert got == old_filtration_dims(k, deg)
+            assert got == dense_filtration(dims, deg, k.p_lo, k.p_hi, range(k.p_lo, k.p_hi + 2))
             checked += 1
             nontrivial += any(0 < n < got[0] for n in got)
     assert checked > 1_500 and nontrivial >= 20
@@ -259,8 +213,10 @@ def test_filtration_dims_match_the_former_body():
 @pytest.mark.parametrize("name", ["IW", "T1xIW"])
 def test_filtration_dims_match_the_former_body_on_the_ladder(name):
     k = ladder()[name].complex
+    dims = dense_windows(k)
     for deg in range(0, 2 * (k.p_hi + 1) + 1):
-        assert filtration_dims(k, deg) == old_filtration_dims(k, deg)
+        want = dense_filtration(dims, deg, k.p_lo, k.p_hi, range(k.p_lo, k.p_hi + 2))
+        assert filtration_dims(k, deg) == want
 
 
 # -- the pairing ----------------------------------------------------------------
@@ -302,14 +258,16 @@ def test_hodge_filtration_dims_match_the_former_body():
     named = [ladder_models[name].complex for name in ("T2", "IW", "T2xIW")]
     checked = nontrivial = 0
     for k in [*seeded_complexes(2107, 300), *named]:
+        dims = dense_windows(k)
         for n in range(-2, k.p_hi + 3):
             for deg in range(k.p_lo + k.q_lo - 1, k.p_hi + k.q_hi + 2):
                 got = hodge_filtration_dims(k, deg, n)
-                assert got == old_hodge_filtration_dims(k, deg, n)
+                assert got == dense_filtration(dims, deg, 0, n, range(n + 2))
                 checked += 1
                 nontrivial += any(0 < m < got[0] for m in got)
         for deg in range(k.p_lo + k.q_lo - 1, k.p_hi + k.q_hi + 2):
-            assert hodge_filtration_dims(k, deg) == old_hodge_filtration_dims(k, deg)
+            want = dense_filtration(dims, deg, 0, k.p_hi, range(k.p_hi + 2))
+            assert hodge_filtration_dims(k, deg) == want
     truncation.clear_truncation_cache()
     assert checked > 10_000 and nontrivial >= 20
 

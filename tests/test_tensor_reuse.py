@@ -1,120 +1,53 @@
-"""Each tensor object is built once.  quad_tensor and ss_collapse are memos,
+"""Each tensor object is built once: quad_tensor and ss_collapse are memos,
 a Kronecker leg is built once per (block, piece size, sign) and shared, and
-product_model shifts and signs the y labels once per cell.  The leg builders
-and the label loop they replaced, one Kronecker product per (block, piece)
-and one shifted label per (x label, y label) pair, are kept here as oracles:
-the engine's tensors, quad tensors, collapses and product models must equal
-theirs block for block, in one key order and with the same stored values."""
+product_model shifts and signs the y labels once per cell.  The tensors are
+checked against the Kunneth theorem on dense ranks (every column of a
+tensor, and the whole total of a quad collapse, has the cohomology the
+factors' dense ranks predict; the constructors check d^2 = 0 and the
+anticommuting squares), and a product model's labels against the model of
+the direct sum of the two Lie algebras, onto which they must give a
+bijective signed permutation that commutes with both differentials."""
 
 import random
 import re
 
 import pytest
+from dense import window_dims
 
 from spectra_dr import suites
-from spectra_dr.bicomplex import DoubleComplex, shift2
-from spectra_dr.cochain import shift
+from spectra_dr.bicomplex import BicomplexMap, DoubleComplex, shift2, total
+from spectra_dr.cochain import betti_numbers, shift
 from spectra_dr.errors import ValidationError
 from spectra_dr.linalg import RatMatrix, clear_caches
 from spectra_dr.models import (
-    ModelDoubleComplex,
+    LieModelSpec,
     iwasawa_spec,
     lie_model,
     product_model,
     torus_model,
 )
 from spectra_dr.randgen import random_complex, random_double_complex
-from spectra_dr.tensorops import QuadComplex, quad_tensor, ss_collapse, tensor
+from spectra_dr.tensorops import quad_tensor, ss_collapse, tensor
 
-# -- the former bodies ----------------------------------------------------------
-
-
-def old_left_legs(blocks, dims):
-    return {(a, b): RatMatrix.kron(m, RatMatrix.identity(n))
-            for a, m in blocks.items() for b, n in dims.items()}
+# -- the Kunneth theorem on dense ranks -----------------------------------------
 
 
-def old_right_legs(dims, blocks, degree):
+def _as_double(k):
+    """A cochain complex as the double complex of one column at p = 0."""
+    return DoubleComplex({(0, j): n for j, n in k.dims().items()},
+                         {}, {(0, j): m for j, m in k._diffs[0].items()})
+
+
+def _convolve(a, b):
     out = {}
-    for b, m in blocks.items():
-        for a, n in dims.items():
-            leg = RatMatrix.kron(RatMatrix.identity(n), m)
-            out[(a, b)] = -leg if degree(a) % 2 else leg
-    return out
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j] = out.get(i + j, 0) + x * y
+    return {d: n for d, n in sorted(out.items()) if n}
 
 
-def old_tensor(k, l, parity):
-    dims = {}
-    for p in k.degrees():
-        for q in l.degrees():
-            n = k.dim(p) * l.dim(q)
-            if n:
-                dims[(p, q)] = n
-    return DoubleComplex(dims, old_left_legs(k._diffs[0], l._dims),
-                         old_right_legs(k._dims, l._diffs[0], lambda p: p + parity))
-
-
-def old_quad_tensor(k, l):
-    dims = {}
-    for (p, r), nk in k.dims().items():
-        for (q, s), nl in l.dims().items():
-            dims[(p, q, r, s)] = nk * nl
-    (kd1, kd2), (ld1, ld2) = k._diffs, l._diffs
-    legs = (old_left_legs(kd1, l._dims), old_right_legs(k._dims, ld1, sum),
-            old_left_legs(kd2, l._dims), old_right_legs(k._dims, ld2, sum))
-    return QuadComplex(dims, *({(p, q, r, s): m for ((p, r), (q, s)), m in d.items()}
-                               for d in legs))
-
-
-def old_product_model(x, y):
-    n = x.n + y.n
-    m = x.twist_rank * y.twist_rank
-    quad = old_quad_tensor(x.complex, y.complex)
-    cx = ss_collapse.__wrapped__(quad)  # the collapse, unmemoised
-    labels = {}
-    for (k, l), cells in quad._layout().items():
-        labs = [None] * cx.dim(k, l)
-        for (p, q, r, s), off, _size in cells:
-            ylabs = y.labels[(q, s)]
-            ny = len(ylabs)
-            for ix, (cx_copy, sx, i1, j1) in enumerate(x.labels[(p, r)]):
-                for iy, (cy_copy, sy, i2, j2) in enumerate(ylabs):
-                    sign = sx * sy * (-1 if (r * q) % 2 else 1)
-                    labs[off + ix * ny + iy] = (
-                        cx_copy * y.twist_rank + cy_copy,
-                        sign,
-                        i1 + tuple(g + x.n for g in i2),
-                        j1 + tuple(g + x.n for g in j2),
-                    )
-        labels[(k, l)] = tuple(labs)
-    base = old_product_model(x.base, y.base) if m > 1 else None
-    return ModelDoubleComplex(n, m, cx, labels, base)
-
-
-# -- comparisons ----------------------------------------------------------------
-
-
-def same_complex(got, want):
-    """Equal, of one type, with one JSON, pieces and blocks in one key order,
-    and every stored value of the same type (an int is not a Fraction)."""
-    assert type(got) is type(want)
-    assert got == want
-    assert got.to_json() == want.to_json()
-    assert list(got._dims) == list(want._dims)
-    assert [list(d) for d in got._diffs] == [list(d) for d in want._diffs]
-    for gd, wd in zip(got._diffs, want._diffs):
-        assert [repr(m._rows) for m in gd.values()] == [repr(m._rows) for m in wd.values()]
-
-
-def same_model(got, want):
-    assert (got.n, got.twist_rank) == (want.n, want.twist_rank)
-    same_complex(got.complex, want.complex)
-    assert got.labels == want.labels
-    assert list(got.labels) == list(want.labels)
-    if want._base is None:
-        assert got._base is None
-    else:
-        same_model(got._base, want._base)
+def _hyper(k):
+    return window_dims(k, k.p_lo, k.p_hi)
 
 
 def seeded_pairs(seed, count):
@@ -133,35 +66,81 @@ def seeded_pairs(seed, count):
 
 
 def test_tensors_quads_and_collapses_match_the_former_bodies():
+    """Column p of tensor(K, L) is K^p copies of L, shifted by p; a quad
+    collapse has the cohomology of the product of its factors' totals."""
     clear_caches()
     legs = 0
     for ck, cl, k, l in seeded_pairs(2001, 200):
+        hl = _hyper(_as_double(cl))
         for parity in (0, 1):
-            same_complex(tensor(ck, cl, parity), old_tensor(ck, cl, parity))
-        a, want = quad_tensor(k, l), old_quad_tensor(k, l)
-        same_complex(a, want)
-        same_complex(ss_collapse(a), ss_collapse.__wrapped__(want))
+            t = tensor(ck, cl, parity)
+            assert t.dims() == {(p, q): a * b for p, a in ck.dims().items()
+                                for q, b in cl.dims().items()}
+            for p, n in ck.dims().items():
+                assert window_dims(t, p, p) == {p + q: n * h for q, h in hl.items()}
+            assert _hyper(t) == _convolve(_hyper(_as_double(ck)), hl)
+        a = quad_tensor(k, l)
+        assert a.dims() == {(p, q, r, s): x * y for (p, r), x in k.dims().items()
+                            for (q, s), y in l.dims().items()}
+        assert _hyper(ss_collapse(a)) == _convolve(_hyper(k), _hyper(l))
         legs += sum(map(len, a._diffs))
     assert legs > 1000
     clear_caches()
 
 
+def direct_sum_spec(x, y):
+    """The spec of the direct sum of the Lie algebras of x and y, at the
+    product of their twist ranks: y's generators and tokens move past x's."""
+    def moved(token):
+        return token + x.n if token > 0 else token - x.n
+
+    shifted = {g + x.n: [(moved(ta), moved(tb), c) for ta, tb, c in terms]
+               for g, terms in y.images.items()}
+    return LieModelSpec(x.n + y.n, {**x.images, **shifted}, x.twist_rank * y.twist_rank)
+
+
+def check_labels(prod, direct):
+    """Each label (copy, sign, I, J) of prod is sign times the basis vector
+    (copy, I, J) of direct: the signed permutation this gives must be
+    bijective and commute with d1 and d2."""
+    assert prod.complex.dims() == direct.complex.dims()
+    mats = {}
+    for (p, q), labels in prod.labels.items():
+        look = direct.lookup(p, q)
+        placed = [(look[c, ii, jj], s) for c, s, ii, jj in labels]
+        assert sorted(j for (j, _s2), _s in placed) == list(range(len(labels)))
+        mats[p, q] = RatMatrix.from_entries(len(labels), len(labels),
+                                            [(j, i, s * s2) for i, ((j, s2), s)
+                                             in enumerate(placed)])
+    BicomplexMap(prod.complex, direct.complex, mats)  # raises unless squares commute
+
+
 def ladder_factors():
-    t1, t2, iw = torus_model(1), torus_model(2), lie_model(iwasawa_spec())
-    return {"T1": t1, "T2": t2, "IW": iw, "T1xIW": old_product_model(t1, iw),
-            "T1:2": torus_model(1, 2)}
+    t1, iw = LieModelSpec(1), iwasawa_spec()
+    specs = {"T1": t1, "T2": LieModelSpec(2), "IW": iw, "T1xIW": direct_sum_spec(t1, iw),
+             "T1:2": LieModelSpec(1, twist_rank=2)}
+    models = {name: lie_model(spec) for name, spec in specs.items()}
+    models["T1xIW"] = product_model(models["T1"], models["IW"])
+    return specs, models
 
 
 def test_product_models_match_the_former_bodies():
-    factors = ladder_factors()
+    specs, factors = ladder_factors()
     pairs = [(a, b) for a in factors for b in factors
              if factors[a].n + factors[b].n <= 6]
     assert len(pairs) == 22
     clear_caches()
     for a, b in pairs:
         x, y = factors[a], factors[b]
-        same_model(product_model(x, y), old_product_model(x, y))
-        same_complex(quad_tensor(x.complex, y.complex), old_quad_tensor(x.complex, y.complex))
+        got = product_model(x, y)
+        assert (got.n, got.twist_rank) == (x.n + y.n, x.twist_rank * y.twist_rank)
+        assert got.complex == ss_collapse(quad_tensor(x.complex, y.complex))
+        assert (betti_numbers(total(got.complex))
+                == _convolve(betti_numbers(total(x.complex)), betti_numbers(total(y.complex))))
+        spec = direct_sum_spec(specs[a], specs[b])
+        check_labels(got, lie_model(spec))
+        if got.twist_rank > 1:
+            check_labels(got.base, lie_model(LieModelSpec(spec.n, spec.images)))
     clear_caches()
 
 

@@ -1,209 +1,30 @@
 """The exact-sequence checks and the two block-permutation witnesses against
-the bodies they replaced.  window_map is now the identity on the pieces two
-truncations share, four_term_check and les_check truncate each window once,
-and verify_total_dual_iso and collapse_total_check state only their block
-offsets, certified by one routine in bicomplex.  Each must give the same
-report, the same witness map and the same failure as the old body."""
+oracles that share no elimination with them.  An exact-sequence report must
+pass, have the expected (node, degree) lines, and give node dimensions equal
+to dense window ranks (dense.window_dims); a window map is the identity on
+the pieces two truncations share, and it is refused exactly when a d1 square
+of the parent fails; a block-permutation witness is a permutation matrix in
+every degree that carries each entry of the source's differential to the
+permuted entry of the target's.  Planted faults in the one certification
+routine must raise the witness's own message."""
 
 import random
 import re
+from functools import cache
 from itertools import combinations_with_replacement
 
 import pytest
+from dense import connecting_ranks, dense, right, up, window_dims
 
 from spectra_dr import bicomplex, tensorops, truncation
-from spectra_dr.bicomplex import (
-    BicomplexMap,
-    block_offsets,
-    dual2,
-    total,
-    total_map,
-    truncate,
-    verify_total_dual_iso,
-)
-from spectra_dr.cochain import (
-    ChainMap,
-    CochainComplex,
-    cohomology_dim,
-    cohomology_map,
-    direct_sum,
-    dual,
-)
+from spectra_dr.bicomplex import dual2, total, truncate, verify_total_dual_iso
+from spectra_dr.cochain import CochainComplex, direct_sum, dual
 from spectra_dr.errors import NotChainCompatible, PreconditionViolation, WitnessFailure
-from spectra_dr.linalg import RatMatrix, rank
+from spectra_dr.linalg import RatMatrix
 from spectra_dr.models import iwasawa_spec, lie_model, product_model, torus_model
 from spectra_dr.randgen import random_double_complex
-from spectra_dr.report import Report
 from spectra_dr.tensorops import collapse_total_check, quad_tensor, ss_collapse, tensor
-from spectra_dr.truncation import connecting_matrix, four_term_check, les_check, window_map
-
-# -- the former bodies, kept as oracles -------------------------------------
-
-
-def old_window_map(s_cx, win_from, win_to):
-    src = truncate(s_cx, win_from)
-    tgt = truncate(s_cx, win_to)
-    lo = max(win_from[0], win_to[0])
-    hi = min(win_from[1], win_to[1])
-    mats = {}
-    for (p, q), n in src.dims().items():
-        if lo <= p <= hi and tgt.dim(p, q) == n:
-            mats[(p, q)] = RatMatrix.identity(n)
-    return BicomplexMap(src, tgt, mats)
-
-
-def old_four_term_check(s_cx, s, s_prime, t, t_prime):
-    if not (s <= s_prime <= t <= t_prime):
-        raise PreconditionViolation(
-            f"need s <= s' <= t <= t', got {s}, {s_prime}, {t}, {t_prime}"
-        )
-    k1 = truncate(s_cx, (t + 1, t_prime))
-    k2 = truncate(s_cx, (s_prime, t_prime))
-    k3 = truncate(s_cx, (s, t))
-    k4 = truncate(s_cx, (s, s_prime - 1))
-    f1 = old_window_map(s_cx, (t + 1, t_prime), (s_prime, t_prime))
-    f2 = old_window_map(s_cx, (s_prime, t_prime), (s, t))
-    f3 = old_window_map(s_cx, (s, t), (s, s_prime - 1))
-    rep = Report("four_term")
-    p_lo = min(k.p_lo for k in (k1, k2, k3, k4))
-    p_hi = max(k.p_hi for k in (k1, k2, k3, k4))
-    q_lo = min(k.q_lo for k in (k1, k2, k3, k4))
-    q_hi = max(k.q_hi for k in (k1, k2, k3, k4))
-    for p in range(p_lo, p_hi + 1):
-        for q in range(q_lo, q_hi + 1):
-            n1, n2 = k1.dim(p, q), k2.dim(p, q)
-            n3, n4 = k3.dim(p, q), k4.dim(p, q)
-            if not (n1 or n2 or n3 or n4):
-                continue
-            m1, m2, m3 = f1.mat(p, q), f2.mat(p, q), f3.mat(p, q)
-            r1, r2, r3 = rank(m1), rank(m2), rank(m3)
-            rep.add("injective", (p, q), r1, n1)
-            rep.add("boundary_composition_zero", (p, q),
-                    (m2 @ m1).is_zero() and (m3 @ m2).is_zero(), True)
-            rep.add("exact_mid_left", (p, q), r1 + r2, n2)
-            rep.add("exact_mid_right", (p, q), r2 + r3, n3)
-            rep.add("surjective", (p, q), r3, n4)
-    return rep
-
-
-def old_les_check(s_cx, r, s, t):
-    if not (r <= s <= t):
-        raise PreconditionViolation(f"need r <= s <= t, got {r}, {s}, {t}")
-    a = truncate(s_cx, (s, t))
-    b = truncate(s_cx, (r, t))
-    c = truncate(s_cx, (r, s - 1))
-    inc = total_map(old_window_map(s_cx, (s, t), (r, t)))
-    proj = total_map(old_window_map(s_cx, (r, t), (r, s - 1)))
-    ta, tb, tc = total(a), total(b), total(c)
-    lo = min(ta.lo, tb.lo, tc.lo) - 1
-    hi = max(ta.hi, tb.hi, tc.hi) + 1
-    rep = Report("les")
-    i_mat = {}
-    p_mat = {}
-    d_mat = {}
-    for k in range(lo, hi + 1):
-        i_mat[k] = cohomology_map(inc, k)
-        p_mat[k] = cohomology_map(proj, k)
-        d_mat[k] = connecting_matrix(s_cx, r, s, t, k)
-    for k in range(lo, hi + 1):
-        dims = {
-            "A": cohomology_dim(ta, k),
-            "B": cohomology_dim(tb, k),
-            "C": cohomology_dim(tc, k),
-        }
-        triples = (
-            ("A", d_mat.get(k - 1), i_mat[k]),
-            ("B", i_mat[k], p_mat[k]),
-            ("C", p_mat[k], d_mat[k]),
-        )
-        for node, inc_m, out_m in triples:
-            n = dims[node]
-            if inc_m is None:
-                inc_m = RatMatrix.zeros(n, 0)
-            comp_zero = (out_m @ inc_m).is_zero()
-            rep.add("les_composition_zero", (node, k), comp_zero, True)
-            rep.add("les_exactness", (node, k), rank(inc_m) + rank(out_m), n)
-    return rep
-
-
-def old_verify_total_dual_iso(k):
-    a = dual(total(k))
-    b = total(dual2(k))
-    mats = {}
-    for deg in range(min(a.lo, b.lo), max(a.hi, b.hi) + 1):
-        na, nb = a.dim(deg), b.dim(deg)
-        if na != nb:
-            raise WitnessFailure(
-                f"degree {deg}: dual-of-total dim {na} != total-of-dual dim {nb}"
-            )
-        if na == 0:
-            continue
-        blocks = []
-        roff = 0
-        for (_p, _q, aoff, n) in reversed(block_offsets(k, -deg)):
-            blocks.append((roff, aoff, RatMatrix.identity(n)))
-            roff += n
-        mats[deg] = RatMatrix.from_blocks(nb, na, blocks)
-    try:
-        witness = ChainMap(a, b, mats)
-    except NotChainCompatible as exc:
-        raise WitnessFailure(f"comparison map is not a chain map: {exc}") from None
-    for deg in range(min(a.lo, b.lo), max(a.hi, b.hi) + 1):
-        n = a.dim(deg)
-        if n and rank(witness.mat(deg)) != n:
-            raise WitnessFailure(f"comparison map not bijective in degree {deg}")
-    return witness
-
-
-def old_collapse_total_check(k, l):
-    a = quad_tensor(k, l)
-    ss = ss_collapse(a)
-    src = total(ss)
-    tk = total(k)
-    tl = total(l)
-    big = tensor(tk, tl, 0)
-    tgt = total(big)
-    lok = min(src.lo, tgt.lo)
-    hik = max(src.hi, tgt.hi)
-    mats = {}
-    for n in range(lok, hik + 1):
-        ns, nt = src.dim(n), tgt.dim(n)
-        if ns != nt:
-            raise WitnessFailure(f"degree {n}: collapse dim {ns} != tensor dim {nt}")
-        if ns == 0:
-            continue
-        src_pos = {cell: (off + coff, size) for kl, off, _sz in ss._layout().get(n, ())
-                   for cell, coff, size in a._layout()[kl]}
-        blocks = []
-        for (aa, bb, toff, _sz) in block_offsets(big, n):
-            k_cells = block_offsets(k, aa)
-            l_cells = block_offsets(l, bb)
-            l_total = sum(c[3] for c in l_cells)
-            for (p, r, koff, ksz) in k_cells:
-                for (q, s, loff, lsz) in l_cells:
-                    base = toff + koff * l_total
-                    spos, ssz = src_pos[(p, q, r, s)]
-                    if ssz != ksz * lsz:
-                        raise WitnessFailure(
-                            f"cell ({p},{q},{r},{s}) size mismatch {ssz} vs {ksz * lsz}"
-                        )
-                    eye = RatMatrix.identity(lsz)
-                    blocks.extend(
-                        (base + i * l_total + loff, spos + i * lsz, eye)
-                        for i in range(ksz)
-                    )
-        mats[n] = RatMatrix.from_blocks(nt, ns, blocks)
-    try:
-        witness = ChainMap(src, tgt, mats)
-    except NotChainCompatible as exc:
-        raise WitnessFailure(f"collapse comparison is not a chain map: {exc}") from None
-    for n in range(lok, hik + 1):
-        if src.dim(n) and rank(witness.mat(n)) != src.dim(n):
-            raise WitnessFailure(f"collapse comparison not bijective in degree {n}")
-    return witness
-
-
-# -- equality on seeded complexes and on the models -------------------------
+from spectra_dr.truncation import four_term_check, les_check, window_map
 
 T1, T2 = torus_model(1), torus_model(2)
 IW = lie_model(iwasawa_spec())
@@ -218,12 +39,6 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def _same_map(got, want):
-    assert type(got) is type(want)
-    assert got == want
-    assert list(got._mats) == list(want._mats)
-
-
 def _seeded(count, seed):
     rng = random.Random(seed)
     return [random_double_complex(rng, p_span=rng.randint(1, 4), q_span=rng.randint(1, 4))
@@ -234,48 +49,154 @@ def _ends(k):
     return range(k.p_lo - 1, k.p_hi + 2)
 
 
+# -- the oracles ------------------------------------------------------------
+
+
+def _window(k, a, b):
+    """The column window (a, b) of k by the placement rule: the pieces in
+    columns a..b, and each parent block whose source and target are both
+    kept."""
+    dims = {key: n for key, n in k.dims().items() if a <= key[0] <= b}
+    return dims, [{key: m for key, m in d.items() if key in dims and step(key) in dims}
+                  for d, step in ((k._d1, right), (k._d2, up))]
+
+
+def _failing_squares(k, src, tgt):
+    """The d1 squares at which the identity on the overlap of the windows
+    src and tgt does not commute: at a stored block from column p, the
+    target side keeps it when p is in the overlap and p, p+1 in tgt, the
+    source side when p+1 is in the overlap and p, p+1 in src.  The d2
+    squares stay in one column, so both sides always agree there."""
+    (a, b), (c, d) = src, tgt
+    lo, hi = max(a, c), min(b, d)
+    return {f"({p},{q})" for (p, q) in k._d1
+            if (lo <= p <= hi and c <= p < d) != (lo <= p + 1 <= hi and a <= p < b)}
+
+
+def _check_window_map(k, src, tgt, window):
+    """window_map against the rule; window(a, b) is _window(k, a, b)."""
+    got = _outcome(window_map, k, src, tgt)
+    failing = _failing_squares(k, src, tgt)
+    if failing:
+        assert isinstance(got, tuple), f"{src} -> {tgt} should be refused at {failing}"
+        kind, message = got
+        at = re.fullmatch(r"bicomplex map square \(d1\) at (\(-?\d+,-?\d+\)) does not commute",
+                          message)
+        assert kind is NotChainCompatible and at and at.group(1) in failing
+        return
+    lo, hi = max(src[0], tgt[0]), min(src[1], tgt[1])
+    for part, (a, b) in ((got.source, src), (got.target, tgt)):
+        dims, diffs = window(a, b)
+        assert part._dims == dims and list(part._diffs) == diffs
+    assert got._mats == {key: RatMatrix.identity(n) for key, n in k.dims().items()
+                         if lo <= key[0] <= hi}
+
+
+def _les_lines(k, dims, r, s, t):
+    """The (check, (node, degree), rhs) lines of a passing les_check, from
+    one degree below the lowest total degree of the three windows to one
+    above the highest, and the number of degrees whose connecting map is
+    nonzero, by the ranks exactness fixes from the dimensions."""
+    windows = ((s, t), (r, t), (r, s - 1))
+    nodes = [(node, dims(*w)) for node, w in zip("ABC", windows)]
+    degrees = [[p + q for (p, q) in k.dims() if a <= p <= b] for a, b in windows]
+    lo = min(min(d, default=0) for d in degrees)
+    hi = max(max(d, default=-1) for d in degrees)
+    lines = [line for deg in range(lo - 1, hi + 2) for node, h in nodes
+             for line in (("les_composition_zero", (node, deg), True),
+                          ("les_exactness", (node, deg), h.get(deg, 0)))]
+    return lines, sum(n > 0 for n in connecting_ranks(*(h for _node, h in nodes)).values())
+
+
+def _four_term_lines(k, s, s_prime, t, t_prime):
+    """The (check, (p, q), rhs) lines of a passing four_term_check: at each
+    piece in columns s..t', the piece dimension in each window that keeps it."""
+    lines = []
+    for (p, q), n in sorted(k.dims().items()):
+        if s <= p <= t_prime:
+            n1, n2, n3, n4 = (n if lo <= p <= hi else 0 for lo, hi in
+                              ((t + 1, t_prime), (s_prime, t_prime), (s, t), (s, s_prime - 1)))
+            lines += [("injective", (p, q), n1), ("boundary_composition_zero", (p, q), True),
+                      ("exact_mid_left", (p, q), n2), ("exact_mid_right", (p, q), n3),
+                      ("surjective", (p, q), n4)]
+    return lines
+
+
+def _lines(rep):
+    assert rep.ok, rep.summary()
+    return [(line.check, line.degree, line.rhs) for line in rep.lines]
+
+
+# -- the window sequences ---------------------------------------------------
+
+
 def test_window_sequences_match_the_old_bodies():
-    checked = 0
+    checked = nonzero = 0
     for k in _seeded(200, 1800) + MODELS:
+        # each window's oracles are computed once per complex
+        dims = cache(lambda a, b: window_dims(k, a, b))
+        window = cache(lambda a, b: _window(k, a, b))
         for r, s, t in combinations_with_replacement(_ends(k), 3):
             # an inclusion, a restriction, and a pair that is neither
             for src, tgt in (((s, t), (r, t)), ((r, t), (r, s - 1)), ((r, s), (s, t))):
-                got = _outcome(window_map, k, src, tgt)
-                want = _outcome(old_window_map, k, src, tgt)
-                if isinstance(want, BicomplexMap):
-                    _same_map(got, want)
-                else:
-                    assert got == want
-            assert les_check(k, r, s, t).to_json() == old_les_check(k, r, s, t).to_json()
+                _check_window_map(k, src, tgt, window)
+            want, conn = _les_lines(k, dims, r, s, t)
+            assert _lines(les_check(k, r, s, t)) == want
+            nonzero += conn > 0
             checked += 1
         for quad in combinations_with_replacement(_ends(k), 4):
-            got, want = four_term_check(k, *quad), old_four_term_check(k, *quad)
-            assert got.to_json() == want.to_json()
+            assert _lines(four_term_check(k, *quad)) == _four_term_lines(k, *quad)
             checked += 1
     assert checked > 15000
+    assert nonzero > 800
 
 
 def test_window_sequence_preconditions_keep_their_messages():
     k = IW.complex
-    for fn, old_fn, args in ((les_check, old_les_check, (2, 1, 3)),
-                             (four_term_check, old_four_term_check, (0, 2, 1, 3))):
-        assert _outcome(fn, k, *args) == _outcome(old_fn, k, *args)
-        assert _outcome(fn, k, *args)[0] is PreconditionViolation
+    assert _outcome(les_check, k, 2, 1, 3) == (
+        PreconditionViolation, "need r <= s <= t, got 2, 1, 3")
+    assert _outcome(four_term_check, k, 0, 2, 1, 3) == (
+        PreconditionViolation, "need s <= s' <= t <= t', got 0, 2, 1, 3")
     assert _outcome(window_map, k, (1, 3), (2, 3)) == (
         NotChainCompatible, "bicomplex map square (d1) at (1,0) does not commute")
-    assert _outcome(old_window_map, k, (1, 3), (2, 3)) == _outcome(window_map, k, (1, 3), (2, 3))
+    assert "(1,0)" in _failing_squares(k, (1, 3), (2, 3))
+
+
+# -- the block-permutation witnesses ----------------------------------------
+
+
+def _check_permutation_witness(w, source, target):
+    """w is a map source -> target whose every degree is a permutation
+    matrix, and it commutes with the differentials: the entry (i, j) of the
+    source's differential sits at the permuted (i, j) of the target's."""
+    assert w.source == source and w.target == target
+    perms = {}
+    for deg in source.degrees():
+        n = source.dim(deg)
+        assert target.dim(deg) == n
+        m = dense(w.mat(deg))
+        assert all(sorted(row) == [0] * (n - 1) + [1] for row in m)
+        assert all(sorted(col) == [0] * (n - 1) + [1] for col in zip(*m))
+        perms[deg] = [col.index(1) for col in zip(*m)]
+    for deg in source.degrees():
+        if source.dim(deg) and source.dim(deg + 1):
+            here, up, tgt = perms[deg], perms[deg + 1], dense(target.diff(deg))
+            assert all(tgt[up[i]][here[j]] == x for i, row in enumerate(dense(source.diff(deg)))
+                       for j, x in enumerate(row))
 
 
 def test_block_permutation_witnesses_match_the_old_bodies():
     for k in _seeded(200, 1801) + MODELS:
-        _same_map(verify_total_dual_iso(k), old_verify_total_dual_iso(k))
+        _check_permutation_witness(verify_total_dual_iso(k), dual(total(k)), total(dual2(k)))
     rng = random.Random(1802)
     pairs = [(T1.complex, IW.complex), (IW.complex, T1.complex), (T2.complex, T1.complex)]
     pairs += [tuple(random_double_complex(rng, p_span=rng.randint(1, 3),
                                           q_span=rng.randint(1, 3), blocks=2)
                     for _ in range(2)) for _ in range(30)]
     for k, l in pairs:
-        _same_map(collapse_total_check(k, l), old_collapse_total_check(k, l))
+        _check_permutation_witness(collapse_total_check(k, l),
+                                   total(ss_collapse(quad_tensor(k, l))),
+                                   total(tensor(total(k), total(l), 0)))
 
 
 # -- planted faults in the shared certification routine ---------------------
