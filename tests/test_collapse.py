@@ -22,6 +22,7 @@ from spectra_dr.bicomplex import (
     total_map,
 )
 from spectra_dr.linalg import F0, RatMatrix
+from spectra_dr.models import iwasawa_spec, lie_model, product_model, torus_model
 from spectra_dr.randgen import random_complex, random_double_complex
 from spectra_dr.tensorops import parity_iso, quad_tensor, ss_collapse
 from spectra_dr.truncation import connecting_matrix, window_map
@@ -134,3 +135,36 @@ def test_connecting_matrices_match_the_old_body():
                 assert dense_rank(got) == ranks.get(deg, 0)
                 nonzero += ranks.get(deg, 0) > 0
     assert nonzero >= 40
+
+
+def test_product_model_matches_the_old_labels():
+    """product_model collapses the quad tensor of its factors' complexes,
+    and the label at offset(p, q, r, s) + ix * ny + iy of the cell (k, l) is
+    the x label ix of (p, r) times the y label iy of (q, s): copy
+    cx * y.twist_rank + cy, sign sx * sy * (-1)^(r q), y generators shifted
+    by x.n.  Offsets come from dense.collapsed, not from the graded core."""
+    t2, iw = torus_model(2), lie_model(iwasawa_spec())
+    for x, y in ((t2, iw), (iw, iw)):
+        got = product_model(x, y)
+        a = quad_tensor(x.complex, y.complex)
+        pairs = list(zip(a._diffs, a._STEPS))
+        sizes, offsets, (d1, d2) = collapsed(a.dims(), [pairs[:2], pairs[2:]],
+                                             lambda c: (c[0] + c[1], c[2] + c[3]))
+        assert got.complex.dims() == sizes
+        for key, n in sizes.items():
+            for step, d, want in ((right, got.complex.d1, d1), (up, got.complex.d2, d2)):
+                if step(key) in sizes:
+                    assert dense(d(*key)) == want.get(key, [[0] * n] * sizes[step(key)])
+        labels = {key: [None] * n for key, n in sizes.items()}
+        for (p, q, r, s), off in offsets.items():
+            ylabs = y.labels[(q, s)]
+            for ix, (cx, sx, i1, j1) in enumerate(x.labels[(p, r)]):
+                for iy, (cy, sy, i2, j2) in enumerate(ylabs):
+                    labels[(p + q, r + s)][off + ix * len(ylabs) + iy] = (
+                        cx * y.twist_rank + cy,
+                        sx * sy * (-1 if (r * q) % 2 else 1),
+                        i1 + tuple(g + x.n for g in i2),
+                        j1 + tuple(g + x.n for g in j2),
+                    )
+        assert got.labels == {key: tuple(labs) for key, labs in labels.items()}
+        assert list(got.labels) == list(got.complex.dims())
