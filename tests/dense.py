@@ -8,6 +8,7 @@ the total complex of a column window, assembled block by block from the
 parent's stored blocks."""
 
 from fractions import Fraction
+from functools import cache
 
 
 def dense(m):
@@ -47,28 +48,7 @@ def rref(rows, lead_cols):
 
 def rank(m):
     """The rank of a RatMatrix."""
-    return rows_rank(dense(m), m.cols)
-
-
-def rows_rank(rows, cols):
-    """The rank of a dense matrix given by its rows, by Fraction row
-    echelon: each pivot row clears only the rows below it."""
-    rows = [r for r in rows if any(r)]
-    rank = 0
-    for c in range(cols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        for i in range(rank + 1, len(rows)):
-            if rows[i][c]:
-                f = rows[i][c] / prow[c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    return len(rref(dense(m), m.cols)[0])
 
 
 def collapsed(dims, sums, group):
@@ -99,6 +79,13 @@ def collapsed(dims, sums, group):
     return sizes, offsets, out
 
 
+def quad_collapsed(a):
+    """collapsed() of a quad complex into the grading (p + q, r + s): d1
+    sums the quad's first two differentials and d2 its last two."""
+    pairs = list(zip(a._diffs, a._STEPS))
+    return collapsed(a.dims(), [pairs[:2], pairs[2:]], lambda c: (c[0] + c[1], c[2] + c[3]))
+
+
 def right(key):
     """The step of d1, from (p, q) to (p + 1, q)."""
     return key[0] + 1, key[1]
@@ -117,9 +104,23 @@ def window_dims(k, s, t):
     degrees ascending."""
     pieces = {key: n for key, n in k.dims().items() if s <= key[0] <= t}
     dims, _offsets, (diffs,) = collapsed(pieces, [[(k._d1, right), (k._d2, up)]], sum)
-    ranks = {d: rows_rank(diffs.get(d, []), n) for d, n in dims.items()}
+    ranks = {d: len(rref(diffs.get(d, []), n)[0]) for d, n in dims.items()}
     out = {d: n - ranks[d] - ranks.get(d - 1, 0) for d, n in sorted(dims.items())}
     return {d: n for d, n in out.items() if n}
+
+
+def windows(k):
+    """window_dims of k as a function of (s, t), computed once per window."""
+    return cache(lambda s, t: window_dims(k, s, t))
+
+
+def convolve(a, b):
+    """The Künneth convolution of two dimension tables (degree -> dim)."""
+    out = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j] = out.get(i + j, 0) + x * y
+    return out
 
 
 def connecting_ranks(a, b, c):

@@ -14,10 +14,9 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
-from functools import cache
 
 import pytest
-from dense import filtration, window_dims
+from dense import filtration, window_dims, windows
 
 from spectra_dr import bicomplex, cli, cochain, linalg, spectral, tensorops, truncation
 from spectra_dr.bicomplex import DoubleComplex, total
@@ -49,11 +48,6 @@ def rank_hyper_dims(k, s, t):
     tt = truncated_total(k, s, t)
     dims = {j: cohomology_dim(tt, j) for j in tt.degrees()}
     return {j: n for j, n in dims.items() if n}
-
-
-def dense_windows(k):
-    """dense.window_dims of k, computed once per window."""
-    return cache(lambda a, b: window_dims(k, a, b))
 
 
 def dense_filtration(dims, deg, s, t, ps):
@@ -201,7 +195,7 @@ def test_windows_are_interval_arithmetic_on_the_ladder(name):
 def test_filtration_dims_match_the_former_body():
     checked = nontrivial = 0
     for k in seeded_complexes(2102, 300):
-        dims = dense_windows(k)
+        dims = windows(k)
         for deg in range(k.p_lo + k.q_lo - 1, k.p_hi + k.q_hi + 2):
             got = filtration_dims(k, deg)
             assert got == dense_filtration(dims, deg, k.p_lo, k.p_hi, range(k.p_lo, k.p_hi + 2))
@@ -213,7 +207,7 @@ def test_filtration_dims_match_the_former_body():
 @pytest.mark.parametrize("name", ["IW", "T1xIW"])
 def test_filtration_dims_match_the_former_body_on_the_ladder(name):
     k = ladder()[name].complex
-    dims = dense_windows(k)
+    dims = windows(k)
     for deg in range(0, 2 * (k.p_hi + 1) + 1):
         want = dense_filtration(dims, deg, k.p_lo, k.p_hi, range(k.p_lo, k.p_hi + 2))
         assert filtration_dims(k, deg) == want
@@ -258,7 +252,7 @@ def test_hodge_filtration_dims_match_the_former_body():
     named = [ladder_models[name].complex for name in ("T2", "IW", "T2xIW")]
     checked = nontrivial = 0
     for k in [*seeded_complexes(2107, 300), *named]:
-        dims = dense_windows(k)
+        dims = windows(k)
         for n in range(-2, k.p_hi + 3):
             for deg in range(k.p_lo + k.q_lo - 1, k.p_hi + k.q_hi + 2):
                 got = hodge_filtration_dims(k, deg, n)

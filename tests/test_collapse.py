@@ -9,11 +9,12 @@ window dimensions."""
 import random
 from itertools import combinations_with_replacement
 
-from dense import collapsed, connecting_ranks, dense, right, up, window_dims
+from dense import collapsed, connecting_ranks, dense, quad_collapsed, right, up, window_dims
 from dense import rank as dense_rank
 
 from spectra_dr.bicomplex import (
     BicomplexMap,
+    DoubleComplex,
     block_offsets,
     direct_sum2,
     filtration_cut,
@@ -21,6 +22,7 @@ from spectra_dr.bicomplex import (
     total,
     total_map,
 )
+from spectra_dr.cochain import ChainMap, CochainComplex
 from spectra_dr.linalg import F0, RatMatrix
 from spectra_dr.models import iwasawa_spec, lie_model, product_model, torus_model
 from spectra_dr.randgen import random_complex, random_double_complex
@@ -45,7 +47,7 @@ def test_totals_and_layouts_match_the_old_bodies():
         k = random_double_complex(rng, p_span=rng.randint(1, 5), q_span=rng.randint(1, 5))
         t = total(k)
         sizes, offsets, diffs = _total(k)
-        assert t.dims() == sizes
+        assert type(t) is CochainComplex and t.dims() == sizes
         for deg in _padded(t.lo, t.hi):
             want = diffs.get(deg, [[0] * t.dim(deg)] * t.dim(deg + 1))
             assert dense(t.diff(deg)) == want
@@ -82,6 +84,7 @@ def test_total_maps_match_the_old_body():
     for _ in range(100):
         for f in _seeded_bicomplex_maps(rng):
             got = total_map(f)
+            assert type(got) is ChainMap
             (src, soff, _), (tgt, toff, _) = _total(f.source), _total(f.target)
             assert (got.source, got.target) == (total(f.source), total(f.target))
             for deg in range(min(src | tgt, default=0), max(src | tgt, default=-1) + 1):
@@ -107,10 +110,8 @@ def test_quad_collapses_match_the_old_bodies():
                                   blocks=2)
         a = quad_tensor(k, l)
         ss = ss_collapse(a)
-        pairs = list(zip(a._diffs, a._STEPS))
-        sizes, _offsets, (d1, d2) = collapsed(a.dims(), [pairs[:2], pairs[2:]],
-                                             lambda c: (c[0] + c[1], c[2] + c[3]))
-        assert ss.dims() == sizes
+        sizes, _offsets, (d1, d2) = quad_collapsed(a)
+        assert type(ss) is DoubleComplex and ss.dims() == sizes
         for key, n in sizes.items():
             for step, got, want in ((right, ss.d1, d1), (up, ss.d2, d2)):
                 if step(key) in sizes:
@@ -147,9 +148,7 @@ def test_product_model_matches_the_old_labels():
     for x, y in ((t2, iw), (iw, iw)):
         got = product_model(x, y)
         a = quad_tensor(x.complex, y.complex)
-        pairs = list(zip(a._diffs, a._STEPS))
-        sizes, offsets, (d1, d2) = collapsed(a.dims(), [pairs[:2], pairs[2:]],
-                                             lambda c: (c[0] + c[1], c[2] + c[3]))
+        sizes, offsets, (d1, d2) = quad_collapsed(a)
         assert got.complex.dims() == sizes
         for key, n in sizes.items():
             for step, d, want in ((right, got.complex.d1, d1), (up, got.complex.d2, d2)):

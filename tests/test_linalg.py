@@ -834,7 +834,7 @@ def test_elimination_matches_dense_engine(kind):
     clear_caches()
 
 
-def _fromdense(rows, cols):
+def _from_dense(rows, cols):
     return RatMatrix(len(rows), cols, rows)
 
 
@@ -847,33 +847,33 @@ def test_algebra_matches_dense_lists(kind):
         b = _like(rng, a, kind)
         db = dense(b)
         zero = RatMatrix.zeros(a.rows, n)
-        assert _fromdense(da, n) == a and hash(_fromdense(da, n)) == hash(a)
-        assert a + b == _fromdense([[x + y for x, y in zip(p, q)] for p, q in zip(da, db)], n)
-        assert a - b == _fromdense([[x - y for x, y in zip(p, q)] for p, q in zip(da, db)], n)
+        assert _from_dense(da, n) == a and hash(_from_dense(da, n)) == hash(a)
+        assert a + b == _from_dense([[x + y for x, y in zip(p, q)] for p, q in zip(da, db)], n)
+        assert a - b == _from_dense([[x - y for x, y in zip(p, q)] for p, q in zip(da, db)], n)
         assert a - a == zero and hash(a - a) == hash(zero)
-        assert -a == _fromdense([[-x for x in r] for r in da], n)
+        assert -a == _from_dense([[-x for x in r] for r in da], n)
         for c in (0, 1, -1, Fraction(2, 3)):
-            assert a.scale(c) == _fromdense([[c * x for x in r] for r in da], n)
+            assert a.scale(c) == _from_dense([[c * x for x in r] for r in da], n)
         assert a.is_zero() == (not any(any(r) for r in da))
         assert a.transpose() == RatMatrix(n, a.rows, [[r[j] for r in da] for j in range(n)])
         assert a.transpose().transpose() == a
         other = _like(rng, RatMatrix.zeros(n, rng.randint(0, 4)), kind)
         do = dense(other)
-        assert a @ other == _fromdense(
+        assert a @ other == _from_dense(
             [[sum((x * do[k][j] for k, x in enumerate(r) if x), Fraction(0))
               for j in range(other.cols)] for r in da], other.cols)
         # rows and columns picked with repeats and in any order
         ri = [rng.randrange(a.rows) for _ in range(rng.randint(0, 4))] if a.rows else []
         ci = [rng.randrange(n) for _ in range(rng.randint(0, 6))] if n else []
-        assert a.submatrix(ri, ci) == _fromdense([[da[i][j] for j in ci] for i in ri], len(ci))
+        assert a.submatrix(ri, ci) == _from_dense([[da[i][j] for j in ci] for i in ri], len(ci))
         kept = sorted(set(ci))
-        assert a.select_columns(kept) == _fromdense([[r[j] for j in kept] for r in da], len(kept))
+        assert a.select_columns(kept) == _from_dense([[r[j] for j in kept] for r in da], len(kept))
         wide = [p + q + p for p, q in zip(da, db)]
-        assert RatMatrix.hstack([a, b, a]) == _fromdense(wide, 3 * n)
-        assert RatMatrix.vstack([b, a]) == _fromdense(db + da, n)
+        assert RatMatrix.hstack([a, b, a]) == _from_dense(wide, 3 * n)
+        assert RatMatrix.vstack([b, a]) == _from_dense(db + da, n)
         small = rand_matrix(rng, rng.randint(0, 3), rng.randint(0, 3))
         ds = dense(small)
-        assert RatMatrix.kron(a, small) == _fromdense(
+        assert RatMatrix.kron(a, small) == _from_dense(
             [[x * y for x in ra for y in rs] for ra in da for rs in ds], n * small.cols)
         # overlapping blocks: a later block overwrites the columns it spans
         want = [list(r) for r in da]
@@ -885,7 +885,7 @@ def test_algebra_matches_dense_lists(kind):
             blocks.append((r0, c0, blk))
             for i, row in enumerate(dense(blk)):
                 want[r0 + i][c0:c0 + blk.cols] = row
-        assert RatMatrix.from_blocks(a.rows, n, [(0, 0, a)] + blocks) == _fromdense(want, n)
+        assert RatMatrix.from_blocks(a.rows, n, [(0, 0, a)] + blocks) == _from_dense(want, n)
         assert [a.row(i) for i in range(a.rows)] == [tuple(r) for r in da]
         for _ in range(4 if a.rows and n else 0):
             i, j = rng.randrange(a.rows), rng.randrange(n)

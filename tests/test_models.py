@@ -5,6 +5,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from dense import convolve
 
 from spectra_dr import models
 from spectra_dr.bicomplex import (
@@ -439,20 +440,12 @@ def test_kunneth_reads_each_window_of_the_second_factor_once(monkeypatch, iw):
     assert len(reads) == len(former)
 
 
-def _convolve(a, b):
-    out = {}
-    for i, x in a.items():
-        for j, y in b.items():
-            out[i + j] = out.get(i + j, 0) + x * y
-    return out
-
-
 def test_iwasawa_squared_betti_numbers_follow_kunneth(iw):
     betti_iw = betti_numbers(total(iw.complex))
     assert betti_iw == {0: 1, 1: 4, 2: 8, 3: 10, 4: 8, 5: 4, 6: 1}
     prod = product_model(iw, iw)
     assert prod.complex.total_dim() == 4096
-    assert betti_numbers(total(prod.complex)) == _convolve(betti_iw, betti_iw)
+    assert betti_numbers(total(prod.complex)) == convolve(betti_iw, betti_iw)
 
 
 def test_t2_iwasawa_spectral_sequence_stabilizes_at_page_2(iw):
@@ -464,7 +457,7 @@ def test_t2_iwasawa_spectral_sequence_stabilizes_at_page_2(iw):
         antidiagonals[p + q] = antidiagonals.get(p + q, 0) + n
     betti = betti_numbers(total(prod.complex))
     assert antidiagonals == betti
-    assert betti == _convolve(betti_numbers(total(t2.complex)), betti_numbers(total(iw.complex)))
+    assert betti == convolve(betti_numbers(total(t2.complex)), betti_numbers(total(iw.complex)))
 
 
 def test_iwasawa_squared_spectral_sequence_stabilizes_at_page_2(iw):
@@ -474,7 +467,7 @@ def test_iwasawa_squared_spectral_sequence_stabilizes_at_page_2(iw):
     for (p, q), n in limit_page(prod.complex).dims().items():
         antidiagonals[p + q] = antidiagonals.get(p + q, 0) + n
     betti_iw = dict(enumerate((1, 4, 8, 10, 8, 4, 1)))
-    assert antidiagonals == betti_numbers(total(prod.complex)) == _convolve(betti_iw, betti_iw)
+    assert antidiagonals == betti_numbers(total(prod.complex)) == convolve(betti_iw, betti_iw)
 
 
 def test_product_validates_only_the_quad_tensor_and_builds_no_zero_matrix(monkeypatch, iw):

@@ -1,9 +1,8 @@
 import json
 import random
-from functools import cache
 
 import pytest
-from dense import filtration, window_dims
+from dense import filtration, windows
 
 from spectra_dr import cli, spectral
 from spectra_dr.bicomplex import DoubleComplex, identity_bicomplex_map, total
@@ -144,7 +143,7 @@ def test_filtration_dims_match_the_subcomplex_oracle():
     for _ in range(120):
         k = random_double_complex(rng, rng.randint(1, 4), rng.randint(1, 4))
         t = total(k)
-        dims = cache(lambda a, b: window_dims(k, a, b))
+        dims = windows(k)
         for deg in range(t.lo - 1, t.hi + 2):
             assert filtration_dims(k, deg) == [filtration(dims, k.p_lo, k.p_hi, deg, p)
                                                for p in range(k.p_lo, k.p_hi + 2)]

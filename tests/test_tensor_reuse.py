@@ -12,7 +12,7 @@ import random
 import re
 
 import pytest
-from dense import window_dims
+from dense import convolve, window_dims
 
 from spectra_dr import suites
 from spectra_dr.bicomplex import BicomplexMap, DoubleComplex, shift2, total
@@ -27,7 +27,7 @@ from spectra_dr.models import (
     torus_model,
 )
 from spectra_dr.randgen import random_complex, random_double_complex
-from spectra_dr.tensorops import quad_tensor, ss_collapse, tensor
+from spectra_dr.tensorops import QuadComplex, quad_tensor, ss_collapse, tensor
 
 # -- the Kunneth theorem on dense ranks -----------------------------------------
 
@@ -38,16 +38,14 @@ def _as_double(k):
                          {}, {(0, j): m for j, m in k._diffs[0].items()})
 
 
-def _convolve(a, b):
-    out = {}
-    for i, x in a.items():
-        for j, y in b.items():
-            out[i + j] = out.get(i + j, 0) + x * y
-    return {d: n for d, n in sorted(out.items()) if n}
-
-
 def _hyper(k):
     return window_dims(k, k.p_lo, k.p_hi)
+
+
+def _stored_canonically(c):
+    """Every stored value of c's blocks is an int when it is integral."""
+    return all(type(v) is int or v.denominator != 1
+               for d in c._diffs for m in d.values() for row in m._rows for v in row[1::2])
 
 
 def seeded_pairs(seed, count):
@@ -74,15 +72,19 @@ def test_tensors_quads_and_collapses_match_the_former_bodies():
         hl = _hyper(_as_double(cl))
         for parity in (0, 1):
             t = tensor(ck, cl, parity)
+            assert type(t) is DoubleComplex and _stored_canonically(t)
             assert t.dims() == {(p, q): a * b for p, a in ck.dims().items()
                                 for q, b in cl.dims().items()}
             for p, n in ck.dims().items():
                 assert window_dims(t, p, p) == {p + q: n * h for q, h in hl.items()}
-            assert _hyper(t) == _convolve(_hyper(_as_double(ck)), hl)
+            assert _hyper(t) == convolve(_hyper(_as_double(ck)), hl)
         a = quad_tensor(k, l)
+        ss = ss_collapse(a)
+        assert type(a) is QuadComplex and _stored_canonically(a)
+        assert type(ss) is DoubleComplex and _stored_canonically(ss)
         assert a.dims() == {(p, q, r, s): x * y for (p, r), x in k.dims().items()
                             for (q, s), y in l.dims().items()}
-        assert _hyper(ss_collapse(a)) == _convolve(_hyper(k), _hyper(l))
+        assert _hyper(ss) == convolve(_hyper(k), _hyper(l))
         legs += sum(map(len, a._diffs))
     assert legs > 1000
     clear_caches()
@@ -135,8 +137,9 @@ def test_product_models_match_the_former_bodies():
         got = product_model(x, y)
         assert (got.n, got.twist_rank) == (x.n + y.n, x.twist_rank * y.twist_rank)
         assert got.complex == ss_collapse(quad_tensor(x.complex, y.complex))
+        assert _stored_canonically(got.complex)
         assert (betti_numbers(total(got.complex))
-                == _convolve(betti_numbers(total(x.complex)), betti_numbers(total(y.complex))))
+                == convolve(betti_numbers(total(x.complex)), betti_numbers(total(y.complex))))
         spec = direct_sum_spec(specs[a], specs[b])
         check_labels(got, lie_model(spec))
         if got.twist_rank > 1:

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from spectra_dr.bicomplex import DoubleComplex, row_complex, total
+from spectra_dr.bicomplex import DoubleComplex, total
 from spectra_dr.cochain import CochainComplex, betti_numbers, cohomology_dim
 from spectra_dr.errors import ParseError, ValidationError
 from spectra_dr.linalg import RatMatrix

@@ -14,11 +14,11 @@ from functools import cache
 from itertools import combinations_with_replacement
 
 import pytest
-from dense import connecting_ranks, dense, right, up, window_dims
+from dense import connecting_ranks, dense, right, up, windows
 
 from spectra_dr import bicomplex, tensorops, truncation
-from spectra_dr.bicomplex import dual2, total, truncate, verify_total_dual_iso
-from spectra_dr.cochain import CochainComplex, direct_sum, dual
+from spectra_dr.bicomplex import BicomplexMap, dual2, total, truncate, verify_total_dual_iso
+from spectra_dr.cochain import ChainMap, CochainComplex, direct_sum, dual
 from spectra_dr.errors import NotChainCompatible, PreconditionViolation, WitnessFailure
 from spectra_dr.linalg import RatMatrix
 from spectra_dr.models import iwasawa_spec, lie_model, product_model, torus_model
@@ -84,6 +84,7 @@ def _check_window_map(k, src, tgt, window):
                           message)
         assert kind is NotChainCompatible and at and at.group(1) in failing
         return
+    assert type(got) is BicomplexMap
     lo, hi = max(src[0], tgt[0]), min(src[1], tgt[1])
     for part, (a, b) in ((got.source, src), (got.target, tgt)):
         dims, diffs = window(a, b)
@@ -97,9 +98,9 @@ def _les_lines(k, dims, r, s, t):
     one degree below the lowest total degree of the three windows to one
     above the highest, and the number of degrees whose connecting map is
     nonzero, by the ranks exactness fixes from the dimensions."""
-    windows = ((s, t), (r, t), (r, s - 1))
-    nodes = [(node, dims(*w)) for node, w in zip("ABC", windows)]
-    degrees = [[p + q for (p, q) in k.dims() if a <= p <= b] for a, b in windows]
+    spans = ((s, t), (r, t), (r, s - 1))
+    nodes = [(node, dims(*w)) for node, w in zip("ABC", spans)]
+    degrees = [[p + q for (p, q) in k.dims() if a <= p <= b] for a, b in spans]
     lo = min(min(d, default=0) for d in degrees)
     hi = max(max(d, default=-1) for d in degrees)
     lines = [line for deg in range(lo - 1, hi + 2) for node, h in nodes
@@ -134,7 +135,7 @@ def test_window_sequences_match_the_old_bodies():
     checked = nonzero = 0
     for k in _seeded(200, 1800) + MODELS:
         # each window's oracles are computed once per complex
-        dims = cache(lambda a, b: window_dims(k, a, b))
+        dims = windows(k)
         window = cache(lambda a, b: _window(k, a, b))
         for r, s, t in combinations_with_replacement(_ends(k), 3):
             # an inclusion, a restriction, and a pair that is neither
@@ -169,7 +170,7 @@ def _check_permutation_witness(w, source, target):
     """w is a map source -> target whose every degree is a permutation
     matrix, and it commutes with the differentials: the entry (i, j) of the
     source's differential sits at the permuted (i, j) of the target's."""
-    assert w.source == source and w.target == target
+    assert type(w) is ChainMap and w.source == source and w.target == target
     perms = {}
     for deg in source.degrees():
         n = source.dim(deg)
