@@ -62,7 +62,6 @@ from .linalg import (
 from .spectral import barcode, stabilization_index, window_barcode
 from .tensorops import quad_tensor, ss_collapse
 from .truncation import (
-    column_cohomology_dim,
     frolicher_is_equality,
     hodge_filtration_dims,
     truncate,
@@ -532,16 +531,6 @@ def bott_chern_dim(k: DoubleComplex, p: int, q: int) -> int:
 def hyper(model: ModelDoubleComplex, window: tuple, k: int) -> int:
     """Window hypercohomology dimension of the model."""
     return window_barcode(model.complex, window[0], window[1]).betti.get(k, 0)
-
-
-def column_dims(model: ModelDoubleComplex, p: int) -> dict:
-    """Nonzero column cohomology dimensions h^{p,q} of one column."""
-    out = {}
-    for q in range(model.n + 1):
-        h = column_cohomology_dim(model.complex, p, q)
-        if h:
-            out[q] = h
-    return out
 
 
 def kunneth_predict(x: ModelDoubleComplex, y: ModelDoubleComplex,

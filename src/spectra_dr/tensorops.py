@@ -103,11 +103,11 @@ def parity_iso(k: CochainComplex, l: CochainComplex) -> BicomplexMap:
     return BicomplexMap(src, tgt, mats)
 
 
-def kunneth_check(k: CochainComplex, l: CochainComplex, parity: int = 0) -> Report:
-    """Total cohomology of K (x) L against the product formula
-    sum_{a+b=c} h^a(K) h^b(L), degree by degree."""
+def kunneth_check(k: CochainComplex, l: CochainComplex) -> Report:
+    """Total cohomology of K (x) L (the parity-0 tensor) against the product
+    formula sum_{a+b=c} h^a(K) h^b(L), degree by degree."""
     rep = Report("kunneth")
-    t = total(tensor(k, l, parity))
+    t = total(tensor(k, l))
     lo = k.lo + l.lo
     hi = k.hi + l.hi
     for c in range(min(lo, t.lo), max(hi, t.hi) + 1):

@@ -10,8 +10,9 @@ what the geometric layer calls hypercohomology of the window.  It is the
 number of unpaired elements in the window's barcode (spectral.window_barcode,
 memoised per (complex, s, t) and called directly by the hot reads, because
 the predictor formulas evaluate it thousands of times).  The assembled
-truncated total (truncated_total) stays for what needs real matrices, and as
-the rank oracle in the suites and tests.
+truncated total (truncated_total) stays for what needs real matrices: the
+exact-sequence witnesses, and the full-window check of the truncation
+suite.
 
 Nested windows are compared by the identity on the pieces both truncations
 share (a shared piece has one dimension in both).  Two shapes are chain

@@ -12,9 +12,9 @@ with a positive control (the same data through the public constructor) and
 a negative one (a broken model is still refused by name).
 
 A map is admitted like a complex, through the same routine and with its
-squares tested by products_vanish: the last section compares it with the
-previous release's map admission, kept as the oracle, and pins that the
-witnesses multiply no product only to test it for zero.
+squares tested by products_vanish: the last section compares its refusals
+with the shape rule and a dense scan of the squares (dense.py), and pins
+that the witnesses multiply no product only to test it for zero.
 """
 
 import json
@@ -23,6 +23,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from dense import first_square_failure
+from ladder import every_window, ladder, padded
 
 from spectra_dr import cochain, truncation
 from spectra_dr.bicomplex import (
@@ -40,17 +42,17 @@ from spectra_dr.bicomplex import (
     verify_total_dual_iso,
 )
 from spectra_dr.cli import main
-from spectra_dr.cochain import ChainMap, GradedMap, direct_sum, identity_chain_map, shift
+from spectra_dr.cochain import (
+    ChainMap,
+    CochainComplex,
+    GradedMap,
+    direct_sum,
+    identity_chain_map,
+    shift,
+)
 from spectra_dr.errors import EngineError, NotChainCompatible, ValidationError
 from spectra_dr.linalg import RatMatrix, clear_caches
-from spectra_dr.models import (
-    duality_map,
-    hyper,
-    iwasawa_spec,
-    lie_model,
-    product_model,
-    torus_model,
-)
+from spectra_dr.models import duality_map, hyper
 from spectra_dr.randgen import random_double_complex
 from spectra_dr.tensorops import quad_slice, quad_tensor, ss_collapse
 from spectra_dr.truncation import (
@@ -67,9 +69,7 @@ from spectra_dr.truncation import (
 
 @pytest.fixture(scope="module")
 def models():
-    t1, t2, iw = torus_model(1), torus_model(2), lie_model(iwasawa_spec())
-    return {"T1": t1, "T2": t2, "IW": iw,
-            "T2xIW": product_model(t2, iw), "IWxIW": product_model(iw, iw)}
+    return {name: ladder()[name] for name in ("T1", "T2", "IW", "T2xIW", "IWxIW")}
 
 
 def readmit(x):
@@ -87,21 +87,13 @@ def readmit(x):
     return 1
 
 
-def _padded(lo, hi):
-    return range(lo - 1, hi + 2)
-
-
-def _windows(k):
-    return [(s, t) for s in _padded(k.p_lo, k.p_hi) for t in _padded(k.p_lo, k.p_hi)]
-
-
 def _derived(k):
     """Every window, row, column, shift, the transpose and the total of k."""
-    for w in _windows(k):
+    for w in every_window(k.p_lo, k.p_hi):
         yield truncate(k, w)
-    for p in _padded(k.p_lo, k.p_hi):
+    for p in padded(k.p_lo, k.p_hi):
         yield row_complex(k, p)
-    for q in _padded(k.q_lo, k.q_hi):
+    for q in padded(k.q_lo, k.q_hi):
         yield column_complex(k, q)
     t = total(k)
     for m in range(-2, 3):
@@ -130,7 +122,7 @@ def test_derived_complexes_of_seeded_complexes_readmit():
 def test_derived_complexes_of_the_ladder_readmit(models):
     for name, model in models.items():
         k = model.complex
-        windows = _windows(k)
+        windows = every_window(k.p_lo, k.p_hi)
         assert sum(readmit(truncate(k, w)) for w in windows) == len(windows)
         for p in k.p_range():
             readmit(row_complex(k, p))
@@ -153,8 +145,8 @@ def test_quad_collapses_and_slices_readmit():
                                   blocks=2)
         a = quad_tensor(k, l)
         readmit(ss_collapse(a))
-        for p in _padded(k.p_lo, k.p_hi):
-            for q in _padded(l.p_lo, l.p_hi):
+        for p in padded(k.p_lo, k.p_hi):
+            for q in padded(l.p_lo, l.p_hi):
                 slices += readmit(quad_slice(a, p, q))
     assert slices >= 16 * 9
 
@@ -314,35 +306,21 @@ def test_a_lowered_cap_refuses_warm_memos_by_name(models, monkeypatch):
 # -- maps are admitted like complexes ---------------------------------------------
 
 
-def head_map_admission(cls, source, target, mats):
-    """The map admission of the previous release, kept as the oracle: its own
-    shape loop, then the squares built as products and compared.  The
-    refusal it raised, as (type, message), or None."""
-    grade, sd, td = source._grade, source._dims, target._dims
-    kept = {}
+def map_refusal(source, target, mats):
+    """The refusal, as (type, message), that the rules give the map mats from
+    source to target, or None: the first block in mats whose shape is not
+    (target piece, source piece) is a ValidationError, and otherwise the
+    first square that the dense scan finds does not commute is
+    NotChainCompatible."""
+    chain = type(source) is CochainComplex
     for key, m in mats.items():
-        key = grade(key)
-        want = (td.get(key, 0), sd.get(key, 0))
+        want = (target.dims().get(key, 0), source.dims().get(key, 0))
         if m.shape != want:
-            return ValidationError, (f"{cls._NOUN} at {source._AT.format(key)} has shape"
-                                     f" {m.shape}, expected {want}")
-        if not m.is_zero():
-            kept[key] = m
-    for key in sorted(set(kept).union(*source._diffs)):
-        f = kept.get(key)
-        for i, step in enumerate(source._STEPS):
-            t, s = target._diffs[i].get(key), source._diffs[i].get(key)
-            g = kept.get(step(key)) if s is not None else None
-            lhs = t @ f if t is not None and f is not None else None
-            rhs = g @ s if g is not None else None
-            if lhs is None:
-                ok = rhs is None or rhs.is_zero()
-            else:
-                ok = lhs.is_zero() if rhs is None else lhs == rhs
-            if not ok:
-                return NotChainCompatible, cls._SQUARE.format(
-                    name=source._NAMES[i], at=source._AT.format(key))
-    return None
+            at = f"degree {key}" if chain else f"({key[0]},{key[1]})"
+            noun = "chain map" if chain else "bicomplex map"
+            return ValidationError, f"{noun} at {at} has shape {m.shape}, expected {want}"
+    failure = first_square_failure(source, target, mats)
+    return failure and (NotChainCompatible, failure)
 
 
 def _admission(cls, source, target, mats):
@@ -401,7 +379,7 @@ def test_map_admission_matches_the_previous_release(models):
         cls = type(f)
         assert _admission(cls, f.source, f.target, f._mats) is None
         mats = _planted(rng, f)
-        want = head_map_admission(cls, f.source, f.target, mats)
+        want = map_refusal(f.source, f.target, mats)
         assert _admission(cls, f.source, f.target, mats) == want
         seen[want and want[0]] += 1
     assert min(seen.values()) >= 15, seen

@@ -1,13 +1,13 @@
 """The filtered reduction of the total differential (spectral.barcode)
 against the rank and subquotient machinery it replaces as a read path.
 
-Window hypercohomology is checked against the ranks of the assembled
-truncated total, both the engine's and the dense Fraction ranks of
+Window hypercohomology is checked against the dense Fraction ranks of
 dense.window_dims, which share no elimination with it, filtration_dims and
 the Hodge filtration against the images that exactness fixes from those
-dense window ranks (dense.filtration), and the page read of the pairing
-against the subquotient pages, on seeded complexes and on the model
-ladder."""
+dense window ranks (dense.filtration), the pairing against the dense
+cohomology of the total and the ranks that rank-nullity gives from it, and
+the page read of the pairing against the subquotient pages, on seeded
+complexes and on the model ladder."""
 
 import json
 import random
@@ -17,12 +17,11 @@ from fractions import Fraction
 
 import pytest
 from dense import filtration, window_dims, windows
+from ladder import every_window, ladder, ladder_windows
 
 from spectra_dr import bicomplex, cli, cochain, linalg, spectral, tensorops, truncation
 from spectra_dr.bicomplex import DoubleComplex, total
-from spectra_dr.cochain import cohomology_dim
 from spectra_dr.errors import ValidationError
-from spectra_dr.linalg import rank
 from spectra_dr.models import iwasawa_spec, lie_model, product_model, torus_model
 from spectra_dr.randgen import random_double_complex
 from spectra_dr.spectral import (
@@ -41,13 +40,6 @@ from spectra_dr.truncation import (
 )
 
 T2IW_CAP_MESSAGE = "total degree 4 has dim 150 > SPECTRA_DR_MAX_DIM=120"
-
-
-def rank_hyper_dims(k, s, t):
-    """Window hypercohomology by ranks of the assembled truncated total."""
-    tt = truncated_total(k, s, t)
-    dims = {j: cohomology_dim(tt, j) for j in tt.degrees()}
-    return {j: n for j, n in dims.items() if n}
 
 
 def dense_filtration(dims, deg, s, t, ps):
@@ -96,36 +88,27 @@ def seeded_complexes(seed, count):
         yield random_double_complex(rng, p_span=rng.randint(1, 5), q_span=rng.randint(1, 5))
 
 
-def every_window(k):
-    ends = range(k.p_lo - 1, k.p_hi + 2)
-    return [(s, t) for s in ends for t in ends]
-
-
-def ladder():
-    t1, t2, iw = torus_model(1), torus_model(2), lie_model(iwasawa_spec())
-    return {
-        "T1": t1, "T2": t2, "IW": iw,
-        "T1xIW": product_model(t1, iw),
-        "T2xIW": product_model(t2, iw),
-        "IWxIW": product_model(iw, iw),
-    }
+def columns(k):
+    """every_window of k's columns."""
+    return every_window(k.p_lo, k.p_hi)
 
 
 # -- window hypercohomology -------------------------------------------------
 
 
 def test_window_dims_match_the_ranks_on_seeded_complexes():
-    windows = empty = 0
+    swept = empty = 0
     for k in seeded_complexes(2101, 1000):
-        for s, t in every_window(k):
-            want = rank_hyper_dims(k, s, t)
+        dims = windows(k)
+        for s, t in columns(k):
+            want = dims(s, t)
             assert hyper_dims(k, (s, t)) == want
             for j in range(k.p_lo + k.q_lo - 1, k.p_hi + k.q_hi + 2):
                 assert hypercohomology(k, (s, t), j) == want.get(j, 0)
-            windows += 1
+            swept += 1
             empty += s > t
     truncation.clear_truncation_cache()
-    assert windows > 10_000 and empty > 3_000
+    assert swept > 10_000 and empty > 3_000
 
 
 def test_window_dims_match_the_ranks_with_fractional_entries():
@@ -134,57 +117,58 @@ def test_window_dims_match_the_ranks_with_fractional_entries():
     for k in seeded_complexes(2105, 150):
         k = DoubleComplex(k.dims(), {key: m.scale(half) for key, m in k._d1.items()},
                           {key: m.scale(two_thirds) for key, m in k._d2.items()})
-        for s, t in every_window(k):
-            assert hyper_dims(k, (s, t)) == rank_hyper_dims(k, s, t)
+        dims = windows(k)
+        for s, t in columns(k):
+            assert hyper_dims(k, (s, t)) == dims(s, t)
     truncation.clear_truncation_cache()
 
 
 @pytest.mark.parametrize("name", ["T1", "T2", "IW", "T1xIW", "T2xIW", "IWxIW"])
 def test_window_dims_match_the_ranks_on_the_ladder(name):
-    k = ladder()[name].complex
-    for s, t in every_window(k):
-        assert hyper_dims(k, (s, t)) == rank_hyper_dims(k, s, t)
+    k, dims = ladder()[name].complex, ladder_windows(name)
+    for s, t in columns(k):
+        assert hyper_dims(k, (s, t)) == dims(s, t)
     truncation.clear_truncation_cache()
 
 
 def test_window_dims_match_dense_ranks_on_seeded_complexes():
-    windows = nonzero = 0
+    swept = nonzero = 0
     for k in seeded_complexes(2111, 200):
-        for s, t in every_window(k):
+        for s, t in columns(k):
             got = hyper_dims(k, (s, t))
             assert got == window_dims(k, s, t)
-            windows += 1
+            swept += 1
             nonzero += bool(got)
     truncation.clear_truncation_cache()
-    assert windows > 2_000 and nonzero > 1_000
+    assert swept > 2_000 and nonzero > 1_000
 
 
 @pytest.mark.parametrize("name", ["T1", "T2", "IW", "T1xIW"])
 def test_window_dims_match_dense_ranks_on_the_ladder(name):
     k = ladder()[name].complex
-    for s, t in every_window(k):
+    for s, t in columns(k):
         assert hyper_dims(k, (s, t)) == window_dims(k, s, t)
     truncation.clear_truncation_cache()
 
 
 def test_windows_are_interval_arithmetic_on_the_whole_barcode():
-    windows = crossing = 0
+    swept = crossing = 0
     for k in seeded_complexes(2106, 1000):
         bars = barcode(k)
-        for s, t in every_window(k):
+        for s, t in columns(k):
             assert hyper_dims(k, (s, t)) == interval_dims(bars, s, t)
-            windows += 1
+            swept += 1
             crossing += any(s <= src[0] <= t < tgt[0] or src[0] < s <= tgt[0] <= t
                             for src, tgt in bars.pairs)
     truncation.clear_truncation_cache()
-    assert windows > 10_000 and crossing > 1_000
+    assert swept > 10_000 and crossing > 1_000
 
 
 @pytest.mark.parametrize("name", ["T2", "IW", "T1xIW", "T2xIW", "IWxIW"])
 def test_windows_are_interval_arithmetic_on_the_ladder(name):
     k = ladder()[name].complex
     bars = barcode(k)
-    for s, t in every_window(k):
+    for s, t in columns(k):
         assert hyper_dims(k, (s, t)) == interval_dims(bars, s, t)
     truncation.clear_truncation_cache()
 
@@ -206,8 +190,7 @@ def test_filtration_dims_match_the_former_body():
 
 @pytest.mark.parametrize("name", ["IW", "T1xIW"])
 def test_filtration_dims_match_the_former_body_on_the_ladder(name):
-    k = ladder()[name].complex
-    dims = windows(k)
+    k, dims = ladder()[name].complex, ladder_windows(name)
     for deg in range(0, 2 * (k.p_hi + 1) + 1):
         want = dense_filtration(dims, deg, k.p_lo, k.p_hi, range(k.p_lo, k.p_hi + 2))
         assert filtration_dims(k, deg) == want
@@ -216,29 +199,38 @@ def test_filtration_dims_match_the_former_body_on_the_ladder(name):
 # -- the pairing ----------------------------------------------------------------
 
 
-def _pairing_invariants(k):
+def _pairing_invariants(k, dims):
+    """The pairs of k's barcode and its unpaired elements against the dense
+    cohomology of the total (the window of all columns, read by dims) and
+    the ranks of the total differential that rank-nullity gives from it."""
     bars = barcode(k)
     t = total(k)
     for (src, tgt), n in bars.pairs.items():
         assert n > 0
         assert sum(tgt) == sum(src) + 1
         assert tgt[0] >= src[0]
+    betti = dims(k.p_lo, k.p_hi)
+    sizes = {}
+    for key, n in k.dims().items():
+        sizes[sum(key)] = sizes.get(sum(key), 0) + n
+    ranks = {}
     for deg in range(t.lo - 1, t.hi + 2):
+        ranks[deg] = sizes.get(deg, 0) - betti.get(deg, 0) - ranks.get(deg - 1, 0)
         paired = sum(n for (src, _tgt), n in bars.pairs.items() if sum(src) == deg)
         unpaired = sum(n for key, n in bars.unpaired.items() if sum(key) == deg)
-        assert paired == rank(t.diff(deg))
-        assert unpaired == cohomology_dim(t, deg) == bars.betti.get(deg, 0)
-    assert sorted(bars.betti) == sorted(t.dims())
+        assert paired == ranks[deg]
+        assert unpaired == betti.get(deg, 0) == bars.betti.get(deg, 0)
+    assert sorted(bars.betti) == sorted(sizes)
 
 
 def test_pairing_invariants_on_seeded_complexes():
     for k in seeded_complexes(2103, 300):
-        _pairing_invariants(k)
+        _pairing_invariants(k, windows(k))
 
 
 @pytest.mark.parametrize("name", ["IW", "T1xIW", "T2xIW", "IWxIW"])
 def test_pairing_invariants_on_the_ladder(name):
-    _pairing_invariants(ladder()[name].complex)
+    _pairing_invariants(ladder()[name].complex, ladder_windows(name))
 
 
 def test_zero_complex_has_an_empty_barcode():
@@ -248,11 +240,9 @@ def test_zero_complex_has_an_empty_barcode():
 
 
 def test_hodge_filtration_dims_match_the_former_body():
-    ladder_models = ladder()
-    named = [ladder_models[name].complex for name in ("T2", "IW", "T2xIW")]
+    named = [(ladder()[name].complex, ladder_windows(name)) for name in ("T2", "IW", "T2xIW")]
     checked = nontrivial = 0
-    for k in [*seeded_complexes(2107, 300), *named]:
-        dims = windows(k)
+    for k, dims in [*((k, windows(k)) for k in seeded_complexes(2107, 300)), *named]:
         for n in range(-2, k.p_hi + 3):
             for deg in range(k.p_lo + k.q_lo - 1, k.p_hi + k.q_hi + 2):
                 got = hodge_filtration_dims(k, deg, n)

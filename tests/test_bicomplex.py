@@ -2,6 +2,7 @@ import random
 import re
 
 import pytest
+from dense import first_square_failure, first_violation
 
 from spectra_dr.bicomplex import (
     BicomplexMap,
@@ -76,39 +77,7 @@ def test_rejects_bad_differentials():
         )
 
 
-def _first_violation_by_bounding_box(dims, d1, d2):
-    """The original validation loop, kept as an oracle: every nonzero
-    bidegree of the bounding box in ascending order, zero matrices standing
-    in for absent differentials.  Returns the first message, or None."""
-
-    def get(diffs, p, q, step):
-        m = diffs.get((p, q))
-        if m is None:
-            tgt = (p + step[0], q + step[1])
-            return RatMatrix.zeros(dims.get(tgt, 0), dims.get((p, q), 0))
-        return m
-
-    def f1(p, q):
-        return get(d1, p, q, (1, 0))
-
-    def f2(p, q):
-        return get(d2, p, q, (0, 1))
-
-    keys = [key for key, n in dims.items() if n]
-    for p in range(min(p for p, _ in keys), max(p for p, _ in keys) + 1):
-        for q in range(min(q for _, q in keys), max(q for _, q in keys) + 1):
-            if not dims.get((p, q)):
-                continue
-            if not (f1(p + 1, q) @ f1(p, q)).is_zero():
-                return f"d1 o d1 != 0 from ({p},{q})"
-            if not (f2(p, q + 1) @ f2(p, q)).is_zero():
-                return f"d2 o d2 != 0 from ({p},{q})"
-            if not (f1(p, q + 1) @ f2(p, q) + f2(p + 1, q) @ f1(p, q)).is_zero():
-                return f"d1 and d2 do not anticommute from ({p},{q})"
-    return None
-
-
-def _first_violation(dims, d1, d2):
+def _refusal(dims, d1, d2):
     try:
         DoubleComplex(dims, d1, d2)
     except ValidationError as exc:
@@ -119,14 +88,14 @@ def _first_violation(dims, d1, d2):
 def test_rejection_messages():
     one = M([[1]])
     line = {(0, 0): 1, (0, 1): 1, (0, 2): 1}
-    assert _first_violation(line, {}, {(0, 0): one, (0, 1): one}) == "d2 o d2 != 0 from (0,0)"
+    assert _refusal(line, {}, {(0, 0): one, (0, 1): one}) == "d2 o d2 != 0 from (0,0)"
     row = {(0, 0): 1, (1, 0): 1, (2, 0): 1}
-    assert _first_violation(row, {(0, 0): one, (1, 0): one}, {}) == "d1 o d1 != 0 from (0,0)"
+    assert _refusal(row, {(0, 0): one, (1, 0): one}, {}) == "d1 o d1 != 0 from (0,0)"
     square = {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1}
-    assert (_first_violation(square, {(0, 0): one, (0, 1): one}, {(0, 0): one, (1, 0): one})
+    assert (_refusal(square, {(0, 0): one, (0, 1): one}, {(0, 0): one, (1, 0): one})
             == "d1 and d2 do not anticommute from (0,0)")
     # one composite missing, the other nonzero
-    assert (_first_violation(square, {(0, 1): one}, {(0, 0): one})
+    assert (_refusal(square, {(0, 1): one}, {(0, 0): one})
             == "d1 and d2 do not anticommute from (0,0)")
 
 
@@ -136,14 +105,14 @@ def test_two_violations_report_the_first_in_bidegree_order():
     dims = {(0, 0): 1, (1, 0): 1, (2, 0): 1, (0, 1): 1, (0, 2): 1}
     d1 = {(0, 0): one, (1, 0): one}
     d2 = {(0, 0): one, (0, 1): one}
-    assert _first_violation(dims, d1, d2) == "d1 o d1 != 0 from (0,0)"
-    assert _first_violation_by_bounding_box(dims, d1, d2) == "d1 o d1 != 0 from (0,0)"
+    assert _refusal(dims, d1, d2) == "d1 o d1 != 0 from (0,0)"
+    assert first_violation(dims, d1, d2) == "d1 o d1 != 0 from (0,0)"
     # p before q: (0,5) precedes (1,0)
     dims = {(1, 0): 1, (2, 0): 1, (3, 0): 1, (0, 5): 1, (0, 6): 1, (0, 7): 1}
     d1 = {(1, 0): one, (2, 0): one}
     d2 = {(0, 5): one, (0, 6): one}
-    assert _first_violation(dims, d1, d2) == "d2 o d2 != 0 from (0,5)"
-    assert _first_violation_by_bounding_box(dims, d1, d2) == "d2 o d2 != 0 from (0,5)"
+    assert _refusal(dims, d1, d2) == "d2 o d2 != 0 from (0,5)"
+    assert first_violation(dims, d1, d2) == "d2 o d2 != 0 from (0,5)"
 
 
 def test_first_violation_matches_bounding_box_scan():
@@ -158,43 +127,10 @@ def test_first_violation_matches_bounding_box_scan():
             diffs, tgt = rng.choice(((d1, (p + 1, q)), (d2, (p, q + 1))))
             if dims.get(tgt):
                 diffs[(p, q)] = random_matrix(rng, dims[tgt], n)
-        want = _first_violation_by_bounding_box(dims, d1, d2)
-        assert _first_violation(dims, d1, d2) == want
+        want = first_violation(dims, d1, d2)
+        assert _refusal(dims, d1, d2) == want
         rejected += want is not None
     assert rejected >= 20
-
-
-def _chain_square_failure_by_bounding_box(source, target, mats):
-    """The original ChainMap square loop, kept as an oracle: every degree of
-    both supports (and one below), zero matrices for absent blocks."""
-
-    def mat(k):
-        m = mats.get(k)
-        return RatMatrix.zeros(target.dim(k), source.dim(k)) if m is None else m
-
-    for k in range(min(source.lo, target.lo) - 1, max(source.hi, target.hi) + 1):
-        if target.diff(k) @ mat(k) != mat(k + 1) @ source.diff(k):
-            return f"chain map square at degree {k} does not commute"
-    return None
-
-
-def _bicomplex_square_failure_by_bounding_box(source, target, mats):
-    """The original BicomplexMap square loop, kept as an oracle: every
-    bidegree of the bounding box of both supports, zero matrices for absent
-    blocks."""
-
-    def mat(p, q):
-        m = mats.get((p, q))
-        return RatMatrix.zeros(target.dim(p, q), source.dim(p, q)) if m is None else m
-
-    for p in range(min(source.p_lo, target.p_lo), max(source.p_hi, target.p_hi) + 1):
-        for q in range(min(source.q_lo, target.q_lo), max(source.q_hi, target.q_hi) + 1):
-            f = mat(p, q)
-            if target.d1(p, q) @ f != mat(p + 1, q) @ source.d1(p, q):
-                return f"bicomplex map square (d1) at ({p},{q}) does not commute"
-            if target.d2(p, q) @ f != mat(p, q + 1) @ source.d2(p, q):
-                return f"bicomplex map square (d2) at ({p},{q}) does not commute"
-    return None
 
 
 def _seeded_map(rng, kind):
@@ -222,8 +158,6 @@ def test_first_map_square_failure_matches_bounding_box_scan():
     for n in range(120):
         f = _seeded_map(rng, kinds[n % 4])
         cls = type(f)
-        oracle = (_chain_square_failure_by_bounding_box if cls is ChainMap
-                  else _bicomplex_square_failure_by_bounding_box)
         src, tgt = f.source, f.target
         mats = dict(f._mats)
         if mats and n % 3 == 0:
@@ -236,7 +170,7 @@ def test_first_map_square_failure_matches_bounding_box_scan():
                 key = rng.choice(sorted(keys))
                 rows = tgt.dim(key) if cls is ChainMap else tgt.dim(*key)
                 mats[key] = random_matrix(rng, rows, src.dims()[key])
-        want = oracle(src, tgt, mats)
+        want = first_square_failure(src, tgt, mats)
         try:
             cls(src, tgt, mats)
             got = None

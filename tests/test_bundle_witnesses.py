@@ -13,53 +13,46 @@ against each other.  These tests check them against complexes:
   with direct_sum2 and shift2, matches blowup_predict on every window.  This
   checks the index bookkeeping (s-i, t-i, k-2i) only; it is not a model of a
   geometric blowup.
+
+The window dimensions of the complexes are dense ranks (dense.py).
 """
 
+from dense import windows
+from ladder import inner_windows, ladder, ladder_windows
+
 from spectra_dr.bicomplex import direct_sum2, shift2
-from spectra_dr.models import (
-    blowup_predict,
-    hyper,
-    iwasawa_spec,
-    leray_hirsch_predict,
-    lie_model,
-    point_model,
-    product_model,
-    torus_model,
-)
-from spectra_dr.truncation import hypercohomology
+from spectra_dr.models import blowup_predict, leray_hirsch_predict
 
 T1_CLASSES = [(0, 0), (1, 0), (0, 1), (1, 1)]
 
 
-def _windows(n):
+def _pairs(n):
     """Every (window, degree) pair of an n-dimensional model."""
-    return [((s, t), k) for s in range(n + 1) for t in range(s, n + 1)
-            for k in range(2 * n + 1)]
+    return [(w, k) for w in inner_windows(0, n) for k in range(2 * n + 1)]
 
 
 def test_leray_hirsch_equals_the_trivial_bundle_model():
-    iw = lie_model(iwasawa_spec())
-    e = product_model(torus_model(1), iw)
-    pairs = _windows(e.n)
+    iw, e, dims = ladder()["IW"], ladder()["T1xIW"], ladder_windows("T1xIW")
+    pairs = _pairs(e.n)
     assert len(pairs) == 135
     for w, k in pairs:
-        assert hyper(e, w, k) == leray_hirsch_predict(iw, w, k, T1_CLASSES), (w, k)
+        assert dims(*w).get(k, 0) == leray_hirsch_predict(iw, w, k, T1_CLASSES), (w, k)
 
 
 def test_leray_hirsch_fails_when_the_fibre_class_does_not_extend():
-    iw = lie_model(iwasawa_spec())
-    t2 = torus_model(2)
-    misses = [(w, k, leray_hirsch_predict(t2, w, k, T1_CLASSES), hyper(iw, w, k))
-              for w, k in _windows(iw.n)
-              if leray_hirsch_predict(t2, w, k, T1_CLASSES) != hyper(iw, w, k)]
-    assert len(_windows(iw.n)) == 70
+    iw, t2, dims = ladder()["IW"], ladder()["T2"], ladder_windows("IW")
+    misses = [(w, k, leray_hirsch_predict(t2, w, k, T1_CLASSES), dims(*w).get(k, 0))
+              for w, k in _pairs(iw.n)
+              if leray_hirsch_predict(t2, w, k, T1_CLASSES) != dims(*w).get(k, 0)]
+    assert len(_pairs(iw.n)) == 70
     assert len(misses) == 34
     assert misses[0] == ((0, 0), 1, 3, 2)
 
 
 def test_blowup_predict_matches_the_formal_sum():
-    iw, t1, t2 = lie_model(iwasawa_spec()), torus_model(1), torus_model(2)
-    for x, z, r in ((iw, t1, 2), (t2, point_model(), 2), (iw, point_model(), 3)):
+    iw, t1, t2, pt = (ladder()[name] for name in ("IW", "T1", "T2", "pt"))
+    for x, z, r in ((iw, t1, 2), (t2, pt, 2), (iw, pt, 3)):
         formal = direct_sum2([x.complex] + [shift2(z.complex, -i, -i) for i in range(1, r)])
-        for w, k in _windows(x.n):
-            assert hypercohomology(formal, w, k) == blowup_predict(x, z, w, k, r), (w, k)
+        dims = windows(formal)
+        for w, k in _pairs(x.n):
+            assert dims(*w).get(k, 0) == blowup_predict(x, z, w, k, r), (w, k)

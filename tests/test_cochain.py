@@ -2,6 +2,7 @@ import random
 import re
 
 import pytest
+from dense import betti
 
 from spectra_dr.bicomplex import BicomplexMap, DoubleComplex
 from spectra_dr.cochain import (
@@ -155,7 +156,7 @@ def test_shift():
     assert s.dims() == {-2: 2, -1: 1}
     assert s.diff(-2) == k.diff(0)
     assert shift(shift(k, 1), -1) == k
-    assert cohomology_dim(s, -2) == cohomology_dim(k, 0)
+    assert cohomology_dim(s, -2) == betti(k).get(0, 0)
 
 
 def test_dual_signs_and_dims():
@@ -179,9 +180,10 @@ def test_dual_cohomology_dims_random():
     for _ in range(30):
         k = rand_complex(rng)
         d = dual(k)
+        want = betti(k)
         for deg in range(k.lo - 1, k.hi + 2):
-            assert cohomology_dim(d, -deg) == cohomology_dim(k, deg)
-            assert cohomology(d, -deg).dim == cohomology(k, deg).dim
+            assert cohomology_dim(d, -deg) == want.get(deg, 0)
+            assert cohomology(d, -deg).dim == want.get(deg, 0)
 
 
 def test_direct_sum():

@@ -12,12 +12,13 @@ import random
 import re
 
 import pytest
+from ladder import ladder
 
 from spectra_dr.bicomplex import BicomplexMap, DoubleComplex, identity_bicomplex_map, shift2
 from spectra_dr.cochain import ChainMap, CochainComplex, identity_chain_map, shift
 from spectra_dr.errors import ParseError, ValidationError
 from spectra_dr.linalg import RatMatrix
-from spectra_dr.models import LieModelSpec, iwasawa_spec, lie_model, product_model, torus_model
+from spectra_dr.models import LieModelSpec, iwasawa_spec, lie_model, torus_model
 from spectra_dr.randgen import random_complex, random_double_complex
 from spectra_dr.tensorops import QuadComplex, quad_tensor
 
@@ -74,10 +75,9 @@ def seeded_complexes():
 
 
 def ladder_complexes():
-    t1, t2, iw = torus_model(1), torus_model(2), lie_model(iwasawa_spec())
-    return [iw.complex, product_model(t1, iw).complex, product_model(t2, iw).complex,
-            product_model(iw, iw).complex, lie_model(iwasawa_spec(2)).complex,
-            quad_tensor(t1.complex, iw.complex)]
+    models = ladder()
+    return [models[name].complex for name in ("IW", "T1xIW", "T2xIW", "IWxIW", "IW:2")] + [
+        quad_tensor(models["T1"].complex, models["IW"].complex)]
 
 
 @pytest.fixture(scope="module")

@@ -11,6 +11,7 @@ from itertools import combinations_with_replacement
 
 from dense import collapsed, connecting_ranks, dense, quad_collapsed, right, up, window_dims
 from dense import rank as dense_rank
+from ladder import padded
 
 from spectra_dr.bicomplex import (
     BicomplexMap,
@@ -30,10 +31,6 @@ from spectra_dr.tensorops import parity_iso, quad_tensor, ss_collapse
 from spectra_dr.truncation import connecting_matrix, window_map
 
 
-def _padded(lo, hi):
-    return range(lo - 1, hi + 2) if lo <= hi else range(-1, 2)
-
-
 def _total(k):
     """(degree -> dim, key -> offset, degree -> dense differential) of the
     total of k."""
@@ -48,13 +45,13 @@ def test_totals_and_layouts_match_the_old_bodies():
         t = total(k)
         sizes, offsets, diffs = _total(k)
         assert type(t) is CochainComplex and t.dims() == sizes
-        for deg in _padded(t.lo, t.hi):
+        for deg in padded(t.lo, t.hi):
             want = diffs.get(deg, [[0] * t.dim(deg)] * t.dim(deg + 1))
             assert dense(t.diff(deg)) == want
             pieces = sorted((p, q) for p, q in k.dims() if p + q == deg)
             assert block_offsets(k, deg) == [(p, q, offsets[p, q], k.dim(p, q))
                                              for p, q in pieces]
-            for p in _padded(k.p_lo, k.p_hi):
+            for p in padded(k.p_lo, k.p_hi):
                 assert filtration_cut(k, p, deg) == sum(k.dim(c, deg - c) for c, _q in pieces
                                                         if c < p)
 
@@ -130,7 +127,7 @@ def test_connecting_matrices_match_the_old_body():
         for r, s, t in combinations_with_replacement(k.p_range(), 3):
             a, b, c = window_dims(k, s, t), window_dims(k, r, t), window_dims(k, r, s - 1)
             ranks = connecting_ranks(a, b, c)
-            for deg in _padded(k.p_lo + k.q_lo, k.p_hi + k.q_hi):
+            for deg in padded(k.p_lo + k.q_lo, k.p_hi + k.q_hi):
                 got = connecting_matrix(k, r, s, t, deg)
                 assert got.shape == (a.get(deg + 1, 0), c.get(deg, 0))
                 assert dense_rank(got) == ranks.get(deg, 0)

@@ -11,6 +11,7 @@ import random
 
 import pytest
 from dense import right, up
+from ladder import padded
 
 from spectra_dr.bicomplex import (
     DoubleComplex,
@@ -53,11 +54,6 @@ def _check_dual(got, k, neg, total, steps):
 # -- the parts of seeded inputs ---------------------------------------------
 
 
-def _padded(lo, hi):
-    """lo-1 .. hi+1, or a few degrees around 0 for an empty support."""
-    return range(lo - 1, hi + 2) if lo <= hi else range(-1, 2)
-
-
 def _everything(_key):
     return True
 
@@ -67,7 +63,7 @@ def test_double_complex_parts_match_the_old_bodies(chunk):
     rng = random.Random(800 + chunk)
     for _ in range(100):
         k = random_double_complex(rng, p_span=rng.randint(1, 5), q_span=rng.randint(1, 5))
-        ps, qs = _padded(k.p_lo, k.p_hi), _padded(k.q_lo, k.q_hi)
+        ps, qs = padded(k.p_lo, k.p_hi), padded(k.q_lo, k.q_hi)
         d12 = [(k._d1, right), (k._d2, up)]
         for s in ps:
             for t in ps:  # s > t included: the empty window
@@ -108,7 +104,7 @@ def test_quad_slices_match_the_old_body():
         a = quad_tensor(k, l)
         steps = [(a._diffs[2], lambda c: (c[0], c[1], c[2] + 1, c[3])),
                  (a._diffs[3], lambda c: (c[0], c[1], c[2], c[3] + 1))]
-        for p in _padded(k.p_lo, k.p_hi):
-            for q in _padded(l.p_lo, l.p_hi):
+        for p in padded(k.p_lo, k.p_hi):
+            for q in padded(l.p_lo, l.p_hi):
                 _check_part(quad_slice(a, p, q), DoubleComplex, a,
                             lambda c: c[:2] == (p, q), lambda c: c[2:], steps)

@@ -1,4 +1,5 @@
-"""Import hygiene: no module of the package imports a name it never uses.
+"""Import hygiene: no module of the package or of the tests imports a name
+it never uses.
 
 pyflakes and its kin are not dependencies, so this walks each module's AST:
 a name bound by an import must be read somewhere else in the module.  The
@@ -10,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "spectra_dr"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "spectra_dr"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES += sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:

@@ -468,10 +468,10 @@ def test_elimination_random_consistency():
         r = rng.randint(0, 5)
         c = rng.randint(0, 5)
         m = rand_matrix(rng, r, c)
-        rk = rank(m)
+        rk = dense_rank(m)
         ker = kernel_basis(m)
         im = image_basis(m)
-        assert rk == rank(m.transpose())
+        assert rank(m) == rk == rank(m.transpose())
         assert rk + ker.cols == c
         assert im.cols == rk and rank(im) == rk
         if ker.cols:
@@ -528,25 +528,10 @@ def test_subquotient_errors():
         sq.reduce(M([[1], [0]]))
 
 
-def _greedy_representatives(z, b):
-    """The original representative rule, kept as an oracle: scan the cycle
-    basis left to right and keep each column that one solve against the
-    boundaries plus the kept columns cannot reach."""
-    reps = []
-    current = b
-    for j in range(z.cols):
-        col = z.col_matrix(j)
-        if solve_matrix(current, col) is None:
-            reps.append(j)
-            current = RatMatrix.hstack([current, col])
-    return z.select_columns(reps)
-
-
 def _check_against_greedy(cycles, boundaries):
     sq = subquotient(cycles, boundaries)
-    greedy = _greedy_representatives(image_basis(cycles), image_basis(boundaries))
-    assert sq.representative_basis == greedy
-    assert sq.dim == rank(cycles) - rank(boundaries)
+    assert sq.representative_basis == _dense_representatives(cycles, boundaries)
+    assert sq.dim == dense_rank(cycles) - dense_rank(boundaries)
     assert sq.reduce(sq.representative_basis) == RatMatrix.identity(sq.dim)
     return sq
 
@@ -572,9 +557,9 @@ def test_subquotient_representatives_edge_cases():
     z = M([["1/2", 0, 1], [0, "-2/3", 1], [0, 0, 0], ["3/4", 1, 0]])
     # no boundaries: every cycle-basis column is a representative
     sq = _check_against_greedy(z, RatMatrix.zeros(4, 0))
-    assert sq.representative_basis == image_basis(z)
+    assert sq.representative_basis == z.select_columns(_dense_pivots(z))
     sq = _check_against_greedy(z, z @ RatMatrix.zeros(3, 2))
-    assert sq.dim == rank(z) == 2
+    assert sq.dim == dense_rank(z) == 2
     # span B = span Z: nothing survives
     assert _check_against_greedy(z, z).dim == 0
     assert _check_against_greedy(z, z @ M([[1, 1, 0], [0, 1, 1], [1, 0, 1]])).dim == 0
@@ -630,14 +615,19 @@ def test_induced_map_functorial():
         assert lhs == rhs
 
 
-def _three_solve_induced_map(mat, source, target):
-    """The original induced_map, kept as an oracle: one solve each for the
-    images of the cycles and of the boundaries, then reduce."""
-    if solve_matrix(target.cycle_basis, mat @ source.cycle_basis) is None:
+def _dense_induced_map(mat, source, target):
+    """induced_map by dense solves: the images of the cycles must lie in the
+    span of the target's cycles, those of the boundaries in the span of its
+    boundaries, and the images of the representatives are read in the basis
+    [B | R] of the target's cycles, their R coordinates kept."""
+    if _dense_solve(target.cycle_basis, mat @ source.cycle_basis) is None:
         raise NotChainCompatible("map does not send cycles to cycles")
-    if solve_matrix(target.boundary_basis, mat @ source.boundary_basis) is None:
+    if _dense_solve(target.boundary_basis, mat @ source.boundary_basis) is None:
         raise NotChainCompatible("map does not send boundaries to boundaries")
-    return target.reduce(mat @ source.representative_basis)
+    nb = target.boundary_basis.cols
+    basis = RatMatrix.hstack([target.boundary_basis, target.representative_basis])
+    x = _dense_solve(basis, mat @ source.representative_basis)
+    return x.submatrix(range(nb, x.rows), range(x.cols))
 
 
 def _outcome(f, *args):
@@ -663,7 +653,7 @@ def test_induced_map_matches_three_solves():
             cases += [(t.diff(deg), nxt), (rand_matrix(rng, nxt.ambient_dim, n), nxt)]
             for mat, target in cases:
                 got = _outcome(induced_map, mat, sq, target)
-                assert got == _outcome(_three_solve_induced_map, mat, sq, target)
+                assert got == _outcome(_dense_induced_map, mat, sq, target)
                 seen[got if isinstance(got, str) else "ok"] += 1
                 if not isinstance(got, str):
                     assert got.shape == (target.dim, sq.dim)
@@ -748,6 +738,9 @@ def _dense_solve(a, b):
 
 
 def _dense_representatives(cycles, boundaries):
+    """The representative rule as a greedy scan by dense rank: the pivot
+    columns of the cycles, left to right, each kept when it is not in the
+    span of the boundaries and the columns kept before it."""
     z = cycles.select_columns(_dense_pivots(cycles))
     b = boundaries.select_columns(_dense_pivots(boundaries))
     aug = [rb + rz for rb, rz in zip(dense(b), dense(z))]

@@ -1,35 +1,31 @@
 """The model layer's one rule per job against oracles that do not share
 its code: wedge_monomials against the parity of the inversions of the
 concatenated monomial, the projective-bundle and blowup predictors against
-the windows of the built products with the hyperplane classes, and a twist
-against the block-diagonal copies of its base.  wedge and cup_map, one
-right-wedge matrix, are checked against the term-by-term bodies they
-replaced, which take their sign from the inversion count."""
+the dense windows of the built products with the hyperplane classes, and a
+twist against the block-diagonal copies of its base.  wedge and cup_map, one
+right-wedge matrix, are checked against dense matrices built entry by entry
+from the labels: each entry's sign is the inversion count's, and its row is
+found by a search of the target's label list."""
 
 import warnings
 from itertools import combinations
 
 import pytest
-from dense import dense
+from dense import dense, windows
+from ladder import every_window, ladder, ladder_windows
 
-from spectra_dr.bicomplex import BicomplexMap, DoubleComplex, shift2, truncate
+from spectra_dr.bicomplex import DoubleComplex, shift2, truncate
 from spectra_dr.errors import PreconditionViolation
-from spectra_dr.linalg import F0, RatMatrix, kernel_basis
+from spectra_dr.linalg import kernel_basis
 from spectra_dr.models import (
     _twist,
     blowup_predict,
     cup_map,
-    iwasawa_spec,
-    lie_model,
-    point_model,
-    product_model,
     projective_bundle_predict,
-    torus_model,
     wedge,
     wedge_monomials,
 )
 from spectra_dr.tensorops import quad_tensor, ss_collapse
-from spectra_dr.truncation import hyper_dims
 
 # -- the oracles ------------------------------------------------------------
 
@@ -46,53 +42,24 @@ def inversion_sign(i1, j1, i2, j2):
     return ((-1) ** inversions, tuple(sorted((*i1, *i2))), tuple(sorted((*j1, *j2))))
 
 
-def old_wedge(model, bideg1, v1, bideg2, v2):
-    p1, q1 = bideg1
-    p2, q2 = bideg2
-    tp, tq = p1 + p2, q1 + q2
-    out = [F0] * model.dim(tp, tq)
-    look = model.lookup(tp, tq)
-    for a, (_c1, s1, i1, j1) in enumerate(model.labels.get((p1, q1), ())):
-        ca = v1[a, 0]
-        if not ca:
-            continue
-        for b, (_c2, s2, i2, j2) in enumerate(model.labels.get((p2, q2), ())):
-            cb = v2[b, 0]
-            if not cb:
-                continue
+def right_wedge_rows(model, bideg, alpha_bideg, alpha):
+    """Dense rows of x |-> x ^ alpha from bideg to bideg + alpha_bideg, for
+    an untwisted alpha, entry by entry: source label (c, s1, I1, J1) times
+    base label (_, s2, I2, J2) with coefficient a adds a s1 s2 ws ts at the
+    target label (c, ts, I, J), where (ws, I, J) is inversion_sign's and the
+    target label is found by searching the list."""
+    (a, b), (u, v) = bideg, alpha_bideg
+    src, tgt = model.labels.get((a, b), ()), model.labels.get((a + u, b + v), ())
+    coeffs = [row[0] for row in dense(alpha)]
+    rows = [[0] * len(src) for _ in tgt]
+    for col, (c1, s1, i1, j1) in enumerate(src):
+        for coeff, (_c2, s2, i2, j2) in zip(coeffs, model.base.labels.get((u, v), ())):
             ws, ii, jj = inversion_sign(i1, j1, i2, j2)
-            if not ws:
-                continue
-            pos, ts = look[(0, ii, jj)]
-            out[pos] += ca * cb * (s1 * s2 * ws * ts)
-    return RatMatrix.column(out)
-
-
-def old_cup_map(model, window, alpha_bidegree, alpha):
-    u, v = alpha_bidegree
-    s, t = window
-    src = truncate(model.complex, (s, t))
-    tgt = shift2(truncate(model.complex, (s + u, t + u)), u, v)
-    alabs = model.base.labels[(u, v)]
-    mats = {}
-    for (a, b), cols in src.dims().items():
-        rows = model.dim(a + u, b + v)
-        if rows == 0:
-            continue
-        look = model.lookup(a + u, b + v)
-        out = [[F0] * cols for _ in range(rows)]
-        for col, (c1, s1, i1, j1) in enumerate(model.labels[(a, b)]):
-            for pos_a, (_c2, s2, i2, j2) in enumerate(alabs):
-                coeff = alpha[pos_a, 0]
-                if not coeff:
-                    continue
-                ws, ii, jj = inversion_sign(i1, j1, i2, j2)
-                if not ws:
-                    continue
-                pos, ts = look[(c1, ii, jj)]
-                out[pos][col] += coeff * (s1 * s2 * ws * ts)
-        mats[(a, b)] = RatMatrix(rows, cols, out)
-    return BicomplexMap(src, tgt, mats)
+            if coeff and ws:
+                pos, ts = next((pos, ts) for pos, (c, ts, i, j) in enumerate(tgt)
+                               if (c, i, j) == (c1, ii, jj))
+                rows[pos][col] += coeff * s1 * s2 * ws * ts
+    return rows
 
 
 def classes(lo, r):
@@ -103,23 +70,9 @@ def classes(lo, r):
 
 def built_dims(x, lo, r):
     """Every window of the product of x with the classes (i, i), lo <= i < r,
-    built by the quad tensor and read by the barcode."""
-    prod = ss_collapse(quad_tensor(classes(lo, r), x.complex))
-    return lambda w, k: hyper_dims(prod, w).get(k, 0)
-
-
-# -- the models -------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def models():
-    t1, t2, iw = torus_model(1), torus_model(2), lie_model(iwasawa_spec())
-    return {"T1": t1, "T2": t2, "IW": iw, "pt": point_model(), "T1xIW": product_model(t1, iw),
-            "T1xT1": product_model(t1, t1)}
-
-
-def windows(n):
-    return [(s, t) for s in range(-1, n + 2) for t in range(-1, n + 2)]
+    built by the quad tensor and read by dense ranks."""
+    dims = windows(ss_collapse(quad_tensor(classes(lo, r), x.complex)))
+    return lambda w, k: dims(*w).get(k, 0)
 
 
 def closed_classes(model):
@@ -137,38 +90,37 @@ def closed_classes(model):
 # -- the bundle predictors --------------------------------------------------
 
 
-def bundle_bases(models):
-    """T1, T2, IW, the point and T1xIW: the bases and centres checked."""
-    return [models[name] for name in ("T1", "T2", "IW", "pt", "T1xIW")]
+BUNDLE_BASES = ("T1", "T2", "IW", "pt", "T1xIW")  # the bases and centres checked
 
 
-def test_projective_bundle_predict_is_the_former_loop(models):
+def test_projective_bundle_predict_is_the_former_loop():
     """P(E) of a trivial rank-r bundle is the product with P^{r-1}."""
-    for x in bundle_bases(models):
+    for x in map(ladder().get, BUNDLE_BASES):
         for r in (1, 2, 3):
             built = built_dims(x, 0, r)
-            for w in windows(x.n + r - 1):
+            for w in every_window(0, x.n + r - 1):
                 for k in range(-1, 2 * (x.n + r) + 1):
                     assert projective_bundle_predict(x, w, k, r) == built(w, k)
 
 
-def test_blowup_predict_is_the_former_loop(models):
+def test_blowup_predict_is_the_former_loop():
     """The blowup adds to x the product of the centre with the classes
     (i, i), 0 < i < r."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for x in bundle_bases(models):
-            for y in bundle_bases(models):
-                for r in (2, 3, 4):
-                    built = built_dims(y, 1, r)
-                    for w in windows(x.n):
-                        here = hyper_dims(x.complex, w)
+        for y in map(ladder().get, BUNDLE_BASES):
+            for r in (2, 3, 4):
+                built = built_dims(y, 1, r)
+                for name in BUNDLE_BASES:
+                    x, here = ladder()[name], ladder_windows(name)
+                    for w in every_window(0, x.n):
                         for k in range(-1, 2 * x.n + 2):
-                            assert blowup_predict(x, y, w, k, r) == here.get(k, 0) + built(w, k)
+                            want = here(*w).get(k, 0) + built(w, k)
+                            assert blowup_predict(x, y, w, k, r) == want
 
 
-def test_the_bundle_preconditions_and_the_warning_stay(models):
-    x, y = models["IW"], models["T1"]
+def test_the_bundle_preconditions_and_the_warning_stay():
+    x, y = ladder()["IW"], ladder()["T1"]
     with pytest.raises(PreconditionViolation, match="bundle rank must be positive, got 0"):
         projective_bundle_predict(x, (0, 1), 1, 0)
     with pytest.raises(PreconditionViolation, match="codimension must be at least 2, got 1"):
@@ -177,7 +129,7 @@ def test_the_bundle_preconditions_and_the_warning_stay(models):
         blowup_predict(x, y, (0, 1), 1, 3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        want = hyper_dims(x.complex, (0, 1)).get(1, 0) + built_dims(y, 1, 2)((0, 1), 1)
+        want = ladder_windows("IW")(0, 1).get(1, 0) + built_dims(y, 1, 2)((0, 1), 1)
         assert blowup_predict(x, y, (0, 1), 1, 2) == want
 
 
@@ -195,24 +147,31 @@ def test_wedge_monomials_sorts_as_the_former_merge():
 
 
 @pytest.mark.parametrize("name", ["T2", "IW", "T1xT1"])
-def test_wedge_is_the_former_body(models, name):
-    model = models[name]
+def test_wedge_is_the_former_body(name):
+    model = ladder()[name]
     classes = closed_classes(model)
     assert len(classes) > 10
     for b1, v1 in classes:
+        column = [row[0] for row in dense(v1)]
         for b2, v2 in classes:
-            assert wedge(model, b1, v1, b2, v2) == old_wedge(model, b1, v1, b2, v2)
+            want = [[sum(x * y for x, y in zip(row, column))]
+                    for row in right_wedge_rows(model, b1, b2, v2)]
+            assert dense(wedge(model, b1, v1, b2, v2)) == want
 
 
 @pytest.mark.parametrize("name", ["T2", "IW", "T1xT1"])
 @pytest.mark.parametrize("m", [1, 2, 3])
-def test_cup_map_is_the_former_body(models, name, m):
-    base = models[name]
+def test_cup_map_is_the_former_body(name, m):
+    base = ladder()[name]
     model = base.with_twist_rank(m)
     n = model.n
-    for bideg, alpha in closed_classes(base):
-        for window in ((0, n), (1, n - 1)):
-            assert cup_map(model, window, bideg, alpha) == old_cup_map(model, window, bideg, alpha)
+    for (u, v), alpha in closed_classes(base):
+        for s, t in ((0, n), (1, n - 1)):
+            got = cup_map(model, (s, t), (u, v), alpha)
+            assert got.source == truncate(model.complex, (s, t))
+            assert got.target == shift2(truncate(model.complex, (s + u, t + u)), u, v)
+            for a, b in got.source.dims():
+                assert dense(got.mat(a, b)) == right_wedge_rows(model, (a, b), (u, v), alpha)
 
 
 # -- twists are direct sums -------------------------------------------------
@@ -220,10 +179,10 @@ def test_cup_map_is_the_former_body(models, name, m):
 
 @pytest.mark.parametrize("name", ["T2", "IW", "T1xT1"])
 @pytest.mark.parametrize("m", [1, 2, 3])
-def test_twist_is_the_former_kron_build(models, name, m):
+def test_twist_is_the_former_kron_build(name, m):
     """A twist of rank m holds m copies of its base, block-diagonally, and
     lists each piece's labels copy by copy."""
-    base = models[name]
+    base = ladder()[name]
     got = _twist(base, m)
     cx = base.complex
     assert got.complex.dims() == {key: m * n for key, n in cx.dims().items()}

@@ -13,6 +13,7 @@ import re
 
 import pytest
 from dense import convolve, window_dims
+from ladder import ladder
 
 from spectra_dr import suites
 from spectra_dr.bicomplex import BicomplexMap, DoubleComplex, shift2, total
@@ -117,17 +118,12 @@ def check_labels(prod, direct):
     BicomplexMap(prod.complex, direct.complex, mats)  # raises unless squares commute
 
 
-def ladder_factors():
+def test_product_models_match_the_former_bodies():
     t1, iw = LieModelSpec(1), iwasawa_spec()
     specs = {"T1": t1, "T2": LieModelSpec(2), "IW": iw, "T1xIW": direct_sum_spec(t1, iw),
              "T1:2": LieModelSpec(1, twist_rank=2)}
-    models = {name: lie_model(spec) for name, spec in specs.items()}
-    models["T1xIW"] = product_model(models["T1"], models["IW"])
-    return specs, models
-
-
-def test_product_models_match_the_former_bodies():
-    specs, factors = ladder_factors()
+    factors = {name: ladder()[name] for name in specs}
+    betti = {name: _hyper(x.complex) for name, x in factors.items()}
     pairs = [(a, b) for a in factors for b in factors
              if factors[a].n + factors[b].n <= 6]
     assert len(pairs) == 22
@@ -138,8 +134,7 @@ def test_product_models_match_the_former_bodies():
         assert (got.n, got.twist_rank) == (x.n + y.n, x.twist_rank * y.twist_rank)
         assert got.complex == ss_collapse(quad_tensor(x.complex, y.complex))
         assert _stored_canonically(got.complex)
-        assert (betti_numbers(total(got.complex))
-                == convolve(betti_numbers(total(x.complex)), betti_numbers(total(y.complex))))
+        assert betti_numbers(total(got.complex)) == convolve(betti[a], betti[b])
         spec = direct_sum_spec(specs[a], specs[b])
         check_labels(got, lie_model(spec))
         if got.twist_rank > 1:

@@ -15,20 +15,19 @@ from itertools import combinations_with_replacement
 
 import pytest
 from dense import connecting_ranks, dense, right, up, windows
+from ladder import ladder
 
 from spectra_dr import bicomplex, tensorops, truncation
 from spectra_dr.bicomplex import BicomplexMap, dual2, total, truncate, verify_total_dual_iso
 from spectra_dr.cochain import ChainMap, CochainComplex, direct_sum, dual
 from spectra_dr.errors import NotChainCompatible, PreconditionViolation, WitnessFailure
 from spectra_dr.linalg import RatMatrix
-from spectra_dr.models import iwasawa_spec, lie_model, product_model, torus_model
 from spectra_dr.randgen import random_double_complex
 from spectra_dr.tensorops import collapse_total_check, quad_tensor, ss_collapse, tensor
 from spectra_dr.truncation import four_term_check, les_check, window_map
 
-T1, T2 = torus_model(1), torus_model(2)
-IW = lie_model(iwasawa_spec())
-MODELS = [T1.complex, T2.complex, IW.complex, product_model(T1, IW).complex]
+T1, T2, IW = (ladder()[name] for name in ("T1", "T2", "IW"))
+MODELS = [ladder()[name].complex for name in ("T1", "T2", "IW", "T1xIW")]
 
 
 def _outcome(fn, *args):
