@@ -37,7 +37,6 @@ from .linalg import (
     kernel_basis,
     rank,
     rat_from,
-    rat_str,
     solve_matrix,
     subquotient,
 )

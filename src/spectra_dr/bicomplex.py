@@ -182,7 +182,6 @@ class BicomplexMap(GradedMap):
     squares are checked eagerly."""
 
     __slots__ = ()
-    _SPACE = DoubleComplex
     _NOUN = "bicomplex map"
     _SQUARE = "bicomplex map square ({name}) at {at} does not commute"
 

@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import sys
+import warnings
 from functools import lru_cache
 
 from . import __version__
@@ -31,6 +32,7 @@ from .models import (
     kunneth_predict,
     leray_hirsch_predict,
     lie_model,
+    point_model,
     product_model,
     projective_bundle_predict,
     torus_model,
@@ -67,6 +69,8 @@ def _load_complex(path: str):
     obj = _read_json(path)
     if not isinstance(obj, dict) or "dims" not in obj:
         raise ParseError("input must be an object with a 'dims' field")
+    if not isinstance(obj["dims"], dict):
+        raise ParseError(f"input field 'dims' must be an object, got {obj['dims']!r}")
     keys = list(obj["dims"])
     if (keys and all("," in str(k) for k in keys)) or obj.keys() & {"support", "d1", "d2"}:
         return DoubleComplex.from_json(obj)
@@ -110,8 +114,8 @@ def _parse_classes(text: str) -> list:
 
 def _model(kind: str, n=None, twist_rank: int = 1, builtin=None, spec=None):
     """The torus or lie model that `model torus|lie` and the model
-    descriptors name (a point is the torus on no generators).  A spec
-    file's own twist rank holds unless twist_rank is not 1."""
+    descriptors name.  A spec file's own twist rank holds unless
+    twist_rank is not 1."""
     if kind == "torus":
         return torus_model(n, twist_rank)
     if builtin is not None:
@@ -131,7 +135,7 @@ def _parse_model(desc: str):
         if kind == "torus" and len(rest) in (1, 2):
             return _model(kind, *map(int, rest))
         if kind == "point" and len(rest) in (0, 1):
-            return _model("torus", 0, *map(int, rest))
+            return point_model(*map(int, rest))
         if kind == "lie" and rest and rest[0] not in BUILTIN_SPECS:
             return _model(kind, spec=":".join(rest))
         if kind == "lie" and len(rest) in (1, 2):
@@ -274,9 +278,14 @@ def _cmd_predict(args) -> int:
     elif args.predictor == "projective":
         value = projective_bundle_predict(x, window, args.degree, args.rank)
     else:
-        value = blowup_predict(
-            x, _parse_model(args.y), window, args.degree, args.codim
-        )
+        # the library's UserWarning as one line, without its source line
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            value = blowup_predict(
+                x, _parse_model(args.y), window, args.degree, args.codim
+            )
+        for w in caught:
+            print(f"warning: {w.message}", file=sys.stderr)
     payload["value"] = value
     _emit(payload, args.format)
     return 0

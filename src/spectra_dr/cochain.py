@@ -174,10 +174,6 @@ class GradedComplex:
                              f" expected {len(cls._STEPS)}")
         return key if len(key) > 1 else key[0]
 
-    def _blocks_json(self, blocks: Mapping) -> dict:
-        """key string -> matrix JSON, keys ascending."""
-        return {self._key_str(k): m.to_json() for k, m in sorted(blocks.items())}
-
     def _head(self) -> dict:
         """The fields the JSON of this kind puts before its pieces."""
         return {}
@@ -188,7 +184,7 @@ class GradedComplex:
         out = self._head()
         out["dims"] = {self._key_str(k): n for k, n in sorted(self._dims.items())}
         for field, d in zip(self._FIELDS, self._diffs):
-            out[field] = self._blocks_json(d)
+            out[field] = {self._key_str(k): m.to_json() for k, m in sorted(d.items())}
         return out
 
     @classmethod
@@ -440,9 +436,8 @@ class GradedMap:
     through the source's `_admit`, with the messages of a complex's blocks,
     and then checks the squares (`_check_squares`).
 
-    A subclass names the kind of complex it maps (`_SPACE`), itself
-    (`_NOUN`) and a failed square (`_SQUARE`, formatted with the name of
-    the differential and the key).
+    A subclass names itself (`_NOUN`) and a failed square (`_SQUARE`,
+    formatted with the name of the differential and the key).
     """
 
     __slots__ = ("source", "target", "_mats")
@@ -525,32 +520,12 @@ class GradedMap:
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.source!r} -> {self.target!r})"
 
-    def to_json(self) -> dict:
-        return {
-            "source": self.source.to_json(),
-            "target": self.target.to_json(),
-            "mats": self.source._blocks_json(self._mats),
-        }
-
-    @classmethod
-    def from_json(cls, obj) -> "GradedMap":
-        space = cls._SPACE
-        try:
-            src = space.from_json(obj["source"])
-            tgt = space.from_json(obj["target"])
-            mats = {space._parse_key(k): RatMatrix.from_json(v)
-                    for k, v in obj.get("mats", {}).items()}
-        except (KeyError, AttributeError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad {cls._NOUN} JSON: {exc}") from None
-        return cls(src, tgt, mats)
-
 
 class ChainMap(GradedMap):
     """Degreewise map commuting with the differentials; squares are checked
     eagerly at construction."""
 
     __slots__ = ()
-    _SPACE = CochainComplex
     _NOUN = "chain map"
     _SQUARE = "chain map square at {at} does not commute"
 

@@ -12,7 +12,7 @@ the rows, and every operation (products, sums, stacking, block placement,
 Kronecker products, transposes, zero tests, hashing) walks the nonzeros
 only.  Every producer keeps the form: a value that may be an integral
 Fraction is stored as ``_canon`` gives it.
-The public boundary is Fraction: ``row``, ``col``, ``m[i, j]`` and
+The public boundary is Fraction: ``row``, ``m[i, j]`` and
 ``rat_from`` hand out Fractions, and ``repr`` and ``to_json`` the same
 strings as for Fractions.  Matrices built by RatMatrix's own operations and
 by the eliminations already hold canonical sparse rows, so they are
@@ -154,12 +154,9 @@ def rat_from(value) -> Fraction:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational literal {value!r}: {exc}") from None
-    raise ParseError(f"not a rational: {value!r} (floats are not accepted)")
-
-
-def rat_str(value: Fraction) -> str:
-    """Serialize a Fraction as "a/b", or "a" when the denominator is 1."""
-    return str(value)
+    if isinstance(value, float):
+        raise ParseError(f"not a rational: {value!r} (floats are not accepted)")
+    raise ParseError(f"not a rational: {value!r}")
 
 
 # -- sparse rows ------------------------------------------------------------
@@ -266,20 +263,15 @@ class RatMatrix:
             data = ((),) * rows
         else:
             entries = list(entries)
-            if len(entries) == rows and all(
+            if len(entries) != rows or not all(
                 isinstance(r, (list, tuple)) for r in entries
             ):
-                if any(len(r) != cols for r in entries):
-                    raise ValidationError("ragged rows in matrix literal")
-                data = tuple(map(_literal_row, entries))
-            elif len(entries) == rows * cols:
-                data = tuple(
-                    _literal_row(entries[i * cols : (i + 1) * cols]) for i in range(rows)
-                )
-            else:
                 raise ValidationError(
-                    f"entry count {len(entries)} does not fit shape {rows}x{cols}"
+                    f"matrix literal must be {rows} rows of {cols} entries"
                 )
+            if any(len(r) != cols for r in entries):
+                raise ValidationError("ragged rows in matrix literal")
+            data = tuple(map(_literal_row, entries))
         _set_rows(self, rows)
         _set_cols(self, cols)
         _set_data(self, data)
@@ -325,11 +317,6 @@ class RatMatrix:
 
         return RatMatrix(rows, cols, packed(), _trusted=True)
 
-    @staticmethod
-    def column(values: Sequence) -> "RatMatrix":
-        vals = list(values)
-        return RatMatrix(len(vals), 1, [[v] for v in vals])
-
     # -- access -----------------------------------------------------------
 
     def __getitem__(self, key) -> Fraction:
@@ -356,13 +343,6 @@ class RatMatrix:
         for c, v in _pairs(self._rows[i]):
             out[c] = _public(v)
         return tuple(out)
-
-    def col(self, j: int) -> tuple:
-        return tuple(self[i, j] for i in range(self.rows))
-
-    def col_matrix(self, j: int) -> "RatMatrix":
-        col = [self._entry(r, j) for r in self._rows]
-        return RatMatrix(self.rows, 1, [(0, x) if x else () for x in col], _trusted=True)
 
     @property
     def shape(self) -> tuple:
@@ -431,17 +411,23 @@ class RatMatrix:
         return RatMatrix(self.cols, self.rows, map(tuple, out), _trusted=True)
 
     def submatrix(self, row_idx: Iterable[int], col_idx: Iterable[int]) -> "RatMatrix":
+        """The rows row_idx, in their order, and the columns col_idx, which
+        must be ints (TypeError), in range (IndexError) and strictly
+        ascending (ValidationError): each row's picks keep their order, so
+        nothing is sorted, and a contiguous run of columns is one slice of
+        each row."""
         ri = list(row_idx)
         ci = list(col_idx)
-        if (set(map(type, ci)) <= {int} and ci == sorted(set(ci))
-                and (not ci or (ci[0] >= 0 and ci[-1] < self.cols))):
-            return self._ascending(ri, ci)
-        return self._any_columns(ri, ci)
-
-    def _ascending(self, ri: list, ci: list) -> "RatMatrix":
-        """submatrix for in-range column indices that ascend without
-        repeats: each row's picks keep their order, so nothing is sorted, and
-        a contiguous run of columns is one slice of each row."""
+        if ci:
+            if set(map(type, ci)) != {int}:  # a bool is no index
+                bad = next(c for c in ci if type(c) is not int)
+                raise TypeError(f"column index {bad!r} is not an int")
+            picks = sorted(set(ci))
+            if picks[0] < 0 or picks[-1] >= self.cols:
+                bad = picks[0] if picks[0] < 0 else picks[-1]
+                raise IndexError(f"column index {bad} out of range for {self.cols} columns")
+            if ci != picks:
+                raise ValidationError("column indices must ascend without repeats")
         rows = self._rows
         if not ci or ci[-1] - ci[0] == len(ci) - 1:
             lo, hi = (ci[0], ci[-1] + 1) if ci else (0, 0)
@@ -458,18 +444,6 @@ class RatMatrix:
             new = {c: k for k, c in enumerate(ci)}
             data = [tuple(x for c, v in _pairs(rows[i]) if c in new for x in (new[c], v))
                     for i in ri]
-        return RatMatrix(len(ri), len(ci), data, _trusted=True)
-
-    def _any_columns(self, ri: list, ci: list) -> "RatMatrix":
-        """submatrix for any column indices: repeats, any order, negative."""
-        where = {}  # original column -> its positions in ci (repeats allowed)
-        for new, c in enumerate(ci):
-            where.setdefault(range(self.cols)[c], []).append(new)
-        rows = self._rows
-        data = []
-        for i in ri:
-            picked = sorted((new, v) for c, v in _pairs(rows[i]) for new in where.get(c, ()))
-            data.append(tuple(x for t in picked for x in t))
         return RatMatrix(len(ri), len(ci), data, _trusted=True)
 
     def select_columns(self, col_idx: Iterable[int]) -> "RatMatrix":
@@ -493,29 +467,6 @@ class RatMatrix:
                     out[i] += _shift(r, off)
             off += m.cols
         return RatMatrix(rows, off, out, _trusted=True)
-
-    @staticmethod
-    def vstack(mats: Sequence["RatMatrix"]) -> "RatMatrix":
-        mats = [m for m in mats]
-        if not mats:
-            raise ValidationError("vstack of nothing")
-        cols = mats[0].cols
-        if any(m.cols != cols for m in mats):
-            raise ValidationError("vstack column mismatch")
-        out = []
-        for m in mats:
-            out.extend(m._rows)
-        return RatMatrix(sum(m.rows for m in mats), cols, out, _trusted=True)
-
-    @staticmethod
-    def block_diag(mats: Sequence["RatMatrix"]) -> "RatMatrix":
-        blocks = []
-        r0 = c0 = 0
-        for m in mats:
-            blocks.append((r0, c0, m))
-            r0 += m.rows
-            c0 += m.cols
-        return RatMatrix.from_blocks(r0, c0, blocks)
 
     @staticmethod
     def from_blocks(rows: int, cols: int, blocks) -> "RatMatrix":
@@ -600,7 +551,7 @@ class RatMatrix:
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> dict:
-        # str of a stored int is rat_str of the same Fraction
+        # str of a stored int is str of the same Fraction
         return {
             "rows": self.rows,
             "cols": self.cols,
@@ -619,7 +570,8 @@ class RatMatrix:
             raise ParseError(f"matrix JSON missing key {exc}") from None
         if type(rows) is not int or type(cols) is not int:  # a bool is no size
             raise ParseError("matrix rows/cols must be integers")
-        if not isinstance(entries, list) or len(entries) != rows:
+        if (not isinstance(entries, list) or len(entries) != rows
+                or not all(isinstance(r, list) for r in entries)):
             raise ParseError("matrix entries must be a list of rows")
         return RatMatrix(rows, cols, entries)
 

@@ -56,14 +56,14 @@ from .linalg import (
     kernel_basis,
     products_vanish,
     rat_from,
-    rat_str,
     subquotient,
 )
-from .spectral import barcode, stabilization_index, window_barcode
+from .spectral import barcode, stabilization_index
 from .tensorops import quad_tensor, ss_collapse
 from .truncation import (
     frolicher_is_equality,
     hodge_filtration_dims,
+    hypercohomology,
     truncate,
 )
 
@@ -113,7 +113,17 @@ def _token_index(tok: int, n: int) -> int:
 class LieModelSpec:
     """Structure constants of a model: n generators plus, for each
     holomorphic generator g, the terms of d(w^g) as (token, token, coeff)
-    wedges.  Conjugate images are implied and never written down."""
+    wedges.  Conjugate images are implied and never written down.
+
+    Any constants that pass the token checks here, and d^2 = 0 on the
+    generators in lie_model, are accepted: the algebra need not be
+    nilpotent, nor unimodular.  The model is then the complex of invariant
+    forms of that Lie algebra, and every number is a number of that complex.
+    It is a Dolbeault model of a compact quotient only where one exists and
+    the invariant forms compute its cohomology, as for the nilmanifolds.  A
+    non-unimodular algebra has no compact quotient: its top-degree integral
+    does not vanish on every exact form, so duality_map raises
+    IntegralNotClosed (the affine algebra {2: [(1, 2, 1)]} at n=2 does)."""
 
     __slots__ = ("n", "twist_rank", "images")
 
@@ -145,19 +155,6 @@ class LieModelSpec:
 
     def __setattr__(self, name, value):
         raise AttributeError("LieModelSpec is immutable")
-
-    def to_json(self):
-        return {
-            "n": self.n,
-            "twist_rank": self.twist_rank,
-            "d": {
-                str(g): [
-                    {"wedge": [ta, tb], "coeff": rat_str(c)}
-                    for ta, tb, c in terms
-                ]
-                for g, terms in sorted(self.images.items())
-            },
-        }
 
     @staticmethod
     def from_json(obj) -> "LieModelSpec":
@@ -247,16 +244,6 @@ class ModelDoubleComplex:
 
     def with_twist_rank(self, m: int) -> "ModelDoubleComplex":
         return _twist(self.base, m)
-
-    def label_str(self, p: int, q: int, pos: int) -> str:
-        c, s, i, j = self.labels[(p, q)][pos]
-        word = "".join(f"w{k + 1}" for k in i) + "".join(f"wb{k + 1}" for k in j)
-        word = word or "1"
-        if s < 0:
-            word = "-" + word
-        if self.twist_rank > 1:
-            word = f"e{c}|" + word
-        return word
 
 
 def _check_counts(n: int, m: int) -> None:
@@ -528,11 +515,6 @@ def bott_chern_dim(k: DoubleComplex, p: int, q: int) -> int:
 # -- dimension predictors -------------------------------------------------
 
 
-def hyper(model: ModelDoubleComplex, window: tuple, k: int) -> int:
-    """Window hypercohomology dimension of the model."""
-    return window_barcode(model.complex, window[0], window[1]).betti.get(k, 0)
-
-
 def kunneth_predict(x: ModelDoubleComplex, y: ModelDoubleComplex,
                     window: tuple, c: int) -> int:
     """Predicted dim H^c of the product in the window: Leray-Hirsch over y
@@ -556,7 +538,7 @@ def leray_hirsch_predict(x: ModelDoubleComplex, window: tuple, k: int,
     spanned by global classes of bidegrees (u_i, v_i), listed (a repeat is
     read once) or mapped to their multiplicities."""
     s, t = window
-    return sum(m * hyper(x, (s - u, t - u), k - u - v)
+    return sum(m * hypercohomology(x.complex, (s - u, t - u), k - u - v)
                for (u, v), m in Counter(classes).items())
 
 
@@ -580,8 +562,8 @@ def blowup_predict(x: ModelDoubleComplex, y: ModelDoubleComplex,
             f"center dimension {y.n} + codimension {r} != ambient {x.n}",
             stacklevel=2,
         )
-    return hyper(x, window, k) + leray_hirsch_predict(y, window, k,
-                                                      [(i, i) for i in range(1, r)])
+    return hypercohomology(x.complex, window, k) + leray_hirsch_predict(
+        y, window, k, [(i, i) for i in range(1, r)])
 
 
 def degeneration_equivalence(x: ModelDoubleComplex, r: int) -> dict:

@@ -221,10 +221,6 @@ def page(k: DoubleComplex, r: int) -> SpectralPage:
     return SpectralPage(r, terms, diffs)
 
 
-def first_page(k: DoubleComplex) -> SpectralPage:
-    return page(k, 1)
-
-
 def first_page_check(k: DoubleComplex) -> Report:
     """dim E_1^{p,q} must equal h^q of column p taken with d2."""
     rep = Report("first_page")

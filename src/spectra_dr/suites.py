@@ -32,7 +32,6 @@ from .errors import EngineError
 from .models import (
     bott_chern_dim,
     duality_map,
-    hyper,
     iwasawa_spec,
     kunneth_predict,
     leray_hirsch_predict,
@@ -47,9 +46,9 @@ from .spectral import (
     convergence_check,
     degenerates_at_first_page,
     filtration_dims,
-    first_page,
     first_page_check,
     limit_page,
+    page,
 )
 from .tensorops import (
     collapse_rows_check,
@@ -67,6 +66,7 @@ from .truncation import (
     frolicher_is_equality,
     hodge_filtration_dims,
     hyper_dims,
+    hypercohomology,
     les_check,
     truncated_total,
 )
@@ -162,7 +162,7 @@ def spectral_suite(seed: int, runs: int) -> Report:
         rep.add("convergence", i, convergence_check(k).ok, True)
         rep.add("first_page", i, first_page_check(k).ok, True)
         lim = limit_page(k)
-        e1 = first_page(k)
+        e1 = page(k, 1)
         flag = degenerates_at_first_page(k)
         same = all(
             e1.dim(p, q) == lim.dim(p, q)
@@ -218,7 +218,7 @@ def models_suite(seed: int, runs: int) -> Report:
 
     rep.add("torus_betti", None, betti_numbers(total(t2.complex)),
             {0: 1, 1: 4, 2: 6, 3: 4, 4: 1})
-    rep.add("torus_window", None, hyper(t2, (1, 2), 2), 5)
+    rep.add("torus_window", None, hypercohomology(t2.complex, (1, 2), 2), 5)
     rep.add("torus_hodge", None, hodge_filtration_dims(t2.complex, 1, 2),
             [4, 2, 0, 0])
     rep.add("iwasawa_h10", None, column_cohomology_dim(iw.complex, 1, 0), 3)
@@ -230,7 +230,7 @@ def models_suite(seed: int, runs: int) -> Report:
 
     prod = product_model(t1, iw)
     for c in range(0, 9):
-        rep.add("kunneth_product", c, hyper(prod, (0, 2), c),
+        rep.add("kunneth_product", c, hypercohomology(prod.complex, (0, 2), c),
                 kunneth_predict(t1, iw, (0, 2), c))
 
     for _ in range(runs):
@@ -241,16 +241,16 @@ def models_suite(seed: int, runs: int) -> Report:
             lambda s=s, t=t: is_cohomology_iso(total_map(duality_map(iw, (s, t)))),
         )
         k = rng.randint(0, 6)
-        rep.add("duality_dims", (s, t, k), hyper(iw, (s, t), k),
-                hyper(iw, (3 - t, 3 - s), 6 - k))
+        rep.add("duality_dims", (s, t, k), hypercohomology(iw.complex, (s, t), k),
+                hypercohomology(iw.complex, (3 - t, 3 - s), 6 - k))
         rep.add(
             "projective_vs_classes", (s, t, k),
             projective_bundle_predict(iw, (s, t), k, 2),
             leray_hirsch_predict(iw, (s, t), k, [(0, 0), (1, 1)]),
         )
     tw = torus_model(2, 2)
-    rep.add("twist_scaling", None, hyper(tw, (0, 2), 2),
-            2 * hyper(t2, (0, 2), 2))
+    rep.add("twist_scaling", None, hypercohomology(tw.complex, (0, 2), 2),
+            2 * hypercohomology(t2.complex, (0, 2), 2))
     return rep
 
 

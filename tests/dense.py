@@ -6,10 +6,18 @@ elimination, assembly, layout or validation code with the engine:
 Gauss-Jordan to the reduced echelon form, complexes summed into a coarser
 grading, such as the total complex of a column window, assembled block by
 block from the parent's stored blocks, and the squares of a double complex
-or of a map multiplied out densely over their bounding box."""
+or of a map multiplied out densely over their bounding box.  M is the
+one literal matrix constructor of the tests."""
 
 from fractions import Fraction
 from functools import cache
+
+from spectra_dr.linalg import RatMatrix
+
+
+def M(rows):
+    """The RatMatrix of a list of rows of rational literals."""
+    return RatMatrix.from_rows(rows)
 
 
 def dense(m):
@@ -131,6 +139,17 @@ def windows(k):
     are."""
     dims = cache(lambda s, t: window_dims(k, s, t))
     return lambda s, t: dims(max(s, k.p_lo), min(t, k.p_hi))
+
+
+def sort_sign(seq):
+    """(the sign of the permutation that sorts seq, the parity of its
+    inversions; the sorted tuple), and (0, ()) when seq repeats an
+    element."""
+    seq = list(seq)
+    if len(set(seq)) < len(seq):
+        return 0, ()
+    inversions = sum(a > b for x, a in enumerate(seq) for b in seq[x + 1:])
+    return (-1) ** inversions, tuple(sorted(seq))
 
 
 def convolve(a, b):

@@ -52,7 +52,7 @@ from spectra_dr.cochain import (
 )
 from spectra_dr.errors import EngineError, NotChainCompatible, ValidationError
 from spectra_dr.linalg import RatMatrix, clear_caches
-from spectra_dr.models import duality_map, hyper
+from spectra_dr.models import duality_map
 from spectra_dr.randgen import random_double_complex
 from spectra_dr.tensorops import quad_slice, quad_tensor, ss_collapse
 from spectra_dr.truncation import (
@@ -262,11 +262,10 @@ def test_a_warm_memo_still_refuses_float_window_bounds(models):
     k = iw.complex
     clear_truncation_cache()
     assert hyper_dims(k, (1, 2)) == {1: 2, 2: 6, 3: 8, 4: 6, 5: 2}
-    assert hyper(iw, (1, 2), 3) == hypercohomology(k, (1, 2), 3) == 8
+    assert hypercohomology(k, (1, 2), 3) == 8
     for bad in ((1.0, 2), (1, 2.0)):
         message = re.escape(f"window bounds must be integers, got {bad}")
-        for call in (lambda: hyper_dims(k, bad), lambda: hypercohomology(k, bad, 3),
-                     lambda: hyper(iw, bad, 3)):
+        for call in (lambda: hyper_dims(k, bad), lambda: hypercohomology(k, bad, 3)):
             with pytest.raises(ValidationError, match=message):
                 call()
     assert truncation.window_barcode.cache_info().currsize == 1

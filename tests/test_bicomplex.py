@@ -2,7 +2,7 @@ import random
 import re
 
 import pytest
-from dense import first_square_failure, first_violation
+from dense import M, first_square_failure, first_violation
 
 from spectra_dr.bicomplex import (
     BicomplexMap,
@@ -30,13 +30,8 @@ from spectra_dr.cochain import (
     shift,
 )
 from spectra_dr.errors import NotChainCompatible, ParseError, ValidationError
-from spectra_dr.linalg import RatMatrix
 from spectra_dr.randgen import random_double_complex, random_matrix
 from spectra_dr.truncation import window_map
-
-
-def M(rows):
-    return RatMatrix.from_rows(rows)
 
 
 def unit_square(p=0, q=0):
@@ -311,8 +306,6 @@ def test_total_map():
 def test_json_round_trip():
     k = unit_square()
     assert DoubleComplex.from_json(k.to_json()) == k
-    f = identity_bicomplex_map(k)
-    assert BicomplexMap.from_json(f.to_json()) == f
     with pytest.raises(ParseError):
         DoubleComplex.from_json({"support": [0, 0, 0, 0]})
     with pytest.raises(ParseError):

@@ -367,6 +367,17 @@ def test_predict_blowup_frozen(capsys):
     assert json.loads(out)["value"] == 7
 
 
+def test_predict_blowup_warns_in_one_line(capsys):
+    """A center whose dimension and codimension do not add up to the
+    ambient one: one warning line on stderr, the value as before."""
+    code, out, err = run(capsys, "predict", "blowup", "--x", "torus:2",
+                         "--y", "torus:1", "--window", "0,2", "--degree", "2",
+                         "--codim", "2", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["value"] == 7
+    assert err == "warning: center dimension 1 + codimension 2 != ambient 2\n"
+
+
 def test_model_spec_file_with_twist_override(capsys, tmp_path):
     spec = {"n": 2, "d": {"2": [{"wedge": [1, -1], "coeff": "1"}]}}
     path = tmp_path / "kt.json"
@@ -476,6 +487,29 @@ IW_TERM = {"wedge": [1, 2], "coeff": "-1"}
 def test_json_booleans_are_refused(capsys, monkeypatch, command, payload, message):
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
     code, out, err = run(capsys, *command)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["cohomology", "spectral", "truncate", "hodge"])
+@pytest.mark.parametrize("dims", [None, 5, True])
+def test_a_dims_field_that_is_not_an_object_is_refused(capsys, monkeypatch, command, dims):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"dims": dims})))
+    extra = {"truncate": ["--window", "0,1"], "hodge": ["--degree", "0"]}.get(command, [])
+    code, out, err = run(capsys, command, "-", *extra)
+    assert (code, out, err) == (2, "", f"error: input field 'dims' must be an object, got {dims!r}\n")
+
+
+@pytest.mark.parametrize("entries,message", [
+    (["1", "2"], "matrix entries must be a list of rows"),  # the flat form
+    ([["1"], "2"], "matrix entries must be a list of rows"),
+    ([["1"], [None]], "not a rational: None"),
+    ([["1"], [[2]]], "not a rational: [2]"),
+    ([["1"], [2.5]], "not a rational: 2.5 (floats are not accepted)"),
+])
+def test_a_matrix_literal_is_rows_of_rationals(capsys, monkeypatch, entries, message):
+    payload = {"dims": {"0": 1, "1": 2}, "diffs": {"0": {"rows": 2, "cols": 1, "entries": entries}}}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+    code, out, err = run(capsys, "cohomology", "-")
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 

@@ -14,8 +14,8 @@ import re
 import pytest
 from ladder import ladder
 
-from spectra_dr.bicomplex import BicomplexMap, DoubleComplex, identity_bicomplex_map, shift2
-from spectra_dr.cochain import ChainMap, CochainComplex, identity_chain_map, shift
+from spectra_dr.bicomplex import DoubleComplex, shift2
+from spectra_dr.cochain import CochainComplex, shift
 from spectra_dr.errors import ParseError, ValidationError
 from spectra_dr.linalg import RatMatrix
 from spectra_dr.models import LieModelSpec, iwasawa_spec, lie_model, torus_model
@@ -111,15 +111,6 @@ def test_from_json_inverts_to_json_as_the_former_bodies_did(complexes):
         assert json.dumps(back.to_json()) == text
 
 
-def test_maps_round_trip_through_the_key_parser():
-    k = random_complex(random.Random(3), span=4)
-    f = identity_chain_map(shift(k, -2))
-    assert ChainMap.from_json(json.loads(json.dumps(f.to_json()))) == f
-    d = shift2(random_double_complex(random.Random(4)), -3, 1)
-    g = identity_bicomplex_map(d)
-    assert BicomplexMap.from_json(json.loads(json.dumps(g.to_json()))) == g
-
-
 M1 = {"rows": 1, "cols": 1, "entries": [["1"]]}
 
 MALFORMED = {
@@ -150,16 +141,6 @@ MALFORMED = {
 def test_every_former_parse_error_is_still_a_parse_error(cls, obj):
     with pytest.raises(ParseError):
         cls.from_json(obj)
-
-
-@pytest.mark.parametrize("cls,space,key", [
-    (ChainMap, CochainComplex({0: 1}), "x"), (ChainMap, CochainComplex({0: 1}), "0,0"),
-    (BicomplexMap, DoubleComplex({(0, 0): 1}), "0"),
-    (BicomplexMap, DoubleComplex({(0, 0): 1}), "0,q"),
-])
-def test_map_keys_go_through_the_same_parser(cls, space, key):
-    with pytest.raises(ParseError):
-        cls.from_json({"source": space.to_json(), "target": space.to_json(), "mats": {key: M1}})
 
 
 def test_key_errors_name_the_kind():

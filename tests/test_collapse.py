@@ -67,7 +67,8 @@ def _seeded_bicomplex_maps(rng):
     yield window_map(k, (b, c), (a, c))
     yield window_map(k, (a, c), (a, b))
     kk = direct_sum2([k, k])
-    yield BicomplexMap(k, kk, {key: RatMatrix.vstack([RatMatrix.identity(n)] * 2)
+    eye = RatMatrix.identity
+    yield BicomplexMap(k, kk, {key: RatMatrix.from_blocks(2 * n, n, [(0, 0, eye(n)), (n, 0, eye(n))])
                                for key, n in k.dims().items()})
     yield parity_iso(random_complex(rng, max_dim=3, span=3),
                      random_complex(rng, max_dim=3, span=3))

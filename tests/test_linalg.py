@@ -3,10 +3,11 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 
 import pytest
-from dense import dense, rref
+from dense import M, dense, rref
 from dense import rank as dense_rank
 
 from spectra_dr.bicomplex import total
@@ -28,15 +29,10 @@ from spectra_dr.linalg import (
     products_vanish,
     rank,
     rat_from,
-    rat_str,
     solve_matrix,
     subquotient,
 )
 from spectra_dr.randgen import random_double_complex, random_unimodular
-
-
-def M(rows):
-    return RatMatrix.from_rows(rows)
 
 
 def rand_matrix(rng, rows, cols, lo=-3, hi=3):
@@ -49,14 +45,17 @@ def test_rational_parsing():
     assert rat_from("3/4") == Fraction(3, 4)
     assert rat_from("-7") == Fraction(-7)
     assert rat_from(5) == Fraction(5)
-    assert rat_str(Fraction(3, 4)) == "3/4"
-    assert rat_str(Fraction(-2)) == "-2"
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=re.escape("not a rational: 0.5 (floats are not accepted)")):
         rat_from(0.5)
     with pytest.raises(ParseError):
         rat_from("1/0")
     with pytest.raises(ParseError):
         rat_from(True)
+    # only a float is told that floats are not accepted
+    for bad in (None, [1], {"a": 1}):
+        with pytest.raises(ParseError) as err:
+            rat_from(bad)
+        assert str(err.value) == f"not a rational: {bad!r}"
 
 
 # -- matrix basics --------------------------------------------------------
@@ -65,8 +64,10 @@ def test_matrix_construction_and_access():
     m = M([[1, 2], [3, "1/2"]])
     assert m.shape == (2, 2)
     assert m[1, 1] == Fraction(1, 2)
-    flat = RatMatrix(2, 2, [1, 2, 3, 4])
-    assert flat.row(1) == (Fraction(3), Fraction(4))
+    assert RatMatrix(2, 2, [[1, 2], [3, 4]]).row(1) == (Fraction(3), Fraction(4))
+    # one literal form, rows of entries: a flat list of rows * cols is refused
+    with pytest.raises(ValidationError, match="must be 2 rows of 2 entries"):
+        RatMatrix(2, 2, [1, 2, 3, 4])
     with pytest.raises(ValidationError):
         RatMatrix(2, 2, [1, 2, 3])
     with pytest.raises(ValidationError):
@@ -103,13 +104,14 @@ def test_arithmetic():
 def test_stack_and_kron():
     a = M([[1, 2]])
     b = M([[3, 4]])
-    assert RatMatrix.vstack([a, b]) == M([[1, 2], [3, 4]])
+    assert RatMatrix.from_blocks(2, 2, [(0, 0, a), (1, 0, b)]) == M([[1, 2], [3, 4]])
     assert RatMatrix.hstack([a, b]) == M([[1, 2, 3, 4]])
-    assert RatMatrix.block_diag([a, b]) == M([[1, 2, 0, 0], [0, 0, 3, 4]])
+    assert RatMatrix.from_blocks(2, 4, [(0, 0, a), (1, 2, b)]) == M([[1, 2, 0, 0], [0, 0, 3, 4]])
     k = RatMatrix.kron(M([[1, 2]]), M([[0, 1], [1, 0]]))
     assert k == M([[0, 1, 0, 2], [1, 0, 2, 0]])
     # kron with identity reproduces block structure
-    assert RatMatrix.kron(RatMatrix.identity(2), a) == RatMatrix.block_diag([a, a])
+    assert RatMatrix.kron(RatMatrix.identity(2), a) == RatMatrix.from_blocks(
+        2, 4, [(0, 0, a), (1, 2, a)])
 
 
 def test_from_blocks_places_each_block():
@@ -162,7 +164,7 @@ def test_from_blocks_reads_the_size_cap(monkeypatch):
     with pytest.raises(ValidationError, match="exceeds SPECTRA_DR_MAX_DIM=8"):
         RatMatrix.from_blocks(9, 1, [])
     with pytest.raises(ValidationError, match="exceeds SPECTRA_DR_MAX_DIM=8"):
-        RatMatrix.block_diag([RatMatrix.identity(5), RatMatrix.identity(4)])
+        RatMatrix.from_blocks(9, 9, [(0, 0, RatMatrix.identity(5)), (5, 5, RatMatrix.identity(4))])
     monkeypatch.setenv("SPECTRA_DR_MAX_DIM", "junk")
     with pytest.raises(ValidationError, match="must be an integer"):
         RatMatrix.from_blocks(1, 1, [])
@@ -172,7 +174,7 @@ def test_from_blocks_reads_the_size_cap(monkeypatch):
 
 def test_hash_and_eq():
     a = M([[1, 2], [2, 4]])
-    b = RatMatrix(2, 2, [1, 2, 2, 4])
+    b = RatMatrix(2, 2, [[1, 2], [2, 4]])
     assert a == b and hash(a) == hash(b)
     assert a != M([[1, 2], [2, 5]])
     with pytest.raises(AttributeError):
@@ -315,10 +317,7 @@ PRODUCERS = {
     "matmul": lambda: _A @ _B,
     "transpose": lambda: _A.transpose(),
     "submatrix": lambda: _A.submatrix([0, 1], [0, 2]),
-    "col_matrix": lambda: _A.col_matrix(1),
     "hstack": lambda: RatMatrix.hstack([_A, _A]),
-    "vstack": lambda: RatMatrix.vstack([_A, _A]),
-    "block_diag": lambda: RatMatrix.block_diag([_A, _B]),
     "kron": lambda: RatMatrix.kron(_SQ, _B),
     "identity": lambda: RatMatrix.identity(3),
     "zeros": lambda: RatMatrix.zeros(2, 3),
@@ -669,13 +668,13 @@ def test_matrix_literal_rejects_non_rationals(bad):
     with pytest.raises(ParseError):
         RatMatrix(2, 2, [[1, 0], [bad, "0"]])
     with pytest.raises(ParseError):
-        RatMatrix(1, 3, [0, "0", bad])
+        RatMatrix(1, 3, [[0, "0", bad]])
 
 
 def test_zero_literals_give_the_zero_matrix():
     assert RatMatrix(2, 3, [["0"] * 3, ["0"] * 3]) == RatMatrix.zeros(2, 3)
     assert RatMatrix(2, 3, [[0] * 3, [0] * 3]) == RatMatrix.zeros(2, 3)
-    assert RatMatrix(2, 2, ["0", 0, "0/7", Fraction(0)]) == RatMatrix.zeros(2, 2)
+    assert RatMatrix(2, 2, [["0", 0], ["0/7", Fraction(0)]]) == RatMatrix.zeros(2, 2)
     assert RatMatrix.from_json({"rows": 1, "cols": 2, "entries": [["0", "0"]]}).is_zero()
     assert M([["0", "-3/6"]]) == M([[0, "-1/2"]])
 
@@ -790,12 +789,16 @@ def _gen(rng, kind):
     if kind == "block":
         blocks = [rand_matrix(rng, rng.randint(0, 3), rng.randint(0, 3), -2, 2)
                   for _ in range(rng.randint(1, 5))]
-        m = RatMatrix.block_diag(blocks)
+        rows = accumulate((b.rows for b in blocks), initial=0)
+        cols = accumulate((b.cols for b in blocks), initial=0)
+        m = RatMatrix.from_blocks(sum(b.rows for b in blocks), sum(b.cols for b in blocks),
+                                  [(r0, c0, b) for r0, c0, b in zip(rows, cols, blocks)])
         ri = list(range(m.rows))
         ci = list(range(m.cols))
         rng.shuffle(ri)
         rng.shuffle(ci)
-        return m.submatrix(ri, ci)
+        # columns in any order: a row pick of the transpose
+        return m.submatrix(ri, range(m.cols)).transpose().submatrix(ci, range(m.rows)).transpose()
     r, c = rng.randint(1, 7), rng.randint(1, 7)
     return RatMatrix(r, c, [[_entries(rng, kind) for _ in range(c)] for _ in range(r)])
 
@@ -855,15 +858,21 @@ def test_algebra_matches_dense_lists(kind):
         assert a @ other == _from_dense(
             [[sum((x * do[k][j] for k, x in enumerate(r) if x), Fraction(0))
               for j in range(other.cols)] for r in da], other.cols)
-        # rows and columns picked with repeats and in any order
+        # rows picked with repeats and in any order, columns ascending; any
+        # other column pick is refused
         ri = [rng.randrange(a.rows) for _ in range(rng.randint(0, 4))] if a.rows else []
         ci = [rng.randrange(n) for _ in range(rng.randint(0, 6))] if n else []
-        assert a.submatrix(ri, ci) == _from_dense([[da[i][j] for j in ci] for i in ri], len(ci))
         kept = sorted(set(ci))
+        assert a.submatrix(ri, kept) == _from_dense([[da[i][j] for j in kept] for i in ri],
+                                                    len(kept))
+        if ci != kept:
+            with pytest.raises(ValidationError):
+                a.submatrix(ri, ci)
         assert a.select_columns(kept) == _from_dense([[r[j] for j in kept] for r in da], len(kept))
         wide = [p + q + p for p, q in zip(da, db)]
         assert RatMatrix.hstack([a, b, a]) == _from_dense(wide, 3 * n)
-        assert RatMatrix.vstack([b, a]) == _from_dense(db + da, n)
+        assert RatMatrix.from_blocks(2 * a.rows, n, [(0, 0, b), (b.rows, 0, a)]) == _from_dense(
+            db + da, n)
         small = rand_matrix(rng, rng.randint(0, 3), rng.randint(0, 3))
         ds = dense(small)
         assert RatMatrix.kron(a, small) == _from_dense(
@@ -884,9 +893,8 @@ def test_algebra_matches_dense_lists(kind):
             i, j = rng.randrange(a.rows), rng.randrange(n)
             assert a[i, j] == da[i][j] and type(a[i, j]) is Fraction
             assert a[i - a.rows, j - n] == da[i][j]
-            assert a.col(j) == tuple(r[j] for r in da)
-            assert a.col_matrix(j) == a.select_columns([j])
-        assert a.to_json()["entries"] == [[rat_str(x) for x in r] for r in da]
+            assert a.transpose().row(j) == tuple(r[j] for r in da)
+        assert a.to_json()["entries"] == [[str(x) for x in r] for r in da]
         assert RatMatrix.from_json(a.to_json()) == a
 
 
@@ -922,7 +930,7 @@ def test_sparse_rank_against_sympy():
             sm = to_sympy(m)
             assert rank(m) == sm.rank()
             assert pivot_columns(m) == sm.rref()[1]
-            want = [_dense_primitive(from_sympy(v).col(0)) for v in sm.nullspace()]
+            want = [_dense_primitive(from_sympy(v).transpose().row(0)) for v in sm.nullspace()]
             assert kernel_basis(m) == _from_columns(m.cols, want)
             consistent = m @ _like(rhs_rng, RatMatrix.zeros(m.cols, rhs_rng.randint(0, 3)), kind)
             for rhs in (consistent, _like(rhs_rng, consistent, kind)):

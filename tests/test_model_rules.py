@@ -11,7 +11,7 @@ import warnings
 from itertools import combinations
 
 import pytest
-from dense import dense, windows
+from dense import dense, sort_sign, windows
 from ladder import every_window, ladder, ladder_windows
 
 from spectra_dr.bicomplex import DoubleComplex, shift2, truncate
@@ -35,11 +35,11 @@ def inversion_sign(i1, j1, i2, j2):
     sorted monomial puts every w before every wb, each block ascending, and
     the sign is the parity of the inversions of the concatenation; a
     repeated generator gives 0."""
-    seq = [(0, g) for g in i1] + [(1, g) for g in j1] + [(0, g) for g in i2] + [(1, g) for g in j2]
-    if len(set(seq)) < len(seq):
+    sign, _ = sort_sign([(0, g) for g in i1] + [(1, g) for g in j1]
+                        + [(0, g) for g in i2] + [(1, g) for g in j2])
+    if not sign:
         return 0, (), ()
-    inversions = sum(a > b for x, a in enumerate(seq) for b in seq[x + 1:])
-    return ((-1) ** inversions, tuple(sorted((*i1, *i2))), tuple(sorted((*j1, *j2))))
+    return sign, tuple(sorted((*i1, *i2))), tuple(sorted((*j1, *j2)))
 
 
 def right_wedge_rows(model, bideg, alpha_bideg, alpha):
@@ -83,7 +83,7 @@ def closed_classes(model):
     for (u, v) in sorted(cx.dims()):
         z1 = kernel_basis(cx.d1(u, v))
         z = z1 @ kernel_basis(cx.d2(u, v) @ z1)
-        out.extend(((u, v), z.col_matrix(c)) for c in range(z.cols))
+        out.extend(((u, v), z.select_columns([c])) for c in range(z.cols))
     return out
 
 

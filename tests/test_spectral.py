@@ -2,13 +2,12 @@ import json
 import random
 
 import pytest
-from dense import filtration, window_dims, windows
+from dense import M, filtration, window_dims, windows
 from ladder import ladder
 
 from spectra_dr import cli, spectral
 from spectra_dr.bicomplex import DoubleComplex, identity_bicomplex_map, total
 from spectra_dr.cochain import betti_numbers, cohomology_dim
-from spectra_dr.linalg import RatMatrix
 from spectra_dr.randgen import (
     _hseg,
     _staircase,
@@ -22,7 +21,6 @@ from spectra_dr.spectral import (
     degenerates_at_first_page,
     e1_iso_implies_total_iso_check,
     filtration_dims,
-    first_page,
     first_page_check,
     first_page_map,
     limit_page,
@@ -32,13 +30,9 @@ from spectra_dr.spectral import (
 )
 
 
-def M(rows):
-    return RatMatrix.from_rows(rows)
-
-
 def test_zero_differentials_degenerate_immediately():
     k = DoubleComplex({(0, 0): 2, (1, 1): 3, (0, 2): 1})
-    p1 = first_page(k)
+    p1 = page(k, 1)
     assert p1.dims() == {(0, 0): 2, (1, 1): 3, (0, 2): 1}
     assert p1.diff_ranks() == {}
     assert limit_page(k).dims() == p1.dims()

@@ -2,7 +2,7 @@ import random
 import re
 
 import pytest
-from dense import betti, convolve
+from dense import M, betti, convolve
 
 from spectra_dr.bicomplex import DoubleComplex, total
 from spectra_dr.cochain import CochainComplex, betti_numbers, cohomology_dim
@@ -22,10 +22,6 @@ from spectra_dr.tensorops import (
     ss_collapse,
     tensor,
 )
-
-
-def M(rows):
-    return RatMatrix.from_rows(rows)
 
 
 def segment():
