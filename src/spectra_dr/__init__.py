@@ -53,7 +53,6 @@ from .cochain import (
 from .bicomplex import (
     BicomplexMap,
     DoubleComplex,
-    dual2,
     shift2,
     total,
     transpose2,

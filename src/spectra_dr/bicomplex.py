@@ -121,11 +121,6 @@ def truncate(s_cx: DoubleComplex, window: tuple) -> DoubleComplex:
 # -- totalization ---------------------------------------------------------
 
 
-def block_offsets(k: DoubleComplex, deg: int) -> list:
-    """(p, q, offset, size) for each block of the total space in degree deg."""
-    return [(*key, off, n) for key, off, n in k._layout().get(deg, ())]
-
-
 def filtration_cut(k: DoubleComplex, p: int, deg: int) -> int:
     """Where column p starts in T^deg: the coordinates from here on span
     F^p T^deg, the blocks with first index >= p."""
@@ -154,13 +149,6 @@ def shift2(k: DoubleComplex, m: int, n: int) -> DoubleComplex:
     m, n = k._grade((m, n))
     return k._part(DoubleComplex, lambda key: True,
                    lambda key: (key[0] - m, key[1] - n), (0, 1))
-
-
-def dual2(k: DoubleComplex) -> DoubleComplex:
-    """Bigraded dual: dim'(p, q) = dim(-p, -q) with
-    d1'^{p,q} = (-1)^{p+q+1} d1^{-p-1,-q}^T and
-    d2'^{p,q} = (-1)^{p+q+1} d2^{-p,-q-1}^T."""
-    return k._dual()
 
 
 def transpose2(k: DoubleComplex) -> DoubleComplex:
@@ -192,11 +180,6 @@ class BicomplexMap(GradedMap):
 def identity_bicomplex_map(k: DoubleComplex) -> BicomplexMap:
     mats = {key: RatMatrix.identity(n) for key, n in k.dims().items()}
     return BicomplexMap(k, k, mats)
-
-
-def compose2(g: BicomplexMap, f: BicomplexMap) -> BicomplexMap:
-    """g o f (apply f first)."""
-    return BicomplexMap._composite(g, f)
 
 
 def total_map(f: BicomplexMap) -> ChainMap:
@@ -236,7 +219,7 @@ def _certified_permutation(src: CochainComplex, tgt: CochainComplex, blocks,
 
 def verify_total_dual_iso(k: DoubleComplex) -> ChainMap:
     """Build the degreewise block-reversal permutation
-    dual(total(K)) -> total(dual2(K)) and certify it is an isomorphism of
+    dual(total(K)) -> total(dual(K)) and certify it is an isomorphism of
     complexes.  Raises WitnessFailure if a square fails or a degree map is
     not bijective (neither should happen for valid input)."""
 
@@ -244,11 +227,11 @@ def verify_total_dual_iso(k: DoubleComplex) -> ChainMap:
         # A^deg blocks mirror T^{-deg} (p ascending); B^deg blocks are the
         # same K-bidegrees visited in the reverse order.
         roff = 0
-        for (_p, _q, aoff, n) in reversed(block_offsets(k, -deg)):
+        for _key, aoff, n in reversed(k._layout().get(-deg, ())):
             yield roff, aoff, n
             roff += n
 
-    return _certified_permutation(dual(total(k)), total(dual2(k)), blocks,
+    return _certified_permutation(dual(total(k)), total(dual(k)), blocks,
                                   ("dual-of-total", "total-of-dual"), "comparison map")
 
 

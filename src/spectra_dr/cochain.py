@@ -15,8 +15,8 @@ its squares are checked like a complex's, by products_vanish over stored
 blocks, so no product matrix is built to be tested for zero.
 
 Every restriction and regrading (truncations, slices, shifts, transposition)
-is one call to GradedComplex._part, both duals are one call to
-GradedComplex._dual, and every collapse of gradings (totals, the quad
+is one call to GradedComplex._part, the dual of every kind (dual) is one
+call to GradedComplex._dual, and every collapse of gradings (totals, the quad
 collapse and the maps between them) is one call to GradedComplex._collapse
 or GradedMap._collapse on the summand layout of GradedComplex._layout; the
 block rule, the dual sign rule and the summand order are stated there.  The
@@ -189,17 +189,26 @@ class GradedComplex:
 
     @classmethod
     def from_json(cls, obj) -> "GradedComplex":
-        """The inverse of to_json: ParseError on malformed JSON, and the
+        """The inverse of to_json: ParseError naming a field that is not an
+        object, a block's own error naming its field and key, and the
         constructor's ValidationError on a well-formed invalid complex."""
         if not isinstance(obj, dict) or "dims" not in obj:
             raise ParseError(f"{cls._NOUN} JSON must be an object with a 'dims' key")
         parse = cls._parse_key
-        try:
-            dims = {parse(k): n for k, n in obj["dims"].items()}
-            diffs = [{parse(k): RatMatrix.from_json(m) for k, m in obj.get(field, {}).items()}
-                     for field in cls._FIELDS]
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad {cls._NOUN} JSON: {exc}") from None
+        for field in ("dims", *cls._FIELDS):
+            if not isinstance(obj.get(field, {}), dict):
+                raise ParseError(f"bad {cls._NOUN} JSON: field {field!r} must be an object,"
+                                 f" got {obj[field]!r}")
+        dims = {parse(k): n for k, n in obj["dims"].items()}
+        diffs = [{} for _ in cls._FIELDS]
+        for field, blocks in zip(cls._FIELDS, diffs):
+            for k, m in obj.get(field, {}).items():
+                key = parse(k)
+                try:
+                    blocks[key] = RatMatrix.from_json(m)
+                except (ParseError, ValidationError) as exc:
+                    raise type(exc)(f"bad {cls._NOUN} JSON: {field} at"
+                                    f" {cls._AT.format(key)}: {exc}") from None
         return cls(dims, *diffs)
 
     def __setattr__(self, name, value):
@@ -416,8 +425,8 @@ def shift(k_complex: CochainComplex, m: int) -> CochainComplex:
     return k_complex._part(CochainComplex, lambda k: True, lambda k: k - m, (0,))
 
 
-def dual(k_complex: CochainComplex) -> CochainComplex:
-    """Linear dual: dual(K)^k = (K^{-k})* with d^k = (-1)^{k+1} d_K^{-k-1}^T."""
+def dual(k_complex: GradedComplex) -> GradedComplex:
+    """Linear dual of a complex of any kind, by the sign rule of GradedComplex._dual."""
     return k_complex._dual()
 
 
@@ -538,9 +547,9 @@ def identity_chain_map(k_complex: CochainComplex) -> ChainMap:
     return ChainMap(k_complex, k_complex, mats)
 
 
-def compose(g: ChainMap, f: ChainMap) -> ChainMap:
-    """g o f (apply f first)."""
-    return ChainMap._composite(g, f)
+def compose(g: GradedMap, f: GradedMap) -> GradedMap:
+    """g o f (apply f first), for two chain maps or two bicomplex maps."""
+    return type(f)._composite(g, f)
 
 
 def cohomology_map(f: ChainMap, k: int) -> RatMatrix:

@@ -51,10 +51,11 @@ name is, empties them all.
 
 A Subquotient packages (cycles mod boundaries) inside a fixed ambient space;
 every cohomology group, spectral-sequence term and Bott-Chern group in the
-package is one of these.  Its representatives are the columns of Z that stay
-nonzero in that reduction: exactly the cycles a greedy left-to-right scan
-would add to the boundaries.  The count of nonzero columns certifies that
-the boundaries lie in the cycle span.
+package is one of these, and every map between two of them (the connecting
+maps of truncation too) is induced_map.  Its representatives are the
+columns of Z that stay nonzero in that reduction: exactly the cycles a
+greedy left-to-right scan would add to the boundaries.  The count of
+nonzero columns certifies that the boundaries lie in the cycle span.
 """
 
 from __future__ import annotations
@@ -813,24 +814,6 @@ class Subquotient:
     @property
     def dim(self) -> int:
         return self.representative_basis.cols
-
-    def reduce(self, vectors: RatMatrix) -> RatMatrix:
-        """Coordinates of cycle columns in the representative basis mod
-        boundaries; raises ContainmentViolation when a column is not a cycle."""
-        if vectors.rows != self.ambient_dim:
-            raise ValidationError(
-                f"reduce expects ambient dim {self.ambient_dim}, got {vectors.rows}"
-            )
-        combined = self._basis()
-        if combined.cols == 0:
-            if not vectors.is_zero():
-                raise ContainmentViolation("vector outside the zero subquotient")
-            return RatMatrix.zeros(0, vectors.cols)
-        x = solve_matrix(combined, vectors)
-        if x is None:
-            raise ContainmentViolation("vector not in the cycle span")
-        nb = self.boundary_basis.cols
-        return x.submatrix(range(nb, x.rows), range(x.cols))
 
     def _basis(self) -> RatMatrix:
         """[B | R]: boundaries, then representatives, a basis of the cycles."""

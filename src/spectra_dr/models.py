@@ -41,7 +41,8 @@ from collections import Counter
 from itertools import combinations
 from math import comb
 
-from .bicomplex import BicomplexMap, DoubleComplex, direct_sum2, dual2, shift2
+from .bicomplex import BicomplexMap, DoubleComplex, direct_sum2, shift2
+from .cochain import dual
 from .errors import (
     IntegralNotClosed,
     JacobiViolation,
@@ -487,7 +488,7 @@ def duality_map(model: ModelDoubleComplex, window: tuple) -> BicomplexMap:
         if not products_vanish((top, dmat)):
             raise IntegralNotClosed(f"top-degree form with nonzero d-integral at ({a},{b})")
     src = truncate(model.complex, (s, t))
-    tgt = shift2(dual2(truncate(model.complex, (n - t, n - s))), -n, -n)
+    tgt = shift2(dual(truncate(model.complex, (n - t, n - s))), -n, -n)
     mats = {}
     for (a, b), cols in src.dims().items():
         comp_look = model.lookup(n - a, n - b)
@@ -542,12 +543,16 @@ def leray_hirsch_predict(x: ModelDoubleComplex, window: tuple, k: int,
                for (u, v), m in Counter(classes).items())
 
 
+def _check_bundle_rank(r: int) -> None:
+    if r < 1:
+        raise PreconditionViolation(f"bundle rank must be positive, got {r}")
+
+
 def projective_bundle_predict(x: ModelDoubleComplex, window: tuple, k: int,
                               r: int) -> int:
     """Projectivized rank-r bundle: Leray-Hirsch over the powers h^i,
     i < r, of the hyperplane class, of bidegree (i, i)."""
-    if r < 1:
-        raise PreconditionViolation(f"bundle rank must be positive, got {r}")
+    _check_bundle_rank(r)
     return leray_hirsch_predict(x, window, k, [(i, i) for i in range(r)])
 
 
@@ -573,8 +578,7 @@ def degeneration_equivalence(x: ModelDoubleComplex, r: int) -> dict:
     the windows (s-i, t-i), i < r, clamped to the base range; the aggregates
     over all windows agree, and the returned dict shows both sides.
     """
-    if r < 1:
-        raise PreconditionViolation(f"bundle rank must be positive, got {r}")
+    _check_bundle_rank(r)
     n = x.n
     base = {}
     for s in range(n + 1):
@@ -605,8 +609,7 @@ def hodge_filtration_projective_predict(x: ModelDoubleComplex, k: int,
                                         r: int) -> list:
     """Filtration image dimensions of a projectivized rank-r bundle, from
     the base filtration with clamped index shifts."""
-    if r < 1:
-        raise PreconditionViolation(f"bundle rank must be positive, got {r}")
+    _check_bundle_rank(r)
     n = x.n
     nb = n + r - 1
     layers = [hodge_filtration_dims(x.complex, k - 2 * i, n) for i in range(r)]

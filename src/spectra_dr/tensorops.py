@@ -33,7 +33,6 @@ from .bicomplex import (
     DoubleComplex,
     BicomplexMap,
     _certified_permutation,
-    block_offsets,
     row_complex,
     total,
 )
@@ -232,12 +231,12 @@ def collapse_total_check(k: DoubleComplex, l: DoubleComplex) -> ChainMap:
                    for cell, coff, size in a._layout()[kl]}
         # target index: by a = p+r asc; within, (total K)^a (x) (total L)^b is
         # K-major, and each total splits into its own p-asc / q-asc blocks
-        for (aa, bb, toff, _sz) in block_offsets(big, n):
-            k_cells = block_offsets(k, aa)
-            l_cells = block_offsets(l, bb)
-            l_total = sum(c[3] for c in l_cells)
-            for (p, r, koff, ksz) in k_cells:
-                for (q, s, loff, lsz) in l_cells:
+        for (aa, bb), toff, _sz in big._layout().get(n, ()):
+            k_cells = k._layout().get(aa, ())
+            l_cells = l._layout().get(bb, ())
+            l_total = sum(c[2] for c in l_cells)
+            for (p, r), koff, ksz in k_cells:
+                for (q, s), loff, lsz in l_cells:
                     base = toff + koff * l_total
                     spos, ssz = src_pos[(p, q, r, s)]
                     if ssz != ksz * lsz:

@@ -9,10 +9,8 @@ The degreewise dimension of the cohomology of the truncated total complex is
 what the geometric layer calls hypercohomology of the window.  It is the
 number of unpaired elements in the window's barcode (spectral.window_barcode,
 memoised per (complex, s, t) and called directly by the hot reads, because
-the predictor formulas evaluate it thousands of times).  The assembled
-truncated total (truncated_total) stays for what needs real matrices: the
-exact-sequence witnesses, and the full-window check of the truncation
-suite.
+the predictor formulas evaluate it thousands of times).  truncated_total
+assembles a window's total for a caller that needs its matrices.
 
 Nested windows are compared by the identity on the pieces both truncations
 share (a shared piece has one dimension in both).  Two shapes are chain
@@ -28,8 +26,8 @@ Chaining them gives the four-term sequence
   0 -> S(s,t) -> S(r,t) -> S(r,s-1) -> 0        (r <= s <= t)
 
 whose long exact cohomology sequence is built here with an explicit
-connecting map: lift a class by the coordinate section, apply the ambient
-total differential, certify the result lands in the subcomplex, reduce.
+connecting map: lift the cycles by the coordinate section, apply the ambient
+total differential, certify every cycle lands in the subcomplex, take induced_map.
 Both checks truncate (and total) each of their windows once.
 """
 
@@ -51,7 +49,7 @@ from .cochain import (
     cohomology_map,
 )
 from .errors import PreconditionViolation, WitnessFailure
-from .linalg import RatMatrix, clear_caches, memo, products_vanish, rank
+from .linalg import RatMatrix, clear_caches, induced_map, memo, products_vanish, rank
 from .report import Report
 from .spectral import window_barcode
 
@@ -124,22 +122,23 @@ def four_term_check(s_cx: DoubleComplex, s: int, s_prime: int, t: int,
 # -- long exact sequence --------------------------------------------------
 
 
+def _les_windows(s_cx: DoubleComplex, r: int, s: int, t: int) -> tuple:
+    """The windows A = S(s,t), B = S(r,t), C = S(r,s-1); needs r <= s <= t."""
+    if not (r <= s <= t):
+        raise PreconditionViolation(f"need r <= s <= t, got {r}, {s}, {t}")
+    return truncate(s_cx, (s, t)), truncate(s_cx, (r, t)), truncate(s_cx, (r, s - 1))
+
+
 def connecting_matrix(s_cx: DoubleComplex, r: int, s: int, t: int, k: int) -> RatMatrix:
     """Matrix of the connecting map H^k(S(r,s-1)) -> H^{k+1}(S(s,t)) of the
     short exact sequence 0 -> S(s,t) -> S(r,t) -> S(r,s-1) -> 0.
 
-    Construction: lift representatives through the coordinate section into
-    the middle window, apply its total differential, certify the result has
-    no components left in the quotient columns, and reduce in the
-    subcomplex — any failure raises instead of silently producing garbage.
+    Construction: lift the cycles through the coordinate section into the
+    middle window, apply its total differential, certify no cycle leaves the
+    subcomplex (WitnessFailure), and take the map induced_map reads there.
     """
-    if not (r <= s <= t):
-        raise PreconditionViolation(f"need r <= s <= t, got {r}, {s}, {t}")
-    a = truncate(s_cx, (s, t))
-    b = truncate(s_cx, (r, t))
-    c = truncate(s_cx, (r, s - 1))
-    tb = total(b)
-    return _connecting(b, total(a), tb, total(c), s, k)
+    a, b, c = _les_windows(s_cx, r, s, t)
+    return _connecting(b, total(a), total(b), total(c), s, k)
 
 
 def _connecting(b: DoubleComplex, ta: CochainComplex, tb: CochainComplex,
@@ -151,24 +150,19 @@ def _connecting(b: DoubleComplex, ta: CochainComplex, tb: CochainComplex,
     if h_c.dim == 0 or ta.dim(k + 1) == 0:
         return RatMatrix.zeros(h_a.dim, h_c.dim)
     # the coordinate section: T^k(C) is the prefix of T^k(B) below column s
-    lifted = tb.diff(k).select_columns(range(tc.dim(k))) @ h_c.representative_basis
-    # certify: the image must vanish on the quotient columns (p < s)
+    lift = tb.diff(k).select_columns(range(tc.dim(k)))
+    # certify: every cycle's image vanishes on the quotient columns (p < s)
     cut = filtration_cut(b, s, k + 1)
-    if not lifted.submatrix(range(cut), range(lifted.cols)).is_zero():
+    if not products_vanish((lift.submatrix(range(cut), range(lift.cols)), h_c.cycle_basis)):
         raise WitnessFailure("connecting map left a component in the quotient window")
-    restricted = lifted.submatrix(range(cut, lifted.rows), range(lifted.cols))
     # rows kept in ambient order coincide with A's own block layout
-    return h_a.reduce(restricted)
+    return induced_map(lift.submatrix(range(cut, lift.rows), range(lift.cols)), h_c, h_a)
 
 
 def les_check(s_cx: DoubleComplex, r: int, s: int, t: int) -> Report:
     """Exactness of ... -> H^k(A) -> H^k(B) -> H^k(C) -> H^{k+1}(A) -> ...
     for A = S(s,t), B = S(r,t), C = S(r,s-1), at every node."""
-    if not (r <= s <= t):
-        raise PreconditionViolation(f"need r <= s <= t, got {r}, {s}, {t}")
-    a = truncate(s_cx, (s, t))
-    b = truncate(s_cx, (r, t))
-    c = truncate(s_cx, (r, s - 1))
+    a, b, c = _les_windows(s_cx, r, s, t)
     inc = total_map(_overlap_map(a, b))
     proj = total_map(_overlap_map(b, c))
     ta, tb, tc = total(a), total(b), total(c)

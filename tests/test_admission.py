@@ -406,8 +406,9 @@ def test_a_map_block_that_is_not_a_matrix_is_refused_by_name(models):
 def test_witnesses_and_map_admission_build_no_products(monkeypatch, models):
     """Squares, compositions, closedness and the Stokes condition are zero
     tests of products, made without building the product.  What les_check
-    still multiplies is the lifts of its connecting maps and its induced
-    maps."""
+    still multiplies is, in each induced map, the ambient matrix by the
+    source's basis; the certification of a connecting map on every cycle
+    is a zero test and adds none."""
     iw, iwiw = models["IW"], models["IWxIW"].complex
     real = RatMatrix.__matmul__
     count = []

@@ -8,11 +8,8 @@ from spectra_dr.bicomplex import (
     BicomplexMap,
     DoubleComplex,
     ZERO_DOUBLE,
-    block_offsets,
     column_complex,
-    compose2,
     direct_sum2,
-    dual2,
     identity_bicomplex_map,
     row_complex,
     shift2,
@@ -25,6 +22,7 @@ from spectra_dr.cochain import (
     ChainMap,
     betti_numbers,
     cohomology_dim,
+    compose,
     dual,
     identity_chain_map,
     shift,
@@ -194,15 +192,15 @@ def test_total_of_unit_square_is_exact():
     t = total(unit_square())
     assert t.dims() == {0: 1, 1: 2, 2: 1}
     # block order at degree 1: (0,1) before (1,0)
-    assert [(p, q) for p, q, _off, _n in block_offsets(unit_square(), 1)] == [(0, 1), (1, 0)]
+    assert [key for key, _off, _n in unit_square()._layout()[1]] == [(0, 1), (1, 0)]
     assert t.diff(0) == M([[1], [1]])
     assert t.diff(1) == M([[1, -1]])
     assert betti_numbers(t) == {0: 0, 1: 0, 2: 0}
 
 
-def test_block_offsets():
+def test_total_layout():
     k = DoubleComplex({(0, 1): 2, (1, 0): 3})
-    assert block_offsets(k, 1) == [(0, 1, 0, 2), (1, 0, 2, 3)]
+    assert k._layout() == {1: [((0, 1), 0, 2), ((1, 0), 2, 3)]}
     assert total(k).dim(1) == 5
 
 
@@ -225,13 +223,13 @@ def test_shift2_total_compatibility():
         assert total(shift2(k, m, n)) == shift(total(k), m + n)
 
 
-def test_dual2_is_valid_and_involutive_on_dims():
+def test_bigraded_dual_is_valid_and_involutive_on_dims():
     rng = random.Random(12)
     for _ in range(10):
         k = random_double_complex(rng)
-        d = dual2(k)  # construction validates the sign conventions
-        assert d.dim(1, 2) == k.dim(-1, -2)
-        dd = dual2(d)
+        d = dual(k)  # construction validates the sign conventions
+        assert type(d) is DoubleComplex and d.dim(1, 2) == k.dim(-1, -2)
+        dd = dual(d)
         assert dd.dims() == k.dims()
 
 
@@ -250,7 +248,7 @@ def test_verify_total_dual_iso_frozen():
     k = unit_square()
     w = verify_total_dual_iso(k)
     assert w.source == dual(total(k))
-    assert w.target == total(dual2(k))
+    assert w.target == total(dual(k))
     # at degree -1 the two blocks get swapped
     assert w.mat(-1) == M([[0, 1], [1, 0]])
 
@@ -300,7 +298,15 @@ def test_total_map():
     )
     tm = total_map(doubled)
     assert tm.mat(1) == M([[2, 0], [0, 2]])
-    assert compose2(doubled, doubled).mat(0, 0) == M([[4]])
+    assert compose(doubled, doubled).mat(0, 0) == M([[4]])
+
+
+def test_compose_keeps_the_message_of_each_kind():
+    k, moved = unit_square(), unit_square(1, 0)
+    with pytest.raises(ValidationError, match="^bicomplex maps not composable$"):
+        compose(identity_bicomplex_map(moved), identity_bicomplex_map(k))
+    with pytest.raises(ValidationError, match="^chain maps not composable$"):
+        compose(identity_chain_map(total(moved)), identity_chain_map(total(k)))
 
 
 def test_json_round_trip():

@@ -487,7 +487,11 @@ IW_TERM = {"wedge": [1, 2], "coeff": "-1"}
 def test_json_booleans_are_refused(capsys, monkeypatch, command, payload, message):
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
     code, out, err = run(capsys, *command)
-    assert (code, out, err) == (2, "", f"error: {message}\n")
+    # a block's error is named by its field and key
+    block = {"diffs": "bad cochain JSON: diffs at degree 0: ",
+             "d1": "bad double complex JSON: d1 at (0,0): "}
+    prefix = next((block[field] for field in block if field in payload), "")
+    assert (code, out, err) == (2, "", f"error: {prefix}{message}\n")
 
 
 @pytest.mark.parametrize("command", ["cohomology", "spectral", "truncate", "hodge"])
@@ -508,6 +512,20 @@ def test_a_dims_field_that_is_not_an_object_is_refused(capsys, monkeypatch, comm
 ])
 def test_a_matrix_literal_is_rows_of_rationals(capsys, monkeypatch, entries, message):
     payload = {"dims": {"0": 1, "1": 2}, "diffs": {"0": {"rows": 2, "cols": 1, "entries": entries}}}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+    code, out, err = run(capsys, "cohomology", "-")
+    assert (code, out, err) == (2, "", f"error: bad cochain JSON: diffs at degree 0: {message}\n")
+
+
+@pytest.mark.parametrize("payload,message", [
+    ({"dims": {"0": 1}, "diffs": []},
+     "bad cochain JSON: field 'diffs' must be an object, got []"),
+    ({"dims": {"0,0": 1}, "d1": 5},
+     "bad double complex JSON: field 'd1' must be an object, got 5"),
+    ({"dims": {"0": 1, "1": 1}, "diffs": {"0": {"rows": 1, "cols": 1, "entries": [["1", "2"]]}}},
+     "bad cochain JSON: diffs at degree 0: ragged rows in matrix literal"),
+])
+def test_a_malformed_field_or_block_is_named(capsys, monkeypatch, payload, message):
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
     code, out, err = run(capsys, "cohomology", "-")
     assert (code, out, err) == (2, "", f"error: {message}\n")

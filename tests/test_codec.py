@@ -209,6 +209,24 @@ def test_a_boolean_or_float_matrix_shape_is_refused(obj):
         RatMatrix.from_json(obj)
 
 
+@pytest.mark.parametrize("cls,obj,kind,message", [
+    (CochainComplex, {"dims": {"0": 1}, "diffs": None}, ParseError,
+     "bad cochain JSON: field 'diffs' must be an object, got None"),
+    (DoubleComplex, {"dims": [], "d1": {}}, ParseError,
+     "bad double complex JSON: field 'dims' must be an object, got []"),
+    (QuadComplex, {"dims": {}, "d3": "x"}, ParseError,
+     "bad quad complex JSON: field 'd3' must be an object, got 'x'"),
+    (CochainComplex, {"dims": {"0": 1}, "diffs": {"0": {"rows": 1, "cols": 1}}}, ParseError,
+     "bad cochain JSON: diffs at degree 0: matrix JSON missing key 'entries'"),
+    (DoubleComplex, {"dims": {}, "d2": {"1,-1": {"rows": 1, "cols": 2, "entries": [["1"]]}}},
+     ValidationError, "bad double complex JSON: d2 at (1,-1): ragged rows in matrix literal"),
+])
+def test_a_parse_error_names_the_field_and_the_block(cls, obj, kind, message):
+    with pytest.raises(kind) as info:
+        cls.from_json(obj)
+    assert type(info.value) is kind and str(info.value) == message
+
+
 IW_TERM = {"wedge": [1, 2], "coeff": "-1"}
 
 

@@ -2,7 +2,7 @@
 that shares no code with the graded core: dense.collapsed places each
 stored block at its source and target offsets, summands back to back in
 ascending key order, which is the layout contract of GradedComplex._layout.
-block_offsets and the filtration cut are read against the piece
+_layout and the filtration cut are read against the piece
 dimensions, connecting maps against the ranks exactness fixes from dense
 window dimensions."""
 
@@ -16,7 +16,6 @@ from ladder import padded
 from spectra_dr.bicomplex import (
     BicomplexMap,
     DoubleComplex,
-    block_offsets,
     direct_sum2,
     filtration_cut,
     identity_bicomplex_map,
@@ -49,8 +48,8 @@ def test_totals_and_layouts_match_the_old_bodies():
             want = diffs.get(deg, [[0] * t.dim(deg)] * t.dim(deg + 1))
             assert dense(t.diff(deg)) == want
             pieces = sorted((p, q) for p, q in k.dims() if p + q == deg)
-            assert block_offsets(k, deg) == [(p, q, offsets[p, q], k.dim(p, q))
-                                             for p, q in pieces]
+            assert k._layout().get(deg, []) == [((p, q), offsets[p, q], k.dim(p, q))
+                                                for p, q in pieces]
             for p in padded(k.p_lo, k.p_hi):
                 assert filtration_cut(k, p, deg) == sum(k.dim(c, deg - c) for c, _q in pieces
                                                         if c < p)

@@ -16,7 +16,6 @@ from ladder import padded
 from spectra_dr.bicomplex import (
     DoubleComplex,
     column_complex,
-    dual2,
     row_complex,
     shift2,
     transpose2,
@@ -81,7 +80,7 @@ def test_double_complex_parts_match_the_old_bodies(chunk):
                         lambda key: (key[0] - m, key[1] - n), d12)
         _check_part(transpose2(k), DoubleComplex, k, _everything, lambda key: key[::-1],
                     d12[::-1])
-        _check_dual(dual2(k), k, lambda key: (-key[0], -key[1]), sum, (right, up))
+        _check_dual(dual(k), k, lambda key: (-key[0], -key[1]), sum, (right, up))
 
 
 def test_cochain_parts_match_the_old_bodies():

@@ -55,8 +55,7 @@ KEEP = {
                                            " projective bundle, from its base",
     "e1_iso_implies_total_iso_check": "statement: an isomorphism on E_1 is one on"
                                       " total cohomology",
-    "compose": "composition of chain maps",
-    "compose2": "composition of bicomplex maps",
+    "compose": "composition of chain maps or of bicomplex maps",
     "identity_chain_map": "the identity chain map",
     "identity_bicomplex_map": "the identity bicomplex map",
     "column_complex": "row q of a double complex with d1, the partner of row_complex",
@@ -68,6 +67,8 @@ KEEP = {
                          " reads on totals it already holds",
     "wedge": "the wedge product of two elements of a model",
     "integral": "integration of a top-degree element against the fundamental class",
+    "truncated_total": "the assembled total of a window, memoised, for a caller that"
+                       " needs its matrices rather than its barcode",
 }
 
 

@@ -1,12 +1,16 @@
 import random
+from collections import Counter
 
 import pytest
 from dense import window_dims
 
+from spectra_dr import truncation
 from spectra_dr.bicomplex import DoubleComplex, total, total_map
-from spectra_dr.errors import NotChainCompatible, PreconditionViolation
+from spectra_dr.errors import NotChainCompatible, PreconditionViolation, WitnessFailure
 from spectra_dr.linalg import RatMatrix
 from spectra_dr.randgen import random_double_complex
+from spectra_dr.spectral import Barcode
+from spectra_dr.suites import truncation_suite
 from spectra_dr.truncation import (
     connecting_matrix,
     four_term_check,
@@ -104,6 +108,15 @@ def test_connecting_matrix_arrow(arrow):
     assert les_check(arrow, 0, 1, 1).ok
 
 
+def test_a_lift_left_in_the_quotient_window_raises(arrow, monkeypatch):
+    # with the cut moved past the last row, every row of the lift counts as
+    # a quotient row, and the arrow's connecting map is nonzero there
+    monkeypatch.setattr(truncation, "filtration_cut", lambda b, s, deg: total(b).dim(deg))
+    with pytest.raises(WitnessFailure,
+                       match="^connecting map left a component in the quotient window$"):
+        connecting_matrix(arrow, 0, 1, 1, 0)
+
+
 def test_les_precondition(arrow):
     with pytest.raises(PreconditionViolation):
         connecting_matrix(arrow, 1, 0, 1, 0)
@@ -153,6 +166,31 @@ def test_full_window_is_total():
         betti = window_dims(k, k.p_lo, k.p_hi)
         for deg in total(k).degrees():
             assert hypercohomology(k, (k.p_lo, k.p_hi), deg) == betti.get(deg, 0)
+
+
+def test_a_dropped_unpaired_element_fails_the_full_window_line(monkeypatch):
+    """The truncation suite's full_window line compares the full window's
+    barcode with the Betti numbers of the total, so a window barcode that
+    drops one unpaired element fails that line itself."""
+    assert truncation_suite(0, 10).ok
+    real = truncation.window_barcode
+
+    def dropped(s_cx, s, t):
+        bar = real(s_cx, s, t)
+        unpaired, betti = Counter(bar.unpaired), dict(bar.betti)
+        for (p, q), n in sorted(unpaired.items()):
+            if n:
+                unpaired[p, q] -= 1
+                betti[p + q] -= 1
+                break
+        return Barcode(bar.pairs, unpaired, betti)
+
+    monkeypatch.setattr(truncation, "window_barcode", dropped)
+    failed = [line for line in truncation_suite(0, 10).failures()
+              if line.check == "full_window"]
+    assert len(failed) >= 5
+    for line in failed:
+        assert sum(line.lhs.values()) == sum(line.rhs.values()) - 1
 
 
 def test_euler_identity_random():
