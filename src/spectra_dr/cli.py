@@ -65,15 +65,13 @@ def _read_json(path: str):
 
 def _load_complex(path: str):
     """A cochain or double complex, told apart by the dims key shape or, for
-    a complex with no pieces, by a double complex's own fields."""
+    a complex with no pieces, by a double complex's own fields; from_json
+    refuses an input or a dims that is not an object."""
     obj = _read_json(path)
-    if not isinstance(obj, dict) or "dims" not in obj:
-        raise ParseError("input must be an object with a 'dims' field")
-    if not isinstance(obj["dims"], dict):
-        raise ParseError(f"input field 'dims' must be an object, got {obj['dims']!r}")
-    keys = list(obj["dims"])
-    if (keys and all("," in str(k) for k in keys)) or obj.keys() & {"support", "d1", "d2"}:
-        return DoubleComplex.from_json(obj)
+    if isinstance(obj, dict):
+        keys = list(obj["dims"]) if isinstance(obj.get("dims"), dict) else []
+        if (keys and all("," in str(k) for k in keys)) or obj.keys() & {"support", "d1", "d2"}:
+            return DoubleComplex.from_json(obj)
     return CochainComplex.from_json(obj)
 
 

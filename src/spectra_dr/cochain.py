@@ -71,7 +71,7 @@ class GradedComplex:
     map commutes with each summand.
     """
 
-    __slots__ = ("_dims", "_diffs", "_hash", "_cells")
+    __slots__ = ("_dims", "_diffs", "_hash", "_cells", "__weakref__")
     _AT = "{0}"
     _PIECE = "piece"
     _neg = staticmethod(lambda key: tuple(-x for x in key))

@@ -45,9 +45,13 @@ against the columns of the matrix and reads the solution off its V column,
 held only at pivot columns, so free variables are zero; subquotient keeps
 the nonzero columns of one reduction of [boundaries | Z].
 
-Memos.  Every memo of the package is declared with memo (an unbounded,
-typed lru_cache, keyed on the cap too); clear_caches, which every clear_*
-name is, empties them all.
+Memos.  Every memo of the package is unbounded, keyed on the raw cap and on
+its arguments' types, and recorded in one registry; clear_caches, which
+every clear_* name is, empties them all.  A memo keyed by a complex is
+declared with memo and lives as long as its complex: each entry is filed
+under a weak reference to the first argument and goes when it goes.  The
+three matrix memos (rank, kernel_basis, pivot_columns) are lru_caches keyed
+by value, because their hits come from equal matrices built again.
 
 A Subquotient packages (cycles mod boundaries) inside a fixed ambient space;
 every cohomology group, spectral-sequence term and Bott-Chern group in the
@@ -62,12 +66,14 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, wraps
 from itertools import accumulate
 from math import gcd
 from operator import neg
 from typing import Iterable, Mapping, Sequence
+from weakref import ref
 
 from .errors import ContainmentViolation, NotChainCompatible, ParseError, ValidationError
 
@@ -115,18 +121,116 @@ def check_piece_dims(dims: Mapping, context: str = "", noun: str = "piece") -> N
 
 _MEMOS: list = []
 
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _Held:
+    """An argument as a memo key holds it: weakly.  It hashes as the
+    argument and equals it while the argument lives, so a lookup by the
+    argument itself finds the entry."""
+
+    __slots__ = ("ref", "hash")
+
+    def __init__(self, obj):
+        self.ref, self.hash = ref(obj), hash(obj)
+
+    def __hash__(self) -> int:
+        return self.hash
+
+    def __eq__(self, other) -> bool:
+        obj = self.ref()
+        return obj is other or obj == other
+
 
 def memo(fn):
-    """An unbounded, typed lru_cache of fn, a function of one to three
-    positional arguments, whose key also holds the raw SPECTRA_DR_MAX_DIM
-    value; recorded so that clear_caches empties it.  A call with 1.0 for
-    1, or under another cap, misses, and meets the checks of the cold path."""
-    cached = lru_cache(maxsize=None, typed=True)(lambda _cap, *args: fn(*args))
-    get, key = _ENVIRON.get, _MAX_DIM_KEY
-    # a caller of fn's own arity: a starred call costs more than the hit
-    memoised = wraps(fn)({1: lambda a: cached(get(key), a),
-                          2: lambda a, b: cached(get(key), a, b),
-                          3: lambda a, b, c: cached(get(key), a, b, c)}[fn.__code__.co_argcount])
+    """An unbounded memo of fn, a function of one to three positional
+    arguments whose first is a complex, that lives as long as its complex:
+    every entry is filed under a weak reference to the first argument and
+    goes when that argument goes; later arguments that can be weakly
+    referenced are held weakly too.  An entry is found by value, so an equal
+    complex built while the first is alive hits it.  The key also holds the
+    raw SPECTRA_DR_MAX_DIM value and the types of the later arguments (the
+    first argument's type is part of a complex's own equality): a call with
+    1.0 for 1, or under another cap, misses, and meets the checks of the cold
+    path.  An exception is not cached, and a first argument that cannot be
+    weakly referenced reaches fn uncached.  cache_info and cache_clear read
+    and empty it as they do an lru_cache's; recorded so that clear_caches
+    empties it."""
+    entries: dict = {}  # ref(first argument) -> {cap or (cap, *rest, *their types): value}
+    watchers: dict = {}  # the same key -> a ref whose callback drops its entries
+    get, cap, kind = _ENVIRON.get, _MAX_DIM_KEY, type
+    hits = misses = 0
+
+    def miss(a, *rest):
+        nonlocal misses
+        try:
+            key = ref(a)
+        except TypeError:  # nothing to file an entry under
+            misses += 1
+            return fn(a, *rest)
+        held = (_Held(x) if kind(x).__weakrefoffset__ else x for x in rest)
+        inner = (get(cap), *held, *map(kind, rest)) if rest else get(cap)
+        hash((key, inner))  # an unhashable argument raises before fn runs
+        misses += 1
+        value = fn(a, *rest)
+        filed = entries.get(key)  # read after fn, which may have filed entries under a
+        if filed is None:
+            entries[key] = filed = {}
+            watchers[key] = ref(a, lambda _, key=key: (entries.pop(key, None),
+                                                       watchers.pop(key, None)))
+        filed[inner] = value
+        return value
+
+    # a hit path of fn's own arity: a starred call costs more than the hit
+    def one(a):
+        nonlocal hits
+        try:
+            value = entries[ref(a)][get(cap)]
+        except (KeyError, TypeError):
+            return miss(a)
+        hits += 1
+        return value
+
+    def two(a, b):
+        nonlocal hits
+        try:
+            value = entries[ref(a)][get(cap), b, kind(b)]
+        except (KeyError, TypeError):
+            return miss(a, b)
+        hits += 1
+        return value
+
+    def three(a, b, c):
+        nonlocal hits
+        try:
+            value = entries[ref(a)][get(cap), b, c, kind(b), kind(c)]
+        except (KeyError, TypeError):
+            return miss(a, b, c)
+        hits += 1
+        return value
+
+    def cache_info():
+        return _CacheInfo(hits, misses, None, sum(map(len, entries.values())))
+
+    def cache_clear():
+        nonlocal hits, misses
+        entries.clear()
+        watchers.clear()
+        hits = misses = 0
+
+    memoised = wraps(fn)({1: one, 2: two, 3: three}[fn.__code__.co_argcount])
+    memoised.cache_info, memoised.cache_clear = cache_info, cache_clear
+    _MEMOS.append(memoised)
+    return memoised
+
+
+def _matrix_memo(fn):
+    """The memo of a function of one matrix: an unbounded, typed lru_cache
+    keyed by value and on the raw SPECTRA_DR_MAX_DIM value, so an equal
+    matrix built again hits; recorded so that clear_caches empties it."""
+    cached = lru_cache(maxsize=None, typed=True)(lambda _cap, m: fn(m))
+    get, cap = _ENVIRON.get, _MAX_DIM_KEY
+    memoised = wraps(fn)(lambda m: cached(get(cap), m))
     memoised.cache_info, memoised.cache_clear = cached.cache_info, cached.cache_clear
     _MEMOS.append(memoised)
     return memoised
@@ -727,12 +831,12 @@ def column_lows(blocks, cleared=()) -> dict:
     return _reduce(_columns(blocks, cleared))[0]
 
 
-@memo
+@_matrix_memo
 def rank(m: RatMatrix) -> int:
     return len(column_lows([(0, 0, m)]))
 
 
-@memo
+@_matrix_memo
 def kernel_basis(m: RatMatrix) -> RatMatrix:
     """Basis of {x : m @ x = 0} as columns, shape (cols x nullity).
 
@@ -754,7 +858,7 @@ def kernel_basis(m: RatMatrix) -> RatMatrix:
     return RatMatrix(m.cols, len(free), out, _trusted=True)
 
 
-@memo
+@_matrix_memo
 def pivot_columns(m: RatMatrix) -> tuple:
     """The leftmost maximal independent set of columns (the pivot columns of
     the reduced echelon form), ascending."""

@@ -322,9 +322,11 @@ def test_the_clear_functions_empty_the_window_memo():
     spectral.clear_page_cache()
     truncation.clear_truncation_cache()
     assert truncation.window_barcode.cache_info().currsize == 0
-    # no memo rides on the complex itself, so no job can see another's
+    # no memo rides on the complex itself, so no job can see another's: the
+    # memos hold it only through the weak-reference slot
     assert DoubleComplex.__slots__ == ("p_lo", "p_hi", "q_lo", "q_hi")
-    assert cochain.GradedComplex.__slots__ == ("_dims", "_diffs", "_hash", "_cells")
+    assert cochain.GradedComplex.__slots__ == ("_dims", "_diffs", "_hash", "_cells",
+                                               "__weakref__")
 
 
 CLEAR_NAMES = [
@@ -369,7 +371,8 @@ def test_the_spectral_command_reduces_each_complex_once(name, tmp_path, capsys):
     assert cli.main(["spectral", str(path), "--format", "json"]) == 0
     capsys.readouterr()
     info = window_barcode.cache_info()
-    assert (info.misses, info.currsize) == (1, 1)
+    # the entry went with the command's complex
+    assert (info.misses, info.currsize) == (1, 0)
     assert info.hits >= 1  # stable_at and the limit page read the same reduction
     linalg.clear_caches()
 

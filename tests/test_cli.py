@@ -500,7 +500,8 @@ def test_a_dims_field_that_is_not_an_object_is_refused(capsys, monkeypatch, comm
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"dims": dims})))
     extra = {"truncate": ["--window", "0,1"], "hodge": ["--degree", "0"]}.get(command, [])
     code, out, err = run(capsys, command, "-", *extra)
-    assert (code, out, err) == (2, "", f"error: input field 'dims' must be an object, got {dims!r}\n")
+    message = f"bad cochain JSON: field 'dims' must be an object, got {dims!r}"
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("entries,message", [
