@@ -10,7 +10,7 @@ what the geometric layer calls hypercohomology of the window.  It is the
 number of unpaired elements in the window's barcode (spectral.window_barcode,
 memoised per (complex, s, t) and called directly by the hot reads, because
 the predictor formulas evaluate it thousands of times).  truncated_total
-assembles a window's total for a caller that needs its matrices.
+assembles a window's total, filed under the parent complex.
 
 Nested windows are compared by the identity on the pieces both truncations
 share (a shared piece has one dimension in both).  Two shapes are chain
@@ -28,26 +28,15 @@ Chaining them gives the four-term sequence
 whose long exact cohomology sequence is built here with an explicit
 connecting map: lift the cycles by the coordinate section, apply the ambient
 total differential, certify every cycle lands in the subcomplex, take induced_map.
-Both checks truncate (and total) each of their windows once.
+It reads the three window totals through truncated_total, so a window is
+truncated once while its complex lives.  T^k(B) is T^k(C) followed by
+T^k(A), and the inclusion and the projection are coordinate chain maps.
 """
 
 from __future__ import annotations
 
-from .bicomplex import (
-    BicomplexMap,
-    DoubleComplex,
-    filtration_cut,
-    row_complex,
-    total,
-    total_map,
-    truncate,
-)
-from .cochain import (
-    CochainComplex,
-    cohomology,
-    cohomology_dim,
-    cohomology_map,
-)
+from .bicomplex import BicomplexMap, DoubleComplex, row_complex, total, truncate
+from .cochain import ChainMap, CochainComplex, cohomology, cohomology_dim, cohomology_map
 from .errors import PreconditionViolation, WitnessFailure
 from .linalg import RatMatrix, clear_caches, induced_map, memo, products_vanish, rank
 from .report import Report
@@ -72,6 +61,7 @@ def _overlap_map(src: DoubleComplex, tgt: DoubleComplex) -> BicomplexMap:
 
 @memo
 def truncated_total(s_cx: DoubleComplex, s: int, t: int) -> CochainComplex:
+    """The total of the window (s, t), memoised under s_cx."""
     return total(truncate(s_cx, (s, t)))
 
 
@@ -122,11 +112,13 @@ def four_term_check(s_cx: DoubleComplex, s: int, s_prime: int, t: int,
 # -- long exact sequence --------------------------------------------------
 
 
-def _les_windows(s_cx: DoubleComplex, r: int, s: int, t: int) -> tuple:
-    """The windows A = S(s,t), B = S(r,t), C = S(r,s-1); needs r <= s <= t."""
+def _les_totals(s_cx: DoubleComplex, r: int, s: int, t: int) -> tuple:
+    """The totals of the windows A = S(s,t), B = S(r,t), C = S(r,s-1), filed
+    under s_cx; needs r <= s <= t.  In every degree T(B) holds the blocks of
+    T(C) followed by those of T(A), in _layout order."""
     if not (r <= s <= t):
         raise PreconditionViolation(f"need r <= s <= t, got {r}, {s}, {t}")
-    return truncate(s_cx, (s, t)), truncate(s_cx, (r, t)), truncate(s_cx, (r, s - 1))
+    return tuple(truncated_total(s_cx, a, b) for a, b in ((s, t), (r, t), (r, s - 1)))
 
 
 def connecting_matrix(s_cx: DoubleComplex, r: int, s: int, t: int, k: int) -> RatMatrix:
@@ -137,40 +129,36 @@ def connecting_matrix(s_cx: DoubleComplex, r: int, s: int, t: int, k: int) -> Ra
     middle window, apply its total differential, certify no cycle leaves the
     subcomplex (WitnessFailure), and take the map induced_map reads there.
     """
-    a, b, c = _les_windows(s_cx, r, s, t)
-    return _connecting(b, total(a), total(b), total(c), s, k)
-
-
-def _connecting(b: DoubleComplex, ta: CochainComplex, tb: CochainComplex,
-                tc: CochainComplex, s: int, k: int) -> RatMatrix:
-    """connecting_matrix's body on the middle window b = S(r,t) and the
-    totals of the sub, middle and quotient windows."""
+    ta, tb, tc = _les_totals(s_cx, r, s, t)
     h_c = cohomology(tc, k)
     h_a = cohomology(ta, k + 1)
     if h_c.dim == 0 or ta.dim(k + 1) == 0:
         return RatMatrix.zeros(h_a.dim, h_c.dim)
-    # the coordinate section: T^k(C) is the prefix of T^k(B) below column s
+    # the coordinate section: T^k(C) is the prefix of T^k(B)
     lift = tb.diff(k).select_columns(range(tc.dim(k)))
-    # certify: every cycle's image vanishes on the quotient columns (p < s)
-    cut = filtration_cut(b, s, k + 1)
+    # certify: every cycle's image vanishes on the quotient rows, T^{k+1}(C)
+    cut = tc.dim(k + 1)
     if not products_vanish((lift.submatrix(range(cut), range(lift.cols)), h_c.cycle_basis)):
         raise WitnessFailure("connecting map left a component in the quotient window")
-    # rows kept in ambient order coincide with A's own block layout
+    # the rows after the cut are T^{k+1}(A) in its own block layout
     return induced_map(lift.submatrix(range(cut, lift.rows), range(lift.cols)), h_c, h_a)
 
 
 def les_check(s_cx: DoubleComplex, r: int, s: int, t: int) -> Report:
     """Exactness of ... -> H^k(A) -> H^k(B) -> H^k(C) -> H^{k+1}(A) -> ...
     for A = S(s,t), B = S(r,t), C = S(r,s-1), at every node."""
-    a, b, c = _les_windows(s_cx, r, s, t)
-    inc = total_map(_overlap_map(a, b))
-    proj = total_map(_overlap_map(b, c))
-    ta, tb, tc = total(a), total(b), total(c)
+    ta, tb, tc = _les_totals(s_cx, r, s, t)
+    # the coordinate maps of that split: A lands after the T^k(C) rows, B keeps them
+    one = RatMatrix.identity
+    inc = ChainMap(ta, tb, {k: RatMatrix.from_blocks(tb.dim(k), n, [(tc.dim(k), 0, one(n))])
+                            for k, n in ta.dims().items()})
+    proj = ChainMap(tb, tc, {k: RatMatrix.from_blocks(n, tb.dim(k), [(0, 0, one(n))])
+                             for k, n in tc.dims().items()})
     rep = Report("les")
     d_prev = RatMatrix.zeros(0, 0)  # H^k(A) = 0 in the lowest degree
     for k in range(min(ta.lo, tb.lo, tc.lo) - 1, max(ta.hi, tb.hi, tc.hi) + 2):
         i_k, p_k = cohomology_map(inc, k), cohomology_map(proj, k)
-        d_k = _connecting(b, ta, tb, tc, s, k)
+        d_k = connecting_matrix(s_cx, r, s, t, k)
         for node, tk, inc_m, out_m in (("A", ta, d_prev, i_k), ("B", tb, i_k, p_k),
                                        ("C", tc, p_k, d_k)):
             rep.add("les_composition_zero", (node, k), products_vanish((out_m, inc_m)), True)

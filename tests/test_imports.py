@@ -63,12 +63,8 @@ KEEP = {
     "scale": "a matrix times a scalar",
     "window_map": "the comparison map between two windows of one complex",
     "degenerates_at": "whether page r already has the limit dimensions",
-    "connecting_matrix": "the connecting map of a window sequence, whose body les_check"
-                         " reads on totals it already holds",
     "wedge": "the wedge product of two elements of a model",
     "integral": "integration of a top-degree element against the fundamental class",
-    "truncated_total": "the assembled total of a window, memoised, for a caller that"
-                       " needs its matrices rather than its barcode",
 }
 
 

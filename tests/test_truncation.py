@@ -6,6 +6,7 @@ from dense import window_dims
 
 from spectra_dr import truncation
 from spectra_dr.bicomplex import DoubleComplex, total, total_map
+from spectra_dr.cochain import CochainComplex, direct_sum
 from spectra_dr.errors import NotChainCompatible, PreconditionViolation, WitnessFailure
 from spectra_dr.linalg import RatMatrix
 from spectra_dr.randgen import random_double_complex
@@ -109,9 +110,16 @@ def test_connecting_matrix_arrow(arrow):
 
 
 def test_a_lift_left_in_the_quotient_window_raises(arrow, monkeypatch):
-    # with the cut moved past the last row, every row of the lift counts as
-    # a quotient row, and the arrow's connecting map is nonzero there
-    monkeypatch.setattr(truncation, "filtration_cut", lambda b, s, deg: total(b).dim(deg))
+    # the quotient total grown by a degree-1 generator moves the cut,
+    # dim T^1(C), past the last row: every row of the lift counts as a
+    # quotient row, and the arrow's connecting map is nonzero there
+    real = truncation.truncated_total
+
+    def grown(s_cx, s, t):
+        tot = real(s_cx, s, t)
+        return direct_sum([tot, CochainComplex({1: 1})]) if (s, t) == (0, 0) else tot
+
+    monkeypatch.setattr(truncation, "truncated_total", grown)
     with pytest.raises(WitnessFailure,
                        match="^connecting map left a component in the quotient window$"):
         connecting_matrix(arrow, 0, 1, 1, 0)

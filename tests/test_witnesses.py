@@ -23,7 +23,7 @@ from spectra_dr import bicomplex, tensorops, truncation
 from spectra_dr.bicomplex import BicomplexMap, total, truncate, verify_total_dual_iso
 from spectra_dr.cochain import ChainMap, CochainComplex, direct_sum, dual
 from spectra_dr.errors import NotChainCompatible, PreconditionViolation, WitnessFailure
-from spectra_dr.linalg import RatMatrix
+from spectra_dr.linalg import RatMatrix, clear_caches
 from spectra_dr.randgen import random_double_complex
 from spectra_dr.tensorops import collapse_total_check, quad_tensor, ss_collapse, tensor
 from spectra_dr.truncation import connecting_matrix, four_term_check, les_check, window_map
@@ -308,8 +308,15 @@ def test_each_window_is_truncated_once(monkeypatch):
         return truncate(s_cx, window)
 
     monkeypatch.setattr(truncation, "truncate", counted)
+    clear_caches()
     les_check(IW.complex, 0, 1, 3)
     assert calls == [(1, 3), (0, 3), (0, 0)]
+    # the window totals are filed under the complex: reading them again
+    # truncates nothing
     calls.clear()
+    les_check(IW.complex, 0, 1, 3)
+    for deg in range(-1, 8):  # IW's total degrees 0..6, padded
+        connecting_matrix(IW.complex, 0, 1, 3, deg)
+    assert calls == []
     four_term_check(IW.complex, 0, 1, 2, 3)
     assert calls == [(3, 3), (1, 3), (0, 2), (0, 0)]
