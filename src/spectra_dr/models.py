@@ -17,7 +17,11 @@ monomials differ by sign from the tensor basis.  Every label-indexed matrix
 is built from its nonzero entries by RatMatrix.from_entries.
 
 Each basis vector carries a label (copy, sign, I, J): the vector equals
-sign * (copy, w^I wb^J).  Labels drive the multiplicative structure — the
+sign * (copy, w^I wb^J).  An exterior model builds its labels with its
+differentials; a twist or a product builds them on first read of labels,
+and a twisted product its untwisted base on first read of base, since
+windows, Betti numbers, pages, the predictors and the model CLI's JSON read
+neither.  Labels drive the multiplicative structure — the
 matrix of a right wedge (behind both wedge and the cup maps), integration
 against the top monomial (one top-bidegree row, read by integral and by the
 duality map's Stokes check), and the duality pairing into the shifted
@@ -38,6 +42,7 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
+from functools import partial
 from itertools import combinations
 from math import comb
 
@@ -207,28 +212,50 @@ class ModelDoubleComplex:
     """A double complex together with monomial labels for its basis.
 
     labels[(p, q)][i] = (copy, sign, I, J) meaning basis vector i equals
-    sign * w^I wb^J in copy `copy` of the twist.  base is the rank-1 sibling
-    used to rebuild the model at a different twist rank.
+    sign * w^I wb^J in copy `copy` of the twist; every nonzero piece has one
+    label per basis vector.  A labels dict is checked at construction.  A
+    twist or a product is handed a builder instead, which the first read of
+    labels runs and checks, and whose dict is then kept.  Only the label
+    calculus below reads labels (cup_map, wedge, integral, duality_map);
+    windows, Betti numbers, pages, the predictors and the model CLI's JSON
+    never do.  base is the rank-1 sibling used to rebuild the model at a
+    different twist rank (with_twist_rank, and the untwisted cup class of
+    cup_map and wedge); a twisted product's is built on first read too.
     """
 
-    __slots__ = ("n", "twist_rank", "complex", "labels", "_base", "_lookup")
+    __slots__ = ("n", "twist_rank", "complex", "_labels", "_base", "_lookup")
 
     def __init__(self, n, twist_rank, cx, labels, base=None):
         self.n = n
         self.twist_rank = twist_rank
         self.complex = cx
-        self.labels = labels
+        # a dict, or the builder the first read of labels runs
+        self._labels = labels
         # None stands for self, so a rank-1 model holds no reference cycle
-        # and is freed by reference counting alone
+        # and is freed by reference counting alone; a builder stands for a
+        # twisted product's base until it is read
         self._base = base
         self._lookup = {}
-        for (p, q), labs in labels.items():
-            if len(labs) != cx.dim(p, q):
-                raise ValidationError(f"label count mismatch at ({p},{q})")
+        if not callable(labels):
+            _check_labels(cx, labels)
+
+    @property
+    def labels(self) -> dict:
+        labels = self._labels
+        if callable(labels):
+            labels = labels()
+            _check_labels(self.complex, labels)
+            self._labels = labels
+        return labels
 
     @property
     def base(self) -> "ModelDoubleComplex":
-        return self if self._base is None else self._base
+        base = self._base
+        if base is None:
+            return self
+        if callable(base):
+            base = self._base = base()
+        return base
 
     def dim(self, p: int, q: int) -> int:
         return self.complex.dim(p, q)
@@ -245,6 +272,24 @@ class ModelDoubleComplex:
 
     def with_twist_rank(self, m: int) -> "ModelDoubleComplex":
         return _twist(self.base, m)
+
+
+def _check_labels(cx: DoubleComplex, labels: dict) -> None:
+    """Refuse labels that do not give each nonzero piece of cx exactly one
+    label per basis vector, naming the first bidegree that is off."""
+    dims = cx.dims()
+    for p, q in sorted(dims.keys() | labels.keys()):
+        n, got = dims.get((p, q), 0), len(labels.get((p, q), ()))
+        if got != n:
+            raise ValidationError(
+                f"label count mismatch at ({p},{q}): {got} labels for dim {n}")
+
+
+def _read(source) -> dict:
+    """The labels of a model's label source (its _labels): the dict itself,
+    or what the builder returns.  A builder holds sources, never a model, so
+    it keeps no factor and none of its memo entries alive."""
+    return source() if callable(source) else source
 
 
 def _check_counts(n: int, m: int) -> None:
@@ -277,8 +322,12 @@ def _twist(base: ModelDoubleComplex, m: int) -> ModelDoubleComplex:
     _check_model_size(f"twist n={base.n}", base.n, m)
     if m == 1:
         return base
-    labels = {key: tuple((c, s, i, j) for c in range(m) for (_c, s, i, j) in labs)
-              for key, labs in base.labels.items()}
+    source = base._labels
+
+    def labels():  # each piece's labels copy by copy
+        return {key: tuple((c, s, i, j) for c in range(m) for (_c, s, i, j) in labs)
+                for key, labs in _read(source).items()}
+
     return ModelDoubleComplex(base.n, m, direct_sum2([base.complex] * m), labels, base)
 
 
@@ -380,26 +429,38 @@ def product_model(x: ModelDoubleComplex, y: ModelDoubleComplex) -> ModelDoubleCo
     _check_model_size(f"product n={x.n}+{y.n}", n, m)
     quad = quad_tensor(x.complex, y.complex)
     cx = ss_collapse(quad)
-    labels = {}
-    for (k, l), cells in quad._layout().items():
-        labs = [None] * cx.dim(k, l)
-        for (p, q, r, s), off, _size in cells:
-            # the cell's y labels, shifted past x's generators and signed
-            # by (-1)^{rq} once for every x label
-            flip = -1 if (r * q) % 2 else 1
-            ylabs = [(cy_copy, sy * flip, tuple(g + x.n for g in i2),
-                      tuple(g + x.n for g in j2))
-                     for cy_copy, sy, i2, j2 in y.labels[(q, s)]]
-            ny = len(ylabs)
-            for ix, (cx_copy, sx, i1, j1) in enumerate(x.labels[(p, r)]):
-                copy0 = cx_copy * y.twist_rank
-                for pos, (cy_copy, sy, i2, j2) in enumerate(ylabs, off + ix * ny):
-                    labs[pos] = (copy0 + cy_copy, sx * sy, i1 + i2, j1 + j2)
-        labels[(k, l)] = tuple(labs)
-    base = None
-    if m > 1:
-        base = product_model(x.base, y.base)
+    labels = _product_labels(x._labels, y._labels, x.n, y.twist_rank, quad._layout())
+    base = partial(product_model, x.base, y.base) if m > 1 else None
     return ModelDoubleComplex(n, m, cx, labels, base)
+
+
+def _product_labels(xsrc, ysrc, nx: int, ym: int, layout: dict):
+    """Builder of a product's labels from the label sources of its factors,
+    x's generator count nx, y's twist rank ym and the quad tensor's layout.
+    Each cell (p, q, r, s) of a piece holds x's labels of (p, r) times y's
+    of (q, s), x-major: copy c1 * ym + c2, sign s1 * s2 * (-1)^(r q), y's
+    generators shifted past x's.  Cells sit back to back in layout order,
+    so a piece's labels are its cells' concatenated, and y's labels are
+    shifted once per piece, not once per cell."""
+
+    def build():
+        xl, yl = _read(xsrc), _read(ysrc)
+        shifted = {key: [(c2, s2, tuple(g + nx for g in i2), tuple(g + nx for g in j2))
+                         for c2, s2, i2, j2 in labs]
+                   for key, labs in yl.items()}
+        labels = {}
+        for kl, cells in layout.items():
+            labs = []
+            for (p, q, r, s), _off, _size in cells:
+                flip = -1 if (r * q) % 2 else 1
+                ylabs = shifted[(q, s)]
+                labs += [(c1 * ym + c2, s1 * s2 * flip, i1 + i2, j1 + j2)
+                         for c1, s1, i1, j1 in xl[(p, r)]
+                         for c2, s2, i2, j2 in ylabs]
+            labels[kl] = tuple(labs)
+        return labels
+
+    return build
 
 
 # -- calculus on labels ---------------------------------------------------

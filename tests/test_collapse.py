@@ -140,9 +140,12 @@ def test_product_model_matches_the_old_labels():
     and the label at offset(p, q, r, s) + ix * ny + iy of the cell (k, l) is
     the x label ix of (p, r) times the y label iy of (q, s): copy
     cx * y.twist_rank + cy, sign sx * sy * (-1)^(r q), y generators shifted
-    by x.n.  Offsets come from dense.collapsed, not from the graded core."""
-    t2, iw = torus_model(2), lie_model(iwasawa_spec())
-    for x, y in ((t2, iw), (iw, iw)):
+    by x.n.  Offsets come from dense.collapsed, not from the graded core.
+    Twisted factors on either side and a product factor, whose labels are
+    still unread when the product is built, follow the same rule."""
+    t1, t2, iw = torus_model(1), torus_model(2), lie_model(iwasawa_spec())
+    t1_2 = torus_model(1, 2)
+    for x, y in ((t2, iw), (iw, iw), (t1_2, iw), (iw, t1_2), (t1, product_model(t1, iw))):
         got = product_model(x, y)
         a = quad_tensor(x.complex, y.complex)
         sizes, offsets, (d1, d2) = quad_collapsed(a)

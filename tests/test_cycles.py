@@ -3,11 +3,14 @@ alone: no model and no command-line parser is left for the cycle collector."""
 
 import argparse
 import gc
+from weakref import ref
 
 import pytest
 
 from spectra_dr import cli
+from spectra_dr.linalg import clear_caches
 from spectra_dr.models import iwasawa_spec, lie_model, product_model, torus_model
+from spectra_dr.tensorops import quad_tensor, ss_collapse
 
 
 @pytest.fixture
@@ -43,6 +46,25 @@ def test_base_is_the_rank_one_model():
     assert t2.with_twist_rank(2).complex == t2.complex
     p = product_model(t2, torus_model(1))
     assert p.base.twist_rank == 1 and p.base.base is p.base
+
+
+@pytest.mark.parametrize("rank", [1, 2], ids=["T1xIW", "T1:2xIW"])
+def test_a_product_keeps_no_memo_entry_and_goes_with_its_last_reference(no_collector,
+                                                                         rank):
+    """The label builder holds label sources and a layout, and a twisted
+    product's base builder only its factors' bases: while the product lives
+    the quad tensor and its collapse are filed under nothing alive, and
+    once it goes nothing of it is left, with the collector off."""
+    clear_caches()
+    x, y = torus_model(1, rank), lie_model(iwasawa_spec())
+    prod = product_model(x, y)
+    probes = [ref(prod.complex), ref(x.base.complex), ref(y.complex)]
+    del x, y
+    assert (quad_tensor.cache_info().currsize, ss_collapse.cache_info().currsize) == (0, 0)
+    assert [probe() is None for probe in probes] == [False, rank == 1, rank == 1]
+    del prod
+    assert [probe() for probe in probes] == [None] * 3
+    assert (quad_tensor.cache_info().currsize, ss_collapse.cache_info().currsize) == (0, 0)
 
 
 def _quiet_main(capsys, *argv):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import re
 from fractions import Fraction
@@ -9,7 +11,7 @@ from dense import collapsed, convolve, dense, right, up, windows
 from dense import rank as dense_rank
 from ladder import ladder_windows
 
-from spectra_dr import models
+from spectra_dr import cli, models
 from spectra_dr.bicomplex import (
     BicomplexMap,
     DoubleComplex,
@@ -467,6 +469,107 @@ def test_iwasawa_squared_spectral_sequence_stabilizes_at_page_2(iw):
         antidiagonals[p + q] = antidiagonals.get(p + q, 0) + n
     betti_iw = dict(enumerate((1, 4, 8, 10, 8, 4, 1)))
     assert antidiagonals == betti_numbers(total(prod.complex)) == convolve(betti_iw, betti_iw)
+
+
+# -- labels on demand -----------------------------------------------------
+
+
+@pytest.fixture()
+def products_spied(monkeypatch):
+    """Counts product builds (calls of the label-builder factory, which
+    every product_model makes) and runs of the label builders they make."""
+    made, runs = [], []
+    real = models._product_labels
+
+    def spied(*args):
+        build = real(*args)
+        made.append(args[2:4])
+        return lambda: runs.append(args[2:4]) or build()
+
+    monkeypatch.setattr(models, "_product_labels", spied)
+    return made, runs
+
+
+def test_a_product_builds_its_labels_on_first_read_only(products_spied, capsys, iw):
+    made, runs = products_spied
+    t1 = torus_model(1)
+    prod = product_model(t1, iw)
+    for args in (("torus:1", "lie:iwasawa"), ("torus:2", "lie:iwasawa"),
+                 ("torus:1:2", "lie:iwasawa")):
+        for info in ((), ("--info",)):
+            assert cli.main(["model", "product", "--left", args[0], "--right", args[1],
+                             *info]) == 0
+            capsys.readouterr()
+    hyper_dims(prod.complex, (1, 3))
+    kunneth_predict(t1, prod, (1, 3), 3)
+    betti_numbers(total(prod.complex))
+    assert len(made) == 7 and runs == []
+    labels = prod.labels
+    assert runs == [(1, 1)]
+    assert prod.labels is labels and prod.lookup(1, 1) and runs == [(1, 1)]
+
+
+def test_a_labels_dict_that_misses_a_piece_is_refused_by_bidegree():
+    cx = torus_model(1).complex
+    labels = {key: labs for key, labs in torus_model(1).labels.items() if key != (1, 1)}
+    with pytest.raises(ValidationError, match=re.escape("mismatch at (1,1): 0 labels for dim 1")):
+        models.ModelDoubleComplex(1, 1, cx, labels)
+    derived = models.ModelDoubleComplex(1, 1, cx, lambda: labels)  # checked when read
+    with pytest.raises(ValidationError, match=re.escape("mismatch at (1,1)")):
+        derived.labels
+    extra = {**torus_model(1).labels, (2, 0): ((0, 1, (0, 1), ()),)}
+    with pytest.raises(ValidationError, match=re.escape("mismatch at (2,0): 1 labels for dim 0")):
+        models.ModelDoubleComplex(1, 1, cx, extra)
+
+
+# sha256 over every cup map by a closed (1, 0) or (0, 1) unit class and every
+# duality map of T1xIW, window by window, and the wedges of the (1, 0) units
+# with the (0, 1) ones, as the labels built at construction gave them
+LABEL_CALCULUS_DIGEST = "556cc6854aedf1c60c02f62d243baf2795cd2546dee424a1e7a644caf4c2fb87"
+
+
+def test_the_label_calculus_on_a_product_is_unchanged(products_spied, iw):
+    made, runs = products_spied
+    prod = product_model(torus_model(1), iw)
+    h = hashlib.sha256()
+
+    def put(tag, m):
+        h.update(f"{tag}:{json.dumps(m.to_json(), sort_keys=True)};".encode())
+
+    windows = [(s, t) for s in range(prod.n + 1) for t in range(s, prod.n + 1)]
+    for bideg in ((1, 0), (0, 1)):
+        d1, d2 = prod.complex.d1(*bideg), prod.complex.d2(*bideg)
+        for i in range(prod.dim(*bideg)):
+            u = unit(prod.dim(*bideg), i)
+            if (d1 @ u).is_zero() and (d2 @ u).is_zero():
+                for s, t in windows:
+                    cm = cup_map(prod, (s, t), bideg, u)
+                    for key in sorted(cm.source.dims()):
+                        put(f"cup{bideg}{i}{s}{t}{key}", cm.mat(*key))
+    for s, t in windows:
+        dm = duality_map(prod, (s, t))
+        for key in sorted(dm.source.dims()):
+            put(f"dual{s}{t}{key}", dm.mat(*key))
+    for i in range(prod.dim(1, 0)):
+        for j in range(prod.dim(0, 1)):
+            put(f"wedge{i}{j}", wedge(prod, (1, 0), unit(prod.dim(1, 0), i),
+                                      (0, 1), unit(prod.dim(0, 1), j)))
+    assert h.hexdigest() == LABEL_CALCULUS_DIGEST
+    assert len(made) == len(runs) == 1
+
+
+def test_a_twisted_products_base_is_built_on_first_read(products_spied, iw):
+    made, runs = products_spied
+    x = torus_model(1, 2)
+    prod = product_model(x, iw)
+    assert made == [(1, 1)] and prod.twist_rank == 2
+    base = prod.base
+    assert len(made) == 2 and prod.base is base and prod.with_twist_rank(1) is base
+    assert base.twist_rank == 1 and base.base is base
+    want = product_model(x.base, iw.base)
+    assert base.complex == want.complex and base.labels == want.labels
+    assert len(made) == 3 and len(runs) == 2
+    assert prod.labels == product_model(x, iw).labels
 
 
 def test_product_validates_only_the_quad_tensor_and_builds_no_zero_matrix(monkeypatch, iw):
