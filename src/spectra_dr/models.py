@@ -19,9 +19,8 @@ is built from its nonzero entries by RatMatrix.from_entries.
 Each basis vector carries a label (copy, sign, I, J): the vector equals
 sign * (copy, w^I wb^J).  An exterior model builds its labels with its
 differentials; a twist or a product builds them on first read of labels,
-and a twisted product its untwisted base on first read of base, since
-windows, Betti numbers, pages, the predictors and the model CLI's JSON read
-neither.  Labels drive the multiplicative structure — the
+since windows, Betti numbers, pages, the predictors and the model CLI's
+JSON never read them.  Labels drive the multiplicative structure — the
 matrix of a right wedge (behind both wedge and the cup maps), integration
 against the top monomial (one top-bidegree row, read by integral and by the
 duality map's Stokes check), and the duality pairing into the shifted
@@ -42,7 +41,7 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
-from functools import partial
+from functools import cache
 from itertools import combinations
 from math import comb
 
@@ -220,7 +219,7 @@ class ModelDoubleComplex:
     windows, Betti numbers, pages, the predictors and the model CLI's JSON
     never do.  base is the rank-1 sibling used to rebuild the model at a
     different twist rank (with_twist_rank, and the untwisted cup class of
-    cup_map and wedge); a twisted product's is built on first read too.
+    cup_map and wedge).
     """
 
     __slots__ = ("n", "twist_rank", "complex", "_labels", "_base", "_lookup")
@@ -232,8 +231,7 @@ class ModelDoubleComplex:
         # a dict, or the builder the first read of labels runs
         self._labels = labels
         # None stands for self, so a rank-1 model holds no reference cycle
-        # and is freed by reference counting alone; a builder stands for a
-        # twisted product's base until it is read
+        # and is freed by reference counting alone
         self._base = base
         self._lookup = {}
         if not callable(labels):
@@ -250,12 +248,7 @@ class ModelDoubleComplex:
 
     @property
     def base(self) -> "ModelDoubleComplex":
-        base = self._base
-        if base is None:
-            return self
-        if callable(base):
-            base = self._base = base()
-        return base
+        return self if self._base is None else self._base
 
     def dim(self, p: int, q: int) -> int:
         return self.complex.dim(p, q)
@@ -288,7 +281,9 @@ def _check_labels(cx: DoubleComplex, labels: dict) -> None:
 def _read(source) -> dict:
     """The labels of a model's label source (its _labels): the dict itself,
     or what the builder returns.  A builder holds sources, never a model, so
-    it keeps no factor and none of its memo entries alive."""
+    it keeps no factor and none of its memo entries alive; it keeps its
+    result, so a source read by its model and by a twist or a product of it
+    is built once."""
     return source() if callable(source) else source
 
 
@@ -324,6 +319,7 @@ def _twist(base: ModelDoubleComplex, m: int) -> ModelDoubleComplex:
         return base
     source = base._labels
 
+    @cache
     def labels():  # each piece's labels copy by copy
         return {key: tuple((c, s, i, j) for c in range(m) for (_c, s, i, j) in labs)
                 for key, labs in _read(source).items()}
@@ -430,7 +426,9 @@ def product_model(x: ModelDoubleComplex, y: ModelDoubleComplex) -> ModelDoubleCo
     quad = quad_tensor(x.complex, y.complex)
     cx = ss_collapse(quad)
     labels = _product_labels(x._labels, y._labels, x.n, y.twist_rank, quad._layout())
-    base = partial(product_model, x.base, y.base) if m > 1 else None
+    base = None
+    if m > 1:
+        base = product_model(x.base, y.base)
     return ModelDoubleComplex(n, m, cx, labels, base)
 
 
@@ -443,6 +441,7 @@ def _product_labels(xsrc, ysrc, nx: int, ym: int, layout: dict):
     so a piece's labels are its cells' concatenated, and y's labels are
     shifted once per piece, not once per cell."""
 
+    @cache
     def build():
         xl, yl = _read(xsrc), _read(ysrc)
         shifted = {key: [(c2, s2, tuple(g + nx for g in i2), tuple(g + nx for g in j2))

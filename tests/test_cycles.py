@@ -48,22 +48,25 @@ def test_base_is_the_rank_one_model():
     assert p.base.twist_rank == 1 and p.base.base is p.base
 
 
-@pytest.mark.parametrize("rank", [1, 2], ids=["T1xIW", "T1:2xIW"])
+@pytest.mark.parametrize("factors", [((1, 1), None), ((1, 2), None), (None, (1, 2))],
+                         ids=["T1xIW", "T1:2xIW", "IWxT1:2"])
 def test_a_product_keeps_no_memo_entry_and_goes_with_its_last_reference(no_collector,
-                                                                         rank):
-    """The label builder holds label sources and a layout, and a twisted
-    product's base builder only its factors' bases: while the product lives
-    the quad tensor and its collapse are filed under nothing alive, and
-    once it goes nothing of it is left, with the collector off."""
+                                                                         factors):
+    """The label builder holds label sources and a layout, never a factor:
+    while a product of temporary factors (a torus, or IW for None) lives,
+    the quad tensors of it and of its base, and their collapses, are filed
+    under nothing alive, and once it goes nothing of it is left, with the
+    collector off."""
     clear_caches()
-    x, y = torus_model(1, rank), lie_model(iwasawa_spec())
+    x, y = (lie_model(iwasawa_spec()) if f is None else torus_model(*f) for f in factors)
     prod = product_model(x, y)
-    probes = [ref(prod.complex), ref(x.base.complex), ref(y.complex)]
+    factor_probes = [ref(x.complex), ref(x.base.complex), ref(y.complex), ref(y.base.complex)]
     del x, y
     assert (quad_tensor.cache_info().currsize, ss_collapse.cache_info().currsize) == (0, 0)
-    assert [probe() is None for probe in probes] == [False, rank == 1, rank == 1]
+    assert [probe() for probe in factor_probes] == [None] * 4
+    probes = [ref(prod.complex), ref(prod.base.complex)]
     del prod
-    assert [probe() for probe in probes] == [None] * 3
+    assert [probe() for probe in probes] == [None] * 2
     assert (quad_tensor.cache_info().currsize, ss_collapse.cache_info().currsize) == (0, 0)
 
 

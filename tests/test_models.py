@@ -476,22 +476,25 @@ def test_iwasawa_squared_spectral_sequence_stabilizes_at_page_2(iw):
 
 @pytest.fixture()
 def products_spied(monkeypatch):
-    """Counts product builds (calls of the label-builder factory, which
-    every product_model makes) and runs of the label builders they make."""
-    made, runs = [], []
+    """The label builders product_model makes, in order; a builder keeps
+    its result, so its cache_info().misses counts its runs."""
+    made = []
     real = models._product_labels
 
     def spied(*args):
-        build = real(*args)
-        made.append(args[2:4])
-        return lambda: runs.append(args[2:4]) or build()
+        made.append(real(*args))
+        return made[-1]
 
     monkeypatch.setattr(models, "_product_labels", spied)
-    return made, runs
+    return made
+
+
+def _runs(made):
+    return [build.cache_info().misses for build in made]
 
 
 def test_a_product_builds_its_labels_on_first_read_only(products_spied, capsys, iw):
-    made, runs = products_spied
+    made = products_spied
     t1 = torus_model(1)
     prod = product_model(t1, iw)
     for args in (("torus:1", "lie:iwasawa"), ("torus:2", "lie:iwasawa"),
@@ -503,10 +506,31 @@ def test_a_product_builds_its_labels_on_first_read_only(products_spied, capsys, 
     hyper_dims(prod.complex, (1, 3))
     kunneth_predict(t1, prod, (1, 3), 3)
     betti_numbers(total(prod.complex))
-    assert len(made) == 7 and runs == []
+    # a twisted product builds its rank-1 base with it, so T1:2xIW makes two
+    assert len(made) == 9 and not any(_runs(made))
     labels = prod.labels
-    assert runs == [(1, 1)]
-    assert prod.labels is labels and prod.lookup(1, 1) and runs == [(1, 1)]
+    assert _runs(made)[0] == 1
+    assert prod.labels is labels and prod.lookup(1, 1) and sum(_runs(made)) == 1
+
+
+def test_a_twist_of_an_unread_product_builds_its_labels_once(products_spied, iw):
+    """The base's labels and the twist's, read in either order, run the
+    product's builder once; the twist's copies are the base's.  A twist's
+    builder, read by a product and by its own model, runs once too."""
+    made = products_spied
+    for order in ((0, 1), (1, 0)):
+        made.clear()
+        tw = product_model(torus_model(1), iw).with_twist_rank(2)
+        for k in order:
+            (tw.base, tw)[k].labels
+        assert _runs(made) == [1]
+        assert tw.labels == {key: tuple((c, s, i, j) for c in range(2) for _c, s, i, j in labs)
+                             for key, labs in tw.base.labels.items()}
+    # and a twisted factor's labels, read by a product and then by itself
+    x = torus_model(1, 2)
+    build = x._labels
+    product_model(x, iw).labels
+    assert x.labels is build() and build.cache_info().misses == 1
 
 
 def test_a_labels_dict_that_misses_a_piece_is_refused_by_bidegree():
@@ -529,7 +553,7 @@ LABEL_CALCULUS_DIGEST = "556cc6854aedf1c60c02f62d243baf2795cd2546dee424a1e7a644c
 
 
 def test_the_label_calculus_on_a_product_is_unchanged(products_spied, iw):
-    made, runs = products_spied
+    made = products_spied
     prod = product_model(torus_model(1), iw)
     h = hashlib.sha256()
 
@@ -555,21 +579,7 @@ def test_the_label_calculus_on_a_product_is_unchanged(products_spied, iw):
             put(f"wedge{i}{j}", wedge(prod, (1, 0), unit(prod.dim(1, 0), i),
                                       (0, 1), unit(prod.dim(0, 1), j)))
     assert h.hexdigest() == LABEL_CALCULUS_DIGEST
-    assert len(made) == len(runs) == 1
-
-
-def test_a_twisted_products_base_is_built_on_first_read(products_spied, iw):
-    made, runs = products_spied
-    x = torus_model(1, 2)
-    prod = product_model(x, iw)
-    assert made == [(1, 1)] and prod.twist_rank == 2
-    base = prod.base
-    assert len(made) == 2 and prod.base is base and prod.with_twist_rank(1) is base
-    assert base.twist_rank == 1 and base.base is base
-    want = product_model(x.base, iw.base)
-    assert base.complex == want.complex and base.labels == want.labels
-    assert len(made) == 3 and len(runs) == 2
-    assert prod.labels == product_model(x, iw).labels
+    assert _runs(made) == [1]
 
 
 def test_product_validates_only_the_quad_tensor_and_builds_no_zero_matrix(monkeypatch, iw):
