@@ -10,7 +10,9 @@ sums and Kronecker products of integral matrices run in int arithmetic.  The
 form is canonical, so equality is tuple equality and the hash is the hash of
 the rows, and every operation (products, sums, stacking, block placement,
 Kronecker products, transposes, zero tests, hashing) walks the nonzeros
-only.  Every producer keeps the form: a value that may be an integral
+only; the hot walks (@, transpose, kron, products_vanish and the reduction's
+column reads) skip a zero row unread, before any iterator, dict or tuple is
+built for it.  Every producer keeps the form: a value that may be an integral
 Fraction is stored as ``_canon`` gives it.
 The public boundary is Fraction: ``row``, ``m[i, j]`` and
 ``rat_from`` hand out Fractions, and ``repr`` and ``to_json`` the same
@@ -267,8 +269,7 @@ def rat_from(value) -> Fraction:
 # -- sparse rows ------------------------------------------------------------
 # A sparse row is a flat tuple (c0, v0, c1, v1, ...), columns ascending,
 # values nonzero and canonical (int when integral, else Fraction).
-# zip(it, it) over one iterator walks its (column, value) pairs without
-# slicing.
+# zip(it := iter(row), it) walks its (column, value) pairs without slicing.
 
 
 def _canon(v):
@@ -282,8 +283,7 @@ def _public(v) -> Fraction:
 
 
 def _pairs(row):
-    it = iter(row)
-    return zip(it, it)
+    return zip(it := iter(row), it)
 
 
 def _pack(d: dict) -> tuple:
@@ -501,9 +501,12 @@ class RatMatrix:
         orows = other._rows
         out = []
         for arow in self._rows:
+            if not arow:
+                out.append(())
+                continue
             acc = {}
-            for k, a in _pairs(arow):
-                for j, b in _pairs(orows[k]):
+            for k, a in zip(it := iter(arow), it):
+                for j, b in zip(jt := iter(orows[k]), jt):
                     acc[j] = acc[j] + a * b if j in acc else a * b
             out.append(_pack(acc) if acc else ())
         return RatMatrix(self.rows, other.cols, out, _trusted=True)
@@ -511,8 +514,9 @@ class RatMatrix:
     def transpose(self) -> "RatMatrix":
         out = [[] for _ in range(self.cols)]
         for i, r in enumerate(self._rows):
-            for c, v in _pairs(r):
-                out[c] += (i, v)
+            if r:
+                for c, v in zip(it := iter(r), it):
+                    out[c] += (i, v)
         return RatMatrix(self.cols, self.rows, map(tuple, out), _trusted=True)
 
     def submatrix(self, row_idx: Iterable[int], col_idx: Iterable[int]) -> "RatMatrix":
@@ -608,8 +612,15 @@ class RatMatrix:
         bpairs = [list(_pairs(r)) for r in b._rows]
         out = []
         for arow in a._rows:
-            apairs = [(j * bcols, x) for j, x in _pairs(arow)]
+            if not arow:
+                out += ((),) * b.rows
+                continue
+            it = iter(arow)
+            apairs = [(j * bcols, x) for j, x in zip(it, it)]
             for bp in bpairs:
+                if not bp:
+                    out.append(())
+                    continue
                 row = []
                 for base, x in apairs:
                     for l, y in bp:
@@ -707,12 +718,15 @@ def products_vanish(*pairs) -> bool:
                 f" vs {f.rows}x{g.cols}")
     pairs = [(f._rows, g._rows) for f, g in pairs]
     for i in range(len(pairs[0][0]) if pairs else 0):
-        acc = {}
+        acc = None
         for frows, grows in pairs:
-            for k, a in _pairs(frows[i]):
-                for j, b in _pairs(grows[k]):
-                    acc[j] = acc[j] + a * b if j in acc else a * b
-        if any(acc.values()):
+            if frows[i]:
+                if acc is None:
+                    acc = {}
+                for k, a in zip(it := iter(frows[i]), it):
+                    for j, b in zip(jt := iter(grows[k]), jt):
+                        acc[j] = acc[j] + a * b if j in acc else a * b
+        if acc and any(acc.values()):
             return False
     return True
 
@@ -729,7 +743,9 @@ def _columns(blocks, cleared=()) -> dict:
     cols = {}
     for r0, c0, m in blocks:
         for i, row in enumerate(m._rows, r0):
-            for c, v in _pairs(row):
+            if not row:
+                continue
+            for c, v in zip(it := iter(row), it):
                 c += c0
                 if c in cols:
                     cols[c][i] = v

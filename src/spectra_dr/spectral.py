@@ -45,6 +45,7 @@ barcode against them.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 
 from .bicomplex import (
@@ -119,7 +120,10 @@ def window_barcode(k: DoubleComplex, s: int, t: int) -> Barcode:
     Each D^deg is reduced column by column (linalg.column_lows) straight
     from the stored d1 and d2 blocks at their layout offsets; T^deg is never
     assembled.  The degrees go up, so a position the degree below paired as
-    a target is cleared: its column reduces to zero.  Raises
+    a target is cleared: its column reduces to zero.  The pairing is counted
+    per cell of _layout(), not per position: each low and cleared target is
+    found in its cell by bisection over the cell offsets, and a cell's
+    unpaired count is its size less its sources and targets.  Raises
     ValidationError as truncate does, and naming the least total degree
     larger than SPECTRA_DR_MAX_DIM, as total does, before any column is read.
     """
@@ -128,21 +132,25 @@ def window_barcode(k: DoubleComplex, s: int, t: int) -> Barcode:
     check_piece_dims({deg: sum(n for _key, _off, n in cells) for deg, cells in lay.items()},
                      noun="total degree")
     at = {key: off for cells in lay.values() for key, off, _n in cells}
-    keys = {deg: [key for key, _off, n in cells for _ in range(n)]
-            for deg, cells in lay.items()}
+    offs = {deg: [off for _key, off, _n in cells] for deg, cells in lay.items()}
     steps, ds = k._STEPS, k._diffs
     pairs, unpaired, betti = Counter(), Counter(), {}
     targets = set()  # the positions of this degree paired from the degree below
     for deg, cells in lay.items():
         lows = column_lows([(at[step(key)], off, d[key]) for key, off, _n in cells
                             for step, d in zip(steps, ds) if key in d], targets)
-        here = keys[deg]
+        here = offs[deg]
+        left = [n for _key, _off, n in cells]  # per cell, the elements left unpaired
+        for i in targets:
+            left[bisect_right(here, i) - 1] -= 1
         for j, i in lows.items():
-            pairs[here[j], keys[deg + 1][i]] += 1
-        for j, key in enumerate(here):
-            if j not in lows and j not in targets:
-                unpaired[key] += 1
-        betti[deg] = len(here) - len(lows) - len(targets)
+            c = bisect_right(here, j) - 1
+            left[c] -= 1
+            pairs[cells[c][0], lay[deg + 1][bisect_right(offs[deg + 1], i) - 1][0]] += 1
+        for (key, _off, _n), n in zip(cells, left):
+            if n:
+                unpaired[key] = n
+        betti[deg] = sum(left)
         targets = set(lows.values())
     return Barcode(pairs, unpaired, betti)
 
@@ -171,7 +179,7 @@ class SpectralPage:
         return {key: t.dim for key, t in self.terms.items() if t.dim}
 
     def diff_ranks(self) -> dict:
-        return {key: rank(m) for key, m in self.diffs.items() if rank(m)}
+        return {key: n for key, m in self.diffs.items() if (n := rank(m))}
 
     def to_json(self) -> dict:
         return {

@@ -9,6 +9,7 @@ cohomology of the total and the ranks that rank-nullity gives from it, and
 the page read of the pairing against the subquotient pages, on seeded
 complexes and on the model ladder."""
 
+import hashlib
 import json
 import random
 import re
@@ -231,6 +232,42 @@ def test_pairing_invariants_on_seeded_complexes():
 @pytest.mark.parametrize("name", ["IW", "T1xIW", "T2xIW", "IWxIW"])
 def test_pairing_invariants_on_the_ladder(name):
     _pairing_invariants(ladder()[name].complex, ladder_windows(name))
+
+
+# sha256 over (pairs, unpaired, betti) of every window_barcode below, in
+# their insertion order, taken when window_barcode counted per basis
+# position: the per-cell count keeps the pairing and the order that
+# stabilization_index, filtration and the printers read
+WINDOW_BARCODE_DIGEST = "b28251416e0e6ed9af3285eb732db9bcc083716d21f19d16dd0a93156303435e"
+
+
+def _pinned_complexes():
+    """The ladder rungs IW, T1xIW, T2xIW and IWxIW, then 240 seeded complexes
+    of column and row spans 1-4, every other one with fractional entries
+    (d1 / 2 and d2 * 2/3)."""
+    yield from (ladder()[name].complex for name in ("IW", "T1xIW", "T2xIW", "IWxIW"))
+    rng = random.Random(2113)
+    half, two_thirds = Fraction(1, 2), Fraction(2, 3)
+    for n in range(240):
+        k = random_double_complex(rng, p_span=rng.randint(1, 4), q_span=rng.randint(1, 4))
+        if n % 2:
+            k = DoubleComplex(k.dims(), {key: m.scale(half) for key, m in k._d1.items()},
+                              {key: m.scale(two_thirds) for key, m in k._d2.items()})
+        yield k
+
+
+def test_window_barcodes_keep_their_pinned_pairing_and_order():
+    h = hashlib.sha256()
+    swept = 0
+    for k in _pinned_complexes():
+        for s, t in columns(k):
+            bars = window_barcode(k, s, t)
+            h.update(repr((list(bars.pairs.items()), list(bars.unpaired.items()),
+                           bars.betti)).encode())
+            swept += 1
+    truncation.clear_truncation_cache()
+    assert swept > 3_000
+    assert h.hexdigest() == WINDOW_BARCODE_DIGEST
 
 
 def test_zero_complex_has_an_empty_barcode():

@@ -763,6 +763,16 @@ def _entries(rng, kind):
     return rng.randint(-3, 3)
 
 
+def _row_sparse(rng, rows, cols):
+    """A rows x cols matrix of which a quarter of the rows (one row, below
+    four) may hold entries, so from four rows on at least three in four are
+    zero rows."""
+    out = [[0] * cols for _ in range(rows)]
+    for i in rng.sample(range(rows), max(rows // 4, min(rows, 1))):
+        out[i] = [_entries(rng, "rational") if rng.random() < 0.6 else 0 for _ in range(cols)]
+    return RatMatrix(rows, cols, out)
+
+
 def _gen(rng, kind):
     """One seeded matrix of the given kind."""
     if kind == "zero-shape":
@@ -775,6 +785,9 @@ def _gen(rng, kind):
         for _ in range(max(1, r * c // 16)):
             rows[rng.randrange(r)][rng.randrange(c)] = rng.choice((1, -1, 1, -1, 2, -3))
         return RatMatrix(r, c, rows)
+    if kind == "row-sparse":
+        # the walks of @, transpose, kron and the reduction skip zero rows
+        return _row_sparse(rng, rng.randint(4, 16), rng.randint(1, 8))
     if kind == "magnitude":
         # pivots are rarely 1, and rows that a step leaves alone are read
         # again while they still owe that step's scaling
@@ -813,12 +826,14 @@ def _gen(rng, kind):
 
 def _like(rng, m, kind):
     """Another matrix of m's shape."""
+    if kind == "row-sparse":
+        return _row_sparse(rng, m.rows, m.cols)
     density = 0.1 if kind == "sparse" else 0.5
     return RatMatrix(m.rows, m.cols, [[_entries(rng, kind) if rng.random() < density else 0
                                        for _ in range(m.cols)] for _ in range(m.rows)])
 
 
-KINDS = ["dense", "sparse", "block", "rational", "zero-shape"]
+KINDS = ["dense", "sparse", "block", "rational", "zero-shape", "row-sparse"]
 
 
 @pytest.mark.parametrize("kind", KINDS + ["magnitude", "shared-swap"])
@@ -848,6 +863,7 @@ def test_algebra_matches_dense_lists(kind):
     for _ in range(200):
         a = _gen(rng, kind)
         n, da = a.cols, dense(a)
+        assert kind != "row-sparse" or 4 * sum(map(any, da)) <= a.rows
         b = _like(rng, a, kind)
         db = dense(b)
         zero = RatMatrix.zeros(a.rows, n)
@@ -885,6 +901,8 @@ def test_algebra_matches_dense_lists(kind):
         ds = dense(small)
         assert RatMatrix.kron(a, small) == _from_dense(
             [[x * y for x in ra for y in rs] for ra in da for rs in ds], n * small.cols)
+        assert RatMatrix.kron(small, a) == _from_dense(
+            [[x * y for x in rs for y in ra] for rs in ds for ra in da], small.cols * n)
         # overlapping blocks: a later block overwrites the columns it spans
         want = [list(r) for r in da]
         blocks = []
@@ -1013,3 +1031,42 @@ def test_products_vanish_matches_the_summed_products():
         assert products_vanish(*pairs) == want
         assert products_vanish(*pairs, (None, RatMatrix.identity(m)), (None, None)) == want
     assert 50 <= vanished <= 150
+    # row-sparse factors against dense products: rows held by one pair's
+    # left factor alone, rows cancelled across two pairs ((f a) b against
+    # f (a b)), and Kronecker factors with an all-zero or a zero-column
+    # factor, whose rows are all zero rows
+    rng = random.Random(6)
+    lone = cancelled = vanished = 0
+    for _ in range(300):
+        n, m, k, l = rng.randint(4, 12), rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 4)
+        f, h = _row_sparse(rng, n, k), _row_sparse(rng, n, k)
+        a, b = _rand_fraction_matrix(rng, k, l), _rand_fraction_matrix(rng, l, m)
+        g = _row_sparse(rng, k, m) if rng.random() < 0.5 else _rand_fraction_matrix(rng, k, m)
+        zero = RatMatrix.zeros(1, rng.randint(0, 2))
+        u = _rand_fraction_matrix(rng, n, rng.randint(1, 3))
+        fk = RatMatrix.kron(u, zero) if rng.random() < 0.5 else RatMatrix.kron(zero, u)
+        assert fk == RatMatrix.zeros(n, u.cols * zero.cols)
+        pairs = [(f @ a, b), (f, -(a @ b))] if rng.random() < 0.7 else []
+        pairs += [(h, g)] * (rng.random() < 0.6)
+        pairs.append((fk, _rand_fraction_matrix(rng, fk.cols, m)))
+        rng.shuffle(pairs)
+        want = not any(map(any, _dense_product_sum(pairs, n, m)))
+        assert products_vanish(*pairs) == want
+        assert products_vanish((None, b), *pairs) == want
+        # how many left factors hold each row
+        held = [sum(map(any, rows)) for rows in zip(*(dense(fl) for fl, _g in pairs))]
+        lone += 1 in held
+        cancelled += want and max(held) >= 2
+        vanished += want
+    assert lone >= 100 and cancelled >= 60 and 150 <= vanished <= 270
+
+
+def _dense_product_sum(pairs, rows, cols):
+    """The sum of the products f g over pairs, as dense lists of Fractions."""
+    out = [[Fraction(0)] * cols for _ in range(rows)]
+    for f, g in pairs:
+        dg = dense(g)
+        for i, row in enumerate(dense(f)):
+            for j in range(cols):
+                out[i][j] += sum(x * dg[c][j] for c, x in enumerate(row))
+    return out
