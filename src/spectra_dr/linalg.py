@@ -8,7 +8,7 @@ a zero row is ``()``.  A stored value is an ``int`` when it is integral and a
 ``fractions.Fraction`` (denominator > 1) only when it is not, so products,
 sums and Kronecker products of integral matrices run in int arithmetic.  The
 form is canonical, so equality is tuple equality and the hash is the hash of
-the rows, and every operation (products, sums, stacking, block placement,
+the rows, and every operation (products, sums, block placement,
 Kronecker products, transposes, zero tests, hashing) walks the nonzeros
 only; the hot walks (@, transpose, kron, products_vanish and the reduction's
 column reads) skip a zero row unread, before any iterator, dict or tuple is
@@ -349,7 +349,7 @@ def _merge(ra: tuple, rb: tuple, sign: int) -> tuple:
 class RatMatrix:
     """Immutable matrix over Fraction, stored as sparse rows (see the module
     docstring).  Zero-row and zero-column shapes are first-class:
-    eliminations, products and stacking all accept them."""
+    eliminations, products and block placement all accept them."""
 
     __slots__ = ("rows", "cols", "_rows", "_hash")
 
@@ -559,23 +559,6 @@ class RatMatrix:
         return self.submatrix(range(self.rows), col_idx)
 
     # -- combination ------------------------------------------------------
-
-    @staticmethod
-    def hstack(mats: Sequence["RatMatrix"]) -> "RatMatrix":
-        mats = [m for m in mats]
-        if not mats:
-            raise ValidationError("hstack of nothing")
-        rows = mats[0].rows
-        if any(m.rows != rows for m in mats):
-            raise ValidationError("hstack row mismatch")
-        out = [()] * rows
-        off = 0
-        for m in mats:
-            for i, r in enumerate(m._rows):
-                if r:
-                    out[i] += _shift(r, off)
-            off += m.cols
-        return RatMatrix(rows, off, out, _trusted=True)
 
     @staticmethod
     def from_blocks(rows: int, cols: int, blocks) -> "RatMatrix":
@@ -888,17 +871,24 @@ def image_basis(m: RatMatrix) -> RatMatrix:
     return m if len(cols) == m.cols else m.select_columns(cols)
 
 
-def solve_matrix(a: RatMatrix, b: RatMatrix) -> RatMatrix | None:
-    """One X with a @ X = b (free variables zero), or None if inconsistent."""
-    if a.rows != b.rows:
+def solve_matrix(a, b) -> RatMatrix | None:
+    """One X with a @ X = b (free variables zero), or None if inconsistent.
+
+    Each side is a RatMatrix or a sequence of its column parts, read
+    unglued: X solves [a0 | a1 | ...] @ X = [b0 | b1 | ...]."""
+    a = (a,) if isinstance(a, RatMatrix) else tuple(a)
+    b = (b,) if isinstance(b, RatMatrix) else tuple(b)
+    if not a or not b:
+        raise ValidationError("solve of no column parts")
+    n, k = sum(m.cols for m in a), sum(m.cols for m in b)
+    if any(m.rows != a[0].rows for m in a + b):
         raise ValidationError(
-            f"solve shape mismatch: {a.rows}x{a.cols} vs rhs {b.rows}x{b.cols}"
+            f"solve shape mismatch: {a[0].rows}x{n} vs rhs {b[0].rows}x{k}"
         )
-    n, k = a.cols, b.cols
     # a column of b reduces to zero against the reduced columns of a exactly
     # when it lies in their span, and its V column is then held only at the
     # pivot columns of a and at its own key: (x, t) with a @ x + t * b_j = 0
-    lows, zeros = _reduce(_leftmost(a, b), track=True)
+    lows, zeros = _reduce(_leftmost(*a, *b), track=True)
     if any(c <= -n for c in lows):
         return None
     out = [()] * n
@@ -935,10 +925,6 @@ class Subquotient:
     def dim(self) -> int:
         return self.representative_basis.cols
 
-    def _basis(self) -> RatMatrix:
-        """[B | R]: boundaries, then representatives, a basis of the cycles."""
-        return RatMatrix.hstack([self.boundary_basis, self.representative_basis])
-
     def __repr__(self) -> str:
         return (
             f"Subquotient(ambient={self.ambient_dim}, cycles={self.cycle_basis.cols},"
@@ -969,9 +955,11 @@ def subquotient(cycles: RatMatrix, boundaries) -> Subquotient:
     # one reduction of [b0 | b1 | ... | Z], from the left; the glued matrix
     # may exceed the size cap, so it is never a RatMatrix
     kept = sorted(-c for c in _reduce(_leftmost(*parts, z))[0])
-    b = RatMatrix.hstack([m.select_columns([c - o for c in kept if o <= c < o + m.cols])
-                          for o, m in zip(offs, parts)])
-    reps = [c - offs[-1] for c in kept if c >= offs[-1]]
+    cuts = [bisect_left(kept, o) for o in offs]  # where each part's kept columns start
+    b = RatMatrix.from_blocks(cycles.rows, cuts[-1], [
+        (0, i, m.select_columns([c - o for c in kept[i:j]]))
+        for o, m, i, j in zip(offs, parts, cuts, cuts[1:])])
+    reps = [c - offs[-1] for c in kept[cuts[-1]:]]
     # rank [B | Z] = dim(span B + span Z), which equals rank Z = z.cols
     # exactly when span B <= span Z
     if b.cols + len(reps) != z.cols:
@@ -994,7 +982,8 @@ def induced_map(mat: RatMatrix, source: Subquotient, target: Subquotient) -> Rat
             f"ambient shape mismatch: map is {mat.rows}x{mat.cols}, "
             f"source ambient {source.ambient_dim}, target ambient {target.ambient_dim}"
         )
-    x = solve_matrix(target._basis(), mat @ source._basis())
+    x = solve_matrix((target.boundary_basis, target.representative_basis),
+                     (mat @ source.boundary_basis, mat @ source.representative_basis))
     if x is None:
         raise NotChainCompatible("map does not send cycles to cycles")
     nb, ns = target.boundary_basis.cols, source.boundary_basis.cols

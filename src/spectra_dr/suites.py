@@ -72,16 +72,13 @@ from .truncation import (
 
 
 def _guard(rep: Report, check: str, tag, fn) -> None:
-    """Run fn; a True/Report result passes, an exception fails the line."""
+    """Run fn; a truthy result passes, an exception fails the line."""
     try:
         out = fn()
     except EngineError as exc:
         rep.add(check, tag, f"{type(exc).__name__}: {exc}", "ok")
         return
-    if isinstance(out, Report):
-        rep.add(check, tag, out.ok, True)
-    else:
-        rep.add(check, tag, bool(out), True)
+    rep.add(check, tag, bool(out), True)
 
 
 def cochain_suite(seed: int, runs: int) -> Report:

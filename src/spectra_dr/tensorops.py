@@ -140,15 +140,6 @@ class QuadComplex(GradedComplex):
     def __init__(self, dims: Mapping, d1=None, d2=None, d3=None, d4=None):
         super().__init__(dims, (d1, d2, d3, d4))
 
-    def dim(self, key) -> int:
-        return self._dims.get(tuple(key), 0)
-
-    def diff(self, i: int, key) -> RatMatrix:
-        return self._block(i - 1, tuple(key))
-
-    def keys(self):
-        return set(self._dims)
-
     def __repr__(self) -> str:
         return f"QuadComplex(cells={len(self._dims)}, total dim {self.total_dim()})"
 

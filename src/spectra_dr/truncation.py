@@ -134,14 +134,14 @@ def connecting_matrix(s_cx: DoubleComplex, r: int, s: int, t: int, k: int) -> Ra
     h_a = cohomology(ta, k + 1)
     if h_c.dim == 0 or ta.dim(k + 1) == 0:
         return RatMatrix.zeros(h_a.dim, h_c.dim)
-    # the coordinate section: T^k(C) is the prefix of T^k(B)
-    lift = tb.diff(k).select_columns(range(tc.dim(k)))
+    # the coordinate section: T^k(C) is the prefix of T^k(B), so the lift
+    # is the first n columns of the middle differential
+    d, n, cut = tb.diff(k), tc.dim(k), tc.dim(k + 1)
     # certify: every cycle's image vanishes on the quotient rows, T^{k+1}(C)
-    cut = tc.dim(k + 1)
-    if not products_vanish((lift.submatrix(range(cut), range(lift.cols)), h_c.cycle_basis)):
+    if not products_vanish((d.submatrix(range(cut), range(n)), h_c.cycle_basis)):
         raise WitnessFailure("connecting map left a component in the quotient window")
     # the rows after the cut are T^{k+1}(A) in its own block layout
-    return induced_map(lift.submatrix(range(cut, lift.rows), range(lift.cols)), h_c, h_a)
+    return induced_map(d.submatrix(range(cut, d.rows), range(n)), h_c, h_a)
 
 
 def les_check(s_cx: DoubleComplex, r: int, s: int, t: int) -> Report:

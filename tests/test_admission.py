@@ -406,8 +406,9 @@ def test_a_map_block_that_is_not_a_matrix_is_refused_by_name(models):
 def test_witnesses_and_map_admission_build_no_products(monkeypatch, models):
     """Squares, compositions, closedness and the Stokes condition are zero
     tests of products, made without building the product.  What les_check
-    still multiplies is, in each induced map, the ambient matrix by the
-    source's basis; the certification of a connecting map on every cycle
+    still multiplies is, in each of its 22 induced maps, the ambient matrix
+    by the two parts of the source's basis, its boundaries and its
+    representatives; the certification of a connecting map on every cycle
     is a zero test and adds none."""
     iw, iwiw = models["IW"], models["IWxIW"].complex
     real = RatMatrix.__matmul__
@@ -427,7 +428,7 @@ def test_witnesses_and_map_admission_build_no_products(monkeypatch, models):
                        (lambda: four_term_check(iw.complex, 0, 1, 2, 3), 0),
                        (lambda: verify_total_dual_iso(iwiw), 0),
                        (lambda: duality_map(iw, (0, 3)), 0),
-                       (lambda: les_check(iw.complex, 0, 1, 3), 22)):
+                       (lambda: les_check(iw.complex, 0, 1, 3), 2 * 22)):
         clear_caches()
         count.clear()
         call()

@@ -27,7 +27,8 @@ from spectra_dr.cochain import (
     identity_chain_map,
     shift,
 )
-from spectra_dr.errors import NotChainCompatible, ParseError, ValidationError
+from spectra_dr import suites
+from spectra_dr.errors import NotChainCompatible, ParseError, ValidationError, WitnessFailure
 from spectra_dr.randgen import random_double_complex, random_matrix
 from spectra_dr.truncation import window_map
 
@@ -346,3 +347,21 @@ def test_validation_takes_pieces_under_the_cap_whose_pairs_are_wider(monkeypatch
     with pytest.raises(ValidationError,
                        match=re.escape("piece (0,1) has dim 3 > SPECTRA_DR_MAX_DIM=2")):
         DoubleComplex(dims)
+
+
+def test_a_witness_that_raises_fails_its_line_and_the_report_comes_back_whole(monkeypatch):
+    want = suites.bicomplex_suite(5, 3)
+    assert want.ok
+
+    def broken(k):
+        raise WitnessFailure("the dual map is not an isomorphism")
+
+    monkeypatch.setattr(suites, "verify_total_dual_iso", broken)
+    got = suites.bicomplex_suite(5, 3)
+    assert [(ln.check, ln.degree) for ln in got.lines] == [
+        (ln.check, ln.degree) for ln in want.lines]
+    assert [(ln.check, ln.degree, ln.lhs, ln.rhs) for ln in got.failures()] == [
+        ("total_dual_witness", i, "WitnessFailure: the dual map is not an isomorphism", "ok")
+        for i in range(3)]
+    assert [ln for ln in got.lines if ln.check != "total_dual_witness"] == [
+        ln for ln in want.lines if ln.check != "total_dual_witness"]

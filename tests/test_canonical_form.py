@@ -76,7 +76,7 @@ def test_every_operation_stores_the_canonical_form():
         ri = [rng.randrange(n) for _ in range(rng.randint(0, 4))] if n else []
         ci = sorted(rng.sample(range(k), rng.randint(0, k)))
         assert_canonical(a.submatrix(ri, ci))
-        assert_canonical(RatMatrix.hstack([a, a2]))
+        assert_canonical(RatMatrix.from_blocks(n, 2 * k, [(0, 0, a), (0, k, a2)]))
         assert_canonical(RatMatrix.from_blocks(n + k, k + l, [(0, 0, a), (n, k, b), (0, 0, a2)]))
         assert_canonical(RatMatrix.identity(n))
         for j in range(k):

@@ -9,8 +9,15 @@ import pytest
 
 from spectra_dr.bicomplex import DoubleComplex
 from spectra_dr.cli import main
-from spectra_dr.models import iwasawa_spec, lie_model, torus_model
+from spectra_dr.models import (
+    iwasawa_spec,
+    leray_hirsch_predict,
+    lie_model,
+    product_model,
+    torus_model,
+)
 from spectra_dr.report import Report
+from spectra_dr.truncation import hypercohomology
 
 
 def run(capsys, *argv):
@@ -226,6 +233,48 @@ def test_predict_projective(capsys):
                        "--format", "json")
     assert code == 0
     assert json.loads(out)["value"] == 7
+
+
+LH = ("predict", "leray-hirsch", "--x", "lie:iwasawa", "--window", "1,2", "--degree", "3")
+
+
+def test_predict_leray_hirsch_is_the_trivial_bundle_window(capsys):
+    # the classes 1, a, b, ab of a torus T1 over Iwasawa: the bundle is the
+    # product T1xIW, whose window (1,2) holds 27 in degree 3
+    classes = "0,0;1,0;0,1;1,1"
+    code, out, _ = run(capsys, *LH, "--classes", classes, "--format", "json")
+    assert code == 0
+    value = json.loads(out)["value"]
+    iw = lie_model(iwasawa_spec())
+    prod = product_model(torus_model(1), iw).complex
+    assert value == 27 == leray_hirsch_predict(iw, (1, 2), 3, [(0, 0), (1, 0), (0, 1), (1, 1)])
+    assert value == hypercohomology(prod, (1, 2), 3)
+
+
+@pytest.mark.parametrize("classes, message", [
+    ("1", "error: class must be 'u,v', got '1'\n"),
+    ("a,b", "error: class bidegree must be integers: 'a,b'\n"),
+    (";", "error: empty class list\n"),
+])
+def test_predict_leray_hirsch_refuses_a_bad_class_list(capsys, classes, message):
+    code, out, err = run(capsys, *LH, "--classes", classes)
+    assert (code, out, err) == (2, "", message)
+
+
+def test_predict_leray_hirsch_needs_classes(capsys):
+    code, out, err = run(capsys, *LH)
+    assert (code, out, err) == (2, "", "error: predictor 'leray-hirsch' needs --classes\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--x", "lie:iwasawa", "--window", "1"), "error: window must be 's,t', got '1'\n"),
+    (("--x", "torus:x", "--window", "1,2"),
+     "error: bad integer in model descriptor 'torus:x'\n"),
+])
+def test_predict_refuses_a_bad_window_or_descriptor(capsys, argv, message):
+    code, out, err = run(capsys, "predict", "leray-hirsch", *argv, "--degree", "3",
+                         "--classes", "0,0")
+    assert (code, out, err) == (2, "", message)
 
 
 def test_predict_missing_y(capsys):

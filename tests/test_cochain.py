@@ -22,7 +22,7 @@ from spectra_dr.cochain import (
     shift,
 )
 from spectra_dr.errors import NotChainCompatible, ParseError, ValidationError
-from spectra_dr.linalg import RatMatrix
+from spectra_dr.linalg import RatMatrix, rank
 from spectra_dr.tensorops import QuadComplex
 
 
@@ -212,6 +212,11 @@ def test_cohomology_map_frozen():
     zero = ChainMap(k, k, {})
     assert cohomology_map(zero, 0) == M([[0]])
     assert not is_cohomology_iso(zero)
+    # an injective map onto a larger cohomology is refused on the dimensions
+    one, two = CochainComplex({0: 1}), CochainComplex({0: 2})
+    inc = ChainMap(one, two, {0: M([[1], [0]])})
+    assert rank(cohomology_map(inc, 0)) == 1
+    assert not is_cohomology_iso(inc)
 
 
 def test_compose_and_identity():

@@ -105,7 +105,7 @@ def test_stack_and_kron():
     a = M([[1, 2]])
     b = M([[3, 4]])
     assert RatMatrix.from_blocks(2, 2, [(0, 0, a), (1, 0, b)]) == M([[1, 2], [3, 4]])
-    assert RatMatrix.hstack([a, b]) == M([[1, 2, 3, 4]])
+    assert RatMatrix.from_blocks(1, 4, [(0, 0, a), (0, 2, b)]) == M([[1, 2, 3, 4]])
     assert RatMatrix.from_blocks(2, 4, [(0, 0, a), (1, 2, b)]) == M([[1, 2, 0, 0], [0, 0, 3, 4]])
     k = RatMatrix.kron(M([[1, 2]]), M([[0, 1], [1, 0]]))
     assert k == M([[0, 1, 0, 2], [1, 0, 2, 0]])
@@ -199,7 +199,8 @@ def test_internal_construction_hashes_like_public():
         M([["1", "0", "4/2"], ["0", "-3", "0/5"]]),
         RatMatrix.identity(2) @ m,
         m.transpose().transpose(),
-        RatMatrix.hstack([m, M([[7], [8]])]).submatrix(range(2), range(3)),
+        RatMatrix.from_blocks(2, 4, [(0, 0, m), (0, 3, M([[7], [8]]))]).submatrix(
+            range(2), range(3)),
     ]
     halves = [
         M([["1/2", 0], [0, "-2/3"]]),
@@ -317,12 +318,12 @@ PRODUCERS = {
     "matmul": lambda: _A @ _B,
     "transpose": lambda: _A.transpose(),
     "submatrix": lambda: _A.submatrix([0, 1], [0, 2]),
-    "hstack": lambda: RatMatrix.hstack([_A, _A]),
+    "hstack": lambda: RatMatrix.from_blocks(2, 6, [(0, 0, _A), (0, 3, _A)]),
     "kron": lambda: RatMatrix.kron(_SQ, _B),
     "identity": lambda: RatMatrix.identity(3),
     "zeros": lambda: RatMatrix.zeros(2, 3),
     "from_blocks": lambda: RatMatrix.from_blocks(3, 4, [(1, 1, _A)]),
-    "kernel_basis": lambda: kernel_basis(RatMatrix.hstack([_A, _A])),
+    "kernel_basis": lambda: kernel_basis(RatMatrix.from_blocks(2, 6, [(0, 0, _A), (0, 3, _A)])),
     "solve_matrix": lambda: solve_matrix(_A, _A),
 }
 
@@ -497,6 +498,39 @@ def test_solve_matrix_edge_shapes():
     assert solve_matrix(M([[1, 1], [2, 2]]), M([[1, 0], [2, 0]])) == M([[1, 0], [0, 0]])
 
 
+def _split(rng, m):
+    """m cut into one to three column parts, some of them empty."""
+    cuts = sorted(rng.randint(0, m.cols) for _ in range(rng.randint(0, 2)))
+    return [m.submatrix(range(m.rows), range(lo, hi))
+            for lo, hi in zip([0] + cuts, cuts + [m.cols])]
+
+
+def test_solve_matrix_reads_column_parts_as_the_glued_matrix():
+    rng = random.Random(37)
+    seen = Counter()
+    for _ in range(300):
+        n = rng.randint(0, 5)
+        a = rand_matrix(rng, n, rng.randint(0, 5))
+        # half the right-hand sides lie in the span of a
+        b = a @ rand_matrix(rng, a.cols, rng.randint(0, 4)) if rng.random() < 0.5 else (
+            rand_matrix(rng, n, rng.randint(0, 4)))
+        want = solve_matrix(a, b)
+        assert solve_matrix(_split(rng, a), _split(rng, b)) == want
+        assert solve_matrix(_split(rng, a), b) == want
+        assert solve_matrix(a, _split(rng, b)) == want
+        seen[want is None] += 1
+    assert min(seen.values()) >= 50
+    # the same refusal text on two matrices and on their parts
+    a, b = M([[1, 2], [3, 4]]), M([[1], [2], [3]])
+    for lhs, rhs in ((a, b), ([a], [b]), (_split(rng, a), b)):
+        with pytest.raises(ValidationError, match=r"^solve shape mismatch: 2x2 vs rhs 3x1$"):
+            solve_matrix(lhs, rhs)
+    with pytest.raises(ValidationError, match="solve shape mismatch"):
+        solve_matrix((a, RatMatrix.zeros(3, 1)), M([[1], [2]]))
+    with pytest.raises(ValidationError, match="no column parts"):
+        solve_matrix((), b)
+
+
 # -- subquotients ---------------------------------------------------------
 
 def _coordinates(sq, vectors):
@@ -632,7 +666,9 @@ def _dense_induced_map(mat, source, target):
     if _dense_solve(target.boundary_basis, mat @ source.boundary_basis) is None:
         raise NotChainCompatible("map does not send boundaries to boundaries")
     nb = target.boundary_basis.cols
-    basis = RatMatrix.hstack([target.boundary_basis, target.representative_basis])
+    basis = RatMatrix.from_blocks(target.ambient_dim, nb + target.dim,
+                                  [(0, 0, target.boundary_basis),
+                                   (0, nb, target.representative_basis)])
     x = _dense_solve(basis, mat @ source.representative_basis)
     return x.submatrix(range(nb, x.rows), range(x.cols))
 
@@ -894,7 +930,8 @@ def test_algebra_matches_dense_lists(kind):
                 a.submatrix(ri, ci)
         assert a.select_columns(kept) == _from_dense([[r[j] for j in kept] for r in da], len(kept))
         wide = [p + q + p for p, q in zip(da, db)]
-        assert RatMatrix.hstack([a, b, a]) == _from_dense(wide, 3 * n)
+        assert RatMatrix.from_blocks(a.rows, 3 * n, [(0, 0, a), (0, n, b), (0, 2 * n, a)]) == (
+            _from_dense(wide, 3 * n))
         assert RatMatrix.from_blocks(2 * a.rows, n, [(0, 0, b), (b.rows, 0, a)]) == _from_dense(
             db + da, n)
         small = rand_matrix(rng, rng.randint(0, 3), rng.randint(0, 3))
@@ -985,7 +1022,8 @@ def test_subquotient_of_boundary_parts_matches_the_glued_boundaries(monkeypatch)
         cycles = _rand_fraction_matrix(rng, n, rng.randint(0, 6))
         parts = [cycles @ _rand_fraction_matrix(rng, cycles.cols, rng.randint(0, 3))
                  for _ in range(rng.randint(1, 3))]
-        glued = RatMatrix.hstack(parts)
+        offs = list(accumulate((m.cols for m in parts), initial=0))
+        glued = RatMatrix.from_blocks(n, offs[-1], [(0, o, m) for o, m in zip(offs, parts)])
         want_b = image_basis(glued)
         want = subquotient(cycles, glued)
         cap = max([n, cycles.cols] + [m.cols for m in parts])

@@ -273,6 +273,11 @@ def test_integral(iw):
 def test_cup_rejects_non_closed(iw):
     with pytest.raises(NotClosed):
         cup_map(iw, (0, 3), (1, 0), unit(3, 2))  # dw^3 != 0
+    # wb3 is d1-closed, but d2 wb3 = -wb1 ^ wb2
+    wb3 = RatMatrix(3, 1, [[0], [0], [1]])
+    assert iw.base.complex.d1(0, 1) @ wb3 == RatMatrix.zeros(iw.base.dim(1, 1), 1)
+    with pytest.raises(NotClosed, match="^cup class is not d2-closed$"):
+        cup_map(iw, (0, 3), (0, 1), wb3)
 
 
 def test_cup_by_one_is_identity(iw):
